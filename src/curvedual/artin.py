@@ -24,7 +24,7 @@ from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
                      ZeroDivisor)
 from .fields import FiniteField, prime_field
 from .fracideal import FracIdeal, maximal_ideal, unit_ideal
-from .laurent import INF, Element, format_element
+from .laurent import INF, Element, clip_window, format_element, window_key
 from .linalg import Echelon, TrackedEchelon, dense_rank, is_invertible, kernel
 
 # -- dense matrix helpers -----------------------------------------------------
@@ -791,15 +791,6 @@ def quotient_module(module: ArtinModule, vectors) -> ArtinModule:
 
 # -- quotients of the curve ring ----------------------------------------------
 
-def _wkey(key):
-    return (key[1], key[0])
-
-
-def _clip(coeffs, tail):
-    return {(i, j): c for (i, j), c in coeffs.items()
-            if j < tail[i] and c}
-
-
 class ArtinQuotient:
     """O/xO packaged with the data needed to move elements in and out:
     representative lifts, and a class map through the window echelon."""
@@ -822,7 +813,7 @@ class ArtinQuotient:
     def class_of(self, elem: Element):
         """Coefficient tuple of the class of a ring element."""
         field = self.algebra.field
-        red = self._sub.reduce(_clip(elem.coeffs, self._tail))
+        red = self._sub.reduce(clip_window(elem.coeffs, self._tail))
         combo = self._tracked.express(red)
         if combo is None:
             raise NotMember("element is not in the ring")
@@ -863,7 +854,7 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
 
     sub = total.scale(x)
     tail = sub.tail
-    sub_ech = Echelon(field, sort_key=_wkey)
+    sub_ech = Echelon(field, sort_key=window_key)
     for row in sub.ech.rows:
         sub_ech.insert(dict(row))
 
@@ -874,10 +865,10 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
         for j in range(mm.tail[i], tail[i]):
             candidates.append(Element.monomial(field, r, i, j))
 
-    tracked = TrackedEchelon(field, sort_key=_wkey)
+    tracked = TrackedEchelon(field, sort_key=window_key)
     reps = []
     for cand in candidates:
-        red = sub_ech.reduce(_clip(cand.coeffs, tail))
+        red = sub_ech.reduce(clip_window(cand.coeffs, tail))
         if tracked.insert(red, len(reps)):
             reps.append(cand)
     if len(reps) != expected:
@@ -886,7 +877,7 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
             f"order sum {expected}")
 
     def class_vec(elem):
-        red = sub_ech.reduce(_clip(elem.coeffs, tail))
+        red = sub_ech.reduce(clip_window(elem.coeffs, tail))
         combo = tracked.express(red)
         if combo is None:
             raise InvariantViolation("product left the ring window")
@@ -917,17 +908,17 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
 
     reps = total.quotient_basis(sub)
     tail = sub.tail
-    sub_ech = Echelon(field, sort_key=_wkey)
+    sub_ech = Echelon(field, sort_key=window_key)
     for row in sub.ech.rows:
         sub_ech.insert(dict(row))
-    tracked = TrackedEchelon(field, sort_key=_wkey)
+    tracked = TrackedEchelon(field, sort_key=window_key)
     for idx, rep in enumerate(reps):
-        red = sub_ech.reduce(_clip(rep.coeffs, tail))
+        red = sub_ech.reduce(clip_window(rep.coeffs, tail))
         if not tracked.insert(red, idx):
             raise InvariantViolation("quotient representatives collapsed")
 
     def class_vec(elem):
-        red = sub_ech.reduce(_clip(elem.coeffs, tail))
+        red = sub_ech.reduce(clip_window(elem.coeffs, tail))
         combo = tracked.express(red)
         if combo is None:
             raise InvariantViolation("action left the module window")

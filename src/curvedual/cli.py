@@ -23,7 +23,7 @@ from . import family, toric2
 from .artin import ext_routes, verify_claim4, witness_cor3
 from .curvering import build, format_curve_file, parse_curve_file
 from .duality import canonical_module
-from .errors import AlgebraError
+from .errors import AlgebraError, ParseError
 from .fields import format_field, parse_field
 from .fracideal import (herbrand, normalization_module, random_ideal,
                         random_ring_element, slab_module, unit_ideal)
@@ -379,9 +379,11 @@ def _parse_points(text):
     pts = []
     for chunk in text.replace(";", " ").split():
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise AlgebraError(f"bad lattice point {chunk!r}; use x,y")
-        pts.append((int(parts[0]), int(parts[1])))
+        try:
+            x, y = (int(part) for part in parts)
+        except ValueError:
+            raise ParseError(f"bad lattice point {chunk!r}; use x,y") from None
+        pts.append((x, y))
     return pts
 
 

@@ -24,14 +24,10 @@ from dataclasses import dataclass
 from .errors import (DifferentialDegreeError, InvariantViolation, NotARing,
                      NotCoprime, NotFiniteColength, NotPrimeField, ParseError)
 from .fields import FiniteField, format_field, parse_field
-from .laurent import Element, format_element, parse_element
+from .laurent import Element, format_element, parse_element, window_key
 from .linalg import Echelon
 
 INF = math.inf
-
-
-def _wkey(key):
-    return (key[1], key[0])
 
 
 # -- presentation -------------------------------------------------------------
@@ -64,12 +60,16 @@ def _normalize_generators(gens):
 
     A generator whose constant terms differ across branches would make
     the constants of the subring strictly larger than the diagonal k,
-    so the result would not be local: rejected.
+    so the result would not be local: rejected.  So is a generator with
+    a pole: it lies outside the branch tuple, and its powers would never
+    leave the closure window.
     """
     out = []
     for g in gens:
         if g.degree != 0:
             raise DifferentialDegreeError("ring generators must be functions")
+        if any(j < 0 for (_, j) in g.coeffs):
+            raise NotARing("ring generators must have no poles")
         consts = {g.coefficient(i, 0) for i in range(g.nbranches)}
         if len(consts) > 1:
             raise NotARing(
@@ -111,7 +111,7 @@ def _closure_window(field, nbranches, gens, width):
     each branch they touch, so the window is exhausted after finitely
     many rounds; the span dimension bounds the work outright.
     """
-    ech = Echelon(field, sort_key=_wkey)
+    ech = Echelon(field, sort_key=window_key)
     gvecs = [{k: c for k, c in g.coeffs.items() if k[1] < width} for g in gens]
     frontier = []
 
@@ -187,7 +187,7 @@ def build(spec: CurveSpec) -> "CurveRing":
     for row, piv in zip(ech.rows, ech.pivots):
         if piv[1] < cond[piv[0]]:
             basis.append({k: c for k, c in row.items() if k[1] < cond[k[0]]})
-    reduced = Echelon(field, sort_key=_wkey)
+    reduced = Echelon(field, sort_key=window_key)
     reduced.extend(basis)
     lifts = tuple(Element(field, nbranches, row, 0) for row in reduced.rows)
     return CurveRing(spec, field, nbranches, tuple(gens), tuple(cond),

@@ -28,12 +28,8 @@ from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
                         conductor_module, from_generators,
                         normalization_module, slab_module, unit_ideal)
-from .laurent import INF, Element
+from .laurent import INF, Element, window_key
 from .linalg import kernel
-
-
-def _wkey(k):
-    return (k[1], k[0])
 
 
 def _regular_forms(ring):
@@ -78,7 +74,7 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
         raise ValueError("drop_conditions must be nonnegative")
     r = ring.nbranches
     cols = sorted(((i, j) for i in range(r) for j in range(-ring.cond[i], 0)),
-                  key=_wkey)
+                  key=window_key)
     rows = []
     for f in ring.basis:
         row = {}

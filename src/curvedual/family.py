@@ -90,7 +90,9 @@ def random_spec(field, seed: int) -> CurveSpec:
     if shape == 0:
         pair = _RANDOM_PAIRS[rng.randrange(len(_RANDOM_PAIRS))]
         return semigroup_spec(field, pair, label=f"random-{seed}")
-    c = field.of_int(rng.randint(1, 4))
+    # the slope must stay nonzero mod p; over Q and p >= 5 it is 1..4
+    top = min(4, field.char - 1) if field.char else 4
+    c = field.of_int(rng.randint(1, top))
     if shape == 1:
         k = rng.randint(1, 3)
         return _gens_spec(

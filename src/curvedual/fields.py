@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import NotPrimeField
+from .errors import NotPrimeField, ParseError
 
 
 def is_prime(n: int) -> bool:
@@ -46,7 +46,10 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational coefficient {text!r}") from None
 
     def format(self, x) -> str:
         return str(x)

@@ -25,17 +25,8 @@ import random
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NotContained,
                      NotMember, OwnerMismatch, ZeroDivisor, ZeroOnBranch)
-from .laurent import INF, Element
-from .linalg import Echelon, intersect_spans, kernel
-
-
-def _wkey(k):
-    # exponent first, branch second: lowest order terms lead
-    return (k[1], k[0])
-
-
-def _clip(coeffs, tail):
-    return {(i, j): c for (i, j), c in coeffs.items() if j < tail[i] and c}
+from .laurent import INF, Element, clip_window, window_key
+from .linalg import Echelon, intersect_spans, kernel, vec_iaddmul
 
 
 class FracIdeal:
@@ -50,24 +41,19 @@ class FracIdeal:
             raise OwnerMismatch("window length does not match branch count")
         if any(t < p for p, t in zip(pole, tail)):
             raise InvariantViolation("window tail below window start")
-        ech = Echelon(field, sort_key=_wkey)
+        ech = Echelon(field, sort_key=window_key)
         for row in rows:
-            ech.insert(_clip(row, tail))
-        # shrink each tail while the monomial just below it is present
+            ech.insert(clip_window(row, tail))
+        # shrink each tail while the monomial just below it is present;
+        # a fully reduced echelon that contains e_k has e_k itself as the
+        # row pivoted at k, and no other row touches k, so dropping that
+        # row leaves the echelon of the window one shorter
         for i in range(r):
             while tail[i] > pole[i]:
                 key = (i, tail[i] - 1)
                 if not ech.contains({key: field.one}):
                     break
-                kept = []
-                for row in ech.rows:
-                    rr = dict(row)
-                    rr.pop(key, None)
-                    if rr:
-                        kept.append(rr)
-                ech = Echelon(field, sort_key=_wkey)
-                for row in kept:
-                    ech.insert(row)
+                ech.discard(key)
                 tail[i] -= 1
         # poles become the true minimal valuations
         for i in range(r):
@@ -111,7 +97,7 @@ class FracIdeal:
         for (i, j) in elem.coeffs:
             if j < self.pole[i]:
                 return False
-        return self.ech.contains(_clip(elem.coeffs, self.tail))
+        return self.ech.contains(clip_window(elem.coeffs, self.tail))
 
     def contains_module(self, other) -> bool:
         self._same_ring(other)
@@ -152,8 +138,8 @@ class FracIdeal:
             raise DifferentialDegreeError("sum of a function module and a form module")
         pole = [min(a, b) for a, b in zip(self.pole, other.pole)]
         tail = [min(a, b) for a, b in zip(self.tail, other.tail)]
-        rows = [_clip(r, tail) for r in self.ech.rows]
-        rows += [_clip(r, tail) for r in other.ech.rows]
+        rows = [clip_window(r, tail) for r in self.ech.rows]
+        rows += [clip_window(r, tail) for r in other.ech.rows]
         return FracIdeal(self.ring, self.degree, pole, tail, rows)
 
     def scale(self, x):
@@ -172,7 +158,8 @@ class FracIdeal:
             raise DifferentialDegreeError("scaling a form module by a form")
         pole = [p + v for p, v in zip(self.pole, vals)]
         tail = [t + v for t, v in zip(self.tail, vals)]
-        rows = [_clip((e * x).coeffs, tail) for e in self.rows_as_elements()]
+        rows = [clip_window((e * x).coeffs, tail)
+                for e in self.rows_as_elements()]
         return FracIdeal(self.ring, deg, pole, tail, rows)
 
     def __mul__(self, other):
@@ -190,7 +177,7 @@ class FracIdeal:
         theirs = other.rows_as_elements()
         for a in mine:
             for b in theirs:
-                rows.append(_clip((a * b).coeffs, tail))
+                rows.append(clip_window((a * b).coeffs, tail))
         return FracIdeal(self.ring, deg, pole, tail, rows)
 
     def __rmul__(self, other):
@@ -211,7 +198,8 @@ class FracIdeal:
                     vecs.append({(i, j): field.one})
             return vecs
 
-        rows = intersect_spans(field, vectors(self), vectors(other), sort_key=_wkey)
+        rows = intersect_spans(field, vectors(self), vectors(other),
+                               sort_key=window_key)
         pole = [max(a, b) for a, b in zip(self.pole, other.pole)]
         return FracIdeal(self.ring, self.degree, pole, top, rows)
 
@@ -228,17 +216,30 @@ class FracIdeal:
         lo = [pm - pn for pm, pn in zip(self.pole, other.pole)]
         hi = [tm - pn for tm, pn in zip(self.tail, other.pole)]
         unknowns = [(i, j) for i in range(r) for j in range(lo[i], hi[i])]
-        unknowns.sort(key=_wkey)
+        unknowns.sort(key=window_key)
         reps = [dict(row) for row in other.ech.rows]
         for i in range(r):
             for j in range(other.tail[i], self.tail[i] - lo[i]):
                 reps.append({(i, j): field.one})
+        # the residual of x_u * n is linear in the monomials of the
+        # clipped product, so it is a combination of their normal forms
+        normal = {}
+
+        def normal_form(key):
+            nf = normal.get(key)
+            if nf is None:
+                nf = normal[key] = self.ech.reduce({key: field.one})
+            return nf
+
         constraints = {}
         for idx, n in enumerate(reps):
             for u in unknowns:
                 i, j = u
-                prod = {(i, l + j): c for (b, l), c in n.items() if b == i}
-                resid = self.ech.reduce(_clip(prod, self.tail))
+                top = self.tail[i] - j
+                resid = {}
+                for (b, l), c in n.items():
+                    if b == i and l < top:
+                        vec_iaddmul(resid, c, normal_form((i, l + j)))
                 for key, c in resid.items():
                     constraints.setdefault((idx, key), {})[u] = c
         sols = kernel(field, constraints.values(), unknowns)
@@ -259,7 +260,7 @@ class FracIdeal:
         field = self.ring.field
         r = self.ring.nbranches
         top = [max(a, b) for a, b in zip(self.tail, sub.tail)]
-        ech = Echelon(field, sort_key=_wkey)
+        ech = Echelon(field, sort_key=window_key)
         for row in sub.ech.rows:
             ech.insert(dict(row))
         for i in range(r):
@@ -379,7 +380,7 @@ def from_generators(ring, gens, degree=None):
     basis = list(ring.basis) or [Element.one(field, r)]
     for b in basis:
         for g in gens:
-            rows.append(_clip((b * g).coeffs, tail))
+            rows.append(clip_window((b * g).coeffs, tail))
     return FracIdeal(ring, deg, pole, tail, rows)
 
 

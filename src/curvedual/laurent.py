@@ -25,6 +25,18 @@ from .errors import (BranchMismatch, BranchOutOfRange,
 INF = math.inf
 
 
+def window_key(key):
+    """Sort key of a (branch, exponent) slot: exponent first, branch
+    second, so the lowest order terms lead."""
+    return (key[1], key[0])
+
+
+def clip_window(coeffs, tail):
+    """The terms of a coefficient dict strictly below each branch's
+    tail, zero coefficients dropped."""
+    return {(i, j): c for (i, j), c in coeffs.items() if j < tail[i] and c}
+
+
 class Element:
     """One Laurent vector: coeffs maps (branch, exponent) to a nonzero
     scalar; degree is 0 for functions and 1 for differentials."""

@@ -59,8 +59,14 @@ class Echelon:
 
     Rows are sorted by the sort key of their pivot, each row is scaled
     to pivot coefficient one, and no row's support meets another row's
-    pivot.  Inserting a vector either grows the span by one.  or
-    reduces to zero and is dropped.
+    pivot.  Inserting a vector either grows the span by one or reduces
+    to zero and is dropped.  The sort key must be injective on keys.
+
+    `_row_at` maps each pivot to its row.  Because the echelon is fully
+    reduced, subtracting a row never brings another pivot into a
+    vector, so eliminating a vector only needs the pivots already in
+    its support; they are visited in pivot order, which gives the same
+    residual, key order included, as a scan over every pivot.
     """
 
     def __init__(self, field, sort_key=None):
@@ -69,14 +75,22 @@ class Echelon:
         self.rows = []
         self.pivots = []
         self._pivot_keys = []
+        self._row_at = {}
+
+    def _hits(self, vec):
+        """The pivots in vec's support, in pivot order."""
+        row_at = self._row_at
+        hits = [k for k in vec if k in row_at]
+        if len(hits) > 1:
+            hits.sort(key=self.sort_key)
+        return hits
 
     def reduce(self, vec):
         """Residual of vec after eliminating every pivot; a new dict."""
         out = {k: x for k, x in vec.items() if x}
-        for i, p in enumerate(self.pivots):
-            c = out.get(p)
-            if c is not None:
-                vec_iaddmul(out, -c, self.rows[i])
+        row_at = self._row_at
+        for p in self._hits(out):
+            vec_iaddmul(out, -out[p], row_at[p])
         return out
 
     def insert(self, vec):
@@ -86,16 +100,29 @@ class Echelon:
             return None
         p = min(r, key=self.sort_key)
         r = vec_scale(self.field.one / r[p], r)
+        row_at = self._row_at
         for i, row in enumerate(self.rows):
             c = row.get(p)
             if c is not None:
-                self.rows[i] = vec_addmul(row, -c, r)
+                row = vec_addmul(row, -c, r)
+                self.rows[i] = row
+                row_at[self.pivots[i]] = row
         key = self.sort_key(p)
         pos = bisect_left(self._pivot_keys, key)
         self.rows.insert(pos, r)
         self.pivots.insert(pos, p)
         self._pivot_keys.insert(pos, key)
+        row_at[p] = r
         return p
+
+    def discard(self, pivot):
+        """Drop the row pivoted at `pivot`.  The other rows stay fully
+        reduced, so they are an echelon of a span one smaller."""
+        pos = bisect_left(self._pivot_keys, self.sort_key(pivot))
+        if pos == len(self.pivots) or self.pivots[pos] != pivot:
+            raise KeyError(pivot)
+        del self.rows[pos], self.pivots[pos], self._pivot_keys[pos]
+        del self._row_at[pivot]
 
     def extend(self, vecs):
         for v in vecs:
@@ -112,11 +139,13 @@ class Echelon:
         """Coefficients of vec on self.rows, or None if outside the span."""
         out = {k: x for k, x in vec.items() if x}
         cs = [self.field.zero] * len(self.rows)
-        for i, p in enumerate(self.pivots):
-            c = out.get(p)
-            if c is not None:
-                cs[i] = c
-                vec_iaddmul(out, -c, self.rows[i])
+        keys = self._pivot_keys
+        sort_key = self.sort_key
+        row_at = self._row_at
+        for p in self._hits(out):
+            c = out[p]
+            cs[bisect_left(keys, sort_key(p))] = c
+            vec_iaddmul(out, -c, row_at[p])
         return None if out else cs
 
 
@@ -131,7 +160,8 @@ class TrackedEchelon:
     vectors, so span members can be rewritten over the original tags.
 
     Invariant: rows[i] == sum over t of combos[i][t] * (vector inserted
-    under tag t).  Tags must be unique per insert.
+    under tag t).  Tags must be unique per insert.  Rows are indexed by
+    pivot as in `Echelon`.
     """
 
     def __init__(self, field, sort_key=None):
@@ -141,15 +171,19 @@ class TrackedEchelon:
         self.combos = []
         self.pivots = []
         self._pivot_keys = []
+        self._row_at = {}
+
+    _hits = Echelon._hits
 
     def _reduce(self, vec):
         out = {k: x for k, x in vec.items() if x}
         acc = {}
-        for i, p in enumerate(self.pivots):
-            c = out.get(p)
-            if c is not None:
-                vec_iaddmul(out, -c, self.rows[i])
-                vec_iaddmul(acc, -c, self.combos[i])
+        row_at = self._row_at
+        for p in self._hits(out):
+            c = out[p]
+            row, combo = row_at[p]
+            vec_iaddmul(out, -c, row)
+            vec_iaddmul(acc, -c, combo)
         return out, acc
 
     def insert(self, vec, tag) -> bool:
@@ -162,17 +196,22 @@ class TrackedEchelon:
         inv = self.field.one / r[p]
         r = vec_scale(inv, r)
         acc = vec_scale(inv, acc)
+        row_at = self._row_at
         for i, row in enumerate(self.rows):
             c = row.get(p)
             if c is not None:
-                self.rows[i] = vec_addmul(row, -c, r)
-                self.combos[i] = vec_addmul(self.combos[i], -c, acc)
+                row = vec_addmul(row, -c, r)
+                combo = vec_addmul(self.combos[i], -c, acc)
+                self.rows[i] = row
+                self.combos[i] = combo
+                row_at[self.pivots[i]] = (row, combo)
         key = self.sort_key(p)
         pos = bisect_left(self._pivot_keys, key)
         self.rows.insert(pos, r)
         self.combos.insert(pos, acc)
         self.pivots.insert(pos, p)
         self._pivot_keys.insert(pos, key)
+        row_at[p] = (r, acc)
         return True
 
     def express(self, vec):

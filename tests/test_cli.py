@@ -245,3 +245,36 @@ def test_report_needs_curve(capsys):
     code, _, err = run(capsys, "report")
     assert code == 2
     assert "curve" in err
+
+
+MALFORMED = [
+    ["toric", "saturate", "--gens", "a,b"],
+    ["toric", "saturate", "--gens", "1,2,3"],
+    ["toric", "saturate", "--gens", "1.5,2"],
+    ["toric", "hull", "--module", "x,y"],
+    ["toric", "hull", "--module", "1,"],
+    ["report", "--inline", "field Q; branches 1; gen 1/0*t"],
+    ["report", "--inline", "field Q; branches 1; gen 1/0 t + t^2"],
+    ["omega", "--inline", "field Q; branches 1; gen 3/0*t^2"],
+    ["check", "--inline", "field Q; branches 1; gen 1/0*t", "--cases", "1"],
+    ["report", "--inline", "field F5; branches 1; gen 1/2*t"],
+    ["report", "--inline", "field Q; branches 1; gen t^-1"],
+    ["report", "--inline", "field Q; branches 2; gen (t^2, t^-3)"],
+    ["report", "--inline", "field Q; branches x; gen t"],
+    ["report", "--inline", "field Q; semigroup a"],
+    ["report", "--inline", "field Fx; gen t^2"],
+    ["report", "--inline", "field F4; gen t^2"],
+    ["report", "--inline", "field Q; branches 1; gen (t^2"],
+    ["report", "--inline", "field Q; branches 1; gen t^x"],
+    ["report", "--field", "F1", "cusp"],
+    ["report", "0,3"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    # exit 1 is kept for a failed property, never for bad input
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -46,3 +47,23 @@ def test_random_spec_shapes(qq):
     assert random_spec(qq, 0).semigroup is not None
     assert random_spec(qq, 1).generators[0].nbranches == 2
     assert random_spec(qq, 2).generators[0].nbranches == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_random_ring_builds_over_small_prime_fields(p):
+    # the slope of the multi-branch shapes must be nonzero mod p
+    field = cd.prime_field(p)
+    for seed in range(60):
+        ring = random_ring(field, seed)
+        assert ring.field == field
+        assert ring.colength_normalization >= 0
+
+
+def test_random_spec_draws_unchanged_over_q_and_large_primes(qq):
+    # the slope bound only bites below p = 5
+    for field in (qq, cd.prime_field(5), cd.prime_field(7)):
+        for seed in (1, 2, 4, 5, 7, 8):
+            gens = random_spec(field, seed).generators
+            slope = gens[0].coefficient(gens[0].nbranches - 1, 1)
+            rng = random.Random(seed)
+            assert slope == field.of_int(rng.randint(1, 4))

@@ -6,11 +6,13 @@ import curvedual as cd
 from curvedual.errors import (DifferentialDegreeError, NotContained,
                               NotMember, OwnerMismatch, ZeroDivisor,
                               ZeroOnBranch)
-from curvedual.fracideal import (ZeroModule, conductor_module, from_generators,
+from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
+                                 from_generators,
                                  maximal_ideal, normalization_module,
                                  random_ideal, random_ring_element,
                                  slab_module, unit_ideal)
-from curvedual.laurent import Element
+from curvedual.laurent import Element, clip_window, window_key
+from curvedual.linalg import span
 
 
 def elem(ring, text):
@@ -212,3 +214,140 @@ def test_slab_module(tacnode):
     assert s.pole == (3, 1) == s.tail
     assert s.contains_element(elem(tacnode, "(t^3, t)"))
     assert not s.contains_element(elem(tacnode, "(t^2, t)"))
+
+
+# -- combinatorial oracle for monomial modules of semigroup rings -------------
+
+def semigroup_values(gens, upto):
+    """Elements of the numerical semigroup <gens> below `upto`, by sieve."""
+    member = [False] * upto
+    member[0] = True
+    for x in range(1, upto):
+        member[x] = any(x >= g and member[x - g] for g in gens)
+    return {x for x in range(upto) if member[x]}
+
+
+class ValueSet:
+    """The value set of a monomial module: finitely many values below
+    `cond`, and every integer from `cond` on."""
+
+    def __init__(self, low, cond):
+        self.low = frozenset(x for x in low if x < cond)
+        self.cond = cond
+
+    def __contains__(self, x):
+        return x >= self.cond or x in self.low
+
+    @property
+    def least(self):
+        return min(self.low, default=self.cond)
+
+    def below(self):
+        return sorted(self.low)
+
+
+def module_values(semigroup, frobenius, exps):
+    """Value set of the module generated by t^e, e in exps: exps + S."""
+    top = max(exps) + frobenius + 2
+    s = semigroup_values(semigroup, top - min(exps) + 1)
+    vals = {e + x for e in exps for x in s}
+    cond = top
+    while cond - 1 in vals:
+        cond -= 1
+    return ValueSet(vals, cond)
+
+
+def colon_values(a, b):
+    """{x : x + B ⊆ A}.  x + B ⊆ A needs x + b.least >= a.least, and
+    every x with x + b.least >= a.cond qualifies."""
+    good = set()
+    lo, hi = a.least - b.least, a.cond - b.least
+    for x in range(lo, hi):
+        if x + b.cond >= a.cond and all(x + y in a for y in b.below()):
+            good.add(x)
+    return ValueSet(good, hi)
+
+
+def assert_matches_values(mod, vals):
+    """A monomial module's canonical form lists exactly its values."""
+    window = []
+    for row in mod.ech.rows:
+        assert len(row) == 1 and set(row.values()) == {mod.ring.field.one}
+        ((_, j),) = row
+        window.append(j)
+    assert mod.tail == (vals.cond,)
+    assert sorted(window) == vals.below()
+    assert mod.pole == (vals.least,)
+
+
+@pytest.mark.parametrize("pair,field_name",
+                         [((7, 9), "Q"), ((7, 9), "F5"), ((9, 11), "Q"),
+                          ((9, 11), "F5")])
+def test_colon_of_monomial_modules_against_value_sets(pair, field_name):
+    field = cd.parse_field(field_name)
+    ring = cd.build(cd.semigroup_spec(field, pair))
+    frobenius = pair[0] * pair[1] - pair[0] - pair[1]
+    assert ring.cond == (frobenius + 1,)
+    rng = random.Random(sum(pair))
+
+    def monomial_module():
+        exps = sorted(rng.sample(range(-6, frobenius), rng.randint(1, 3)))
+        gens = [Element.monomial(field, 1, 0, e) for e in exps]
+        mod = from_generators(ring, gens)
+        vals = module_values(pair, frobenius, exps)
+        assert_matches_values(mod, vals)
+        return mod, vals
+
+    for _ in range(6):
+        (a, av), (b, bv) = monomial_module(), monomial_module()
+        assert_matches_values(a.colon(b), colon_values(av, bv))
+    one = unit_ideal(ring)
+    assert_matches_values(one.colon(normalization_module(ring)),
+                          ValueSet((), frobenius + 1))
+
+
+def shrink_by_rebuilding(ring, pole, tail, rows):
+    """Window echelon and tail by the definition: while the monomial
+    just below a tail lies in the span, remove that slot from every
+    row and echelonize the rest again from scratch."""
+    field = ring.field
+    tail = list(tail)
+    ech = span(field, [clip_window(row, tail) for row in rows],
+               sort_key=window_key)
+    for i in range(ring.nbranches):
+        while tail[i] > pole[i]:
+            key = (i, tail[i] - 1)
+            if not ech.contains({key: field.one}):
+                break
+            kept = [{k: c for k, c in row.items() if k != key}
+                    for row in ech.rows]
+            ech = span(field, [row for row in kept if row],
+                       sort_key=window_key)
+            tail[i] -= 1
+    return tuple(tail), ech
+
+
+@pytest.mark.parametrize("name", ["tacnode", "three-lines", "r345"])
+def test_tail_shrink_matches_rebuild(named, r345, name):
+    ring = r345 if name == "r345" else named[name]
+    field = ring.field
+    for seed in range(4):
+        mod = random_ideal(ring, seed=seed)
+        extra = 3 + seed
+        tail = [t + extra for t in mod.tail]
+        rows = [dict(row) for row in mod.ech.rows]
+        rng = random.Random(seed)
+        for i in range(ring.nbranches):
+            for j in range(mod.tail[i], tail[i]):
+                # monomials above the true tail, some disguised
+                row = {(i, j): field.one}
+                if j + 1 < tail[i] and rng.random() < 0.5:
+                    row[(i, j + 1)] = field.random_nonzero(rng)
+                rows.append(row)
+        grown = FracIdeal(ring, mod.degree, mod.pole, tail, rows)
+        want_tail, want = shrink_by_rebuilding(ring, mod.pole, tail, rows)
+        assert grown.tail == want_tail == mod.tail
+        assert sum(tail) - sum(grown.tail) >= 3 * ring.nbranches
+        assert grown.ech.rows == want.rows
+        assert grown.ech.pivots == want.pivots
+        assert grown == mod

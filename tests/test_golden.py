@@ -1,0 +1,46 @@
+"""Byte-for-byte regression of `--format json` output.
+
+The files under tests/golden/ were written by the CLI before the
+elimination kernel was pivot-indexed; every later change to the
+linear algebra must leave these bytes alone.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from curvedual import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "report-quartic-branch.json": ["report", "inputs/quartic-branch.curve"],
+    "report-semigroup-345-f5.json": ["report", "inputs/semigroup-345-f5.curve"],
+    "report-tacnode.json": ["report", "inputs/tacnode.curve"],
+    "report-three-lines.json": ["report", "inputs/three-lines.curve"],
+    "report-7-9-Q.json": ["report", "7,9", "--field", "Q"],
+    "report-7-9-F5.json": ["report", "7,9", "--field", "F5"],
+    "omega-7-9-Q.json": ["omega", "7,9", "--field", "Q"],
+    "omega-7-9-F5.json": ["omega", "7,9", "--field", "F5"],
+    "check-tacnode-cases8-seed2.json": ["check", "tacnode", "--cases", "8",
+                                        "--seed", "2"],
+}
+
+
+def run_json(argv):
+    """(exit code, stdout bytes) of one CLI call with JSON output."""
+    argv = [str(ROOT / a) if a.startswith("inputs/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--format", "json"])
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_bytes_match_golden(name):
+    code, got = run_json(CASES[name])
+    assert code == 0
+    assert got == (GOLDEN / name).read_bytes()

@@ -133,3 +133,99 @@ def test_echelon_respects_sort_key():
     ech.insert({0: Fraction(1), 3: Fraction(1)})
     # with reversed order the pivot is the largest key
     assert ech.pivots == [3]
+
+
+def full_scan_reduce(ech, vec):
+    """Textbook elimination: every pivot in turn, in pivot order."""
+    out = {k: x for k, x in vec.items() if x}
+    for p, row in zip(ech.pivots, ech.rows):
+        c = out.get(p)
+        if c is not None:
+            out = vec_addmul(out, -c, row)
+    return out
+
+
+def combine(coeffs, vecs):
+    out = {}
+    for c, v in zip(coeffs, vecs):
+        out = vec_addmul(out, c, v)
+    return out
+
+
+def assert_echelon_invariants(ech):
+    assert len(ech.rows) == len(ech.pivots) == len(ech._pivot_keys)
+    assert list(ech._pivot_keys) == sorted(ech._pivot_keys)
+    assert ech._pivot_keys == [ech.sort_key(p) for p in ech.pivots]
+    assert set(ech._row_at) == set(ech.pivots)
+    pivots = set(ech.pivots)
+    for i, (p, row) in enumerate(zip(ech.pivots, ech.rows)):
+        index_row = ech._row_at[p]
+        if isinstance(ech, TrackedEchelon):
+            assert index_row[1] is ech.combos[i]
+            index_row = index_row[0]
+        assert index_row is row
+        assert row[p] == ech.field.one
+        assert min(row, key=ech.sort_key) == p
+        assert not (pivots - {p}) & set(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_name=st.sampled_from(["Q", "F2", "F5", "F7"]),
+       n=st.integers(1, 64), dense=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivot_index_matches_textbook_elimination(field_name, n, dense, seed):
+    field = cd.parse_field(field_name)
+    rng = random.Random(seed)
+    # an injective order that is not the natural one on 0..63
+    order = lambda k: (7 * k) % 67
+
+    def draw():
+        keys = range(n) if dense else rng.sample(range(n), min(n, 4))
+        return rand_vec(field, rng, keys)
+
+    ech = Echelon(field, sort_key=order)
+    fresh = []
+    for _ in range(rng.randint(1, 24)):
+        if ech.pivots and rng.random() < 0.25:
+            p = rng.choice(ech.pivots)
+            kept = [dict(row) for row in ech.rows if row is not ech._row_at[p]]
+            ech.discard(p)
+            rebuilt = span(field, kept, sort_key=order)
+            assert ech.rows == rebuilt.rows and ech.pivots == rebuilt.pivots
+            assert p not in ech._row_at
+            fresh = []
+        else:
+            v = draw()
+            ech.insert(v)
+            fresh.append(v)
+        assert_echelon_invariants(ech)
+    with pytest.raises(KeyError):
+        ech.discard(n + 1)
+
+    for v in fresh:
+        assert ech.contains(v)
+        cs = ech.coords(v)
+        assert cs is not None and combine(cs, ech.rows) == v
+    for _ in range(8):
+        v = draw()
+        r = ech.reduce(v)
+        expected = full_scan_reduce(ech, v)
+        assert list(r.items()) == list(expected.items())
+        assert not set(r) & set(ech.pivots)
+        cs = ech.coords(vec_sub(v, r))
+        assert cs is not None and combine(cs, ech.rows) == vec_sub(v, r)
+        assert (ech.coords(v) is None) == bool(r)
+
+    tracked = TrackedEchelon(field, sort_key=order)
+    for tag, v in enumerate(fresh):
+        tracked.insert(v, tag)
+        assert_echelon_invariants(tracked)
+    for _ in range(8):
+        weights = [field.random(rng) for _ in fresh]
+        probe = combine(weights, fresh)
+        combo = tracked.express(probe)
+        assert combo is not None
+        assert combine(combo.values(), [fresh[t] for t in combo]) == probe
+        outside = draw()
+        assert (tracked.express(outside) is None) == (
+            not span(field, fresh, sort_key=order).contains(outside))
