@@ -3,9 +3,14 @@
 
 For each (multiplicity m, prime p) pair this prints dim Ext^1 of the
 dualizing quotient against the residue field, computed once through a
-minimal resolution and once by enumerating extension classes, next to
-the closed form m^2 - m - 1.  Optionally re-checks the exhaustive
-middle-term classification and hunts for an uncovered middle.
+minimal resolution and once as the dimension of the cocycles modulo
+the coboundaries on the minimal cover (the "enumeration" column; no
+middle module is built), next to the closed form m^2 - m - 1.
+Optionally re-checks the middle-term classification over every
+extension class, one middle per line of classes, and hunts for an
+uncovered middle.
+
+    PYTHONPATH=src python scripts/ext_lab.py --m 3 4 --p 2 3 --claims
 """
 
 import argparse
@@ -49,7 +54,7 @@ def main():
             except TooLarge as err:
                 print(f"claim sweep (m={m}, p={p}) skipped: {err}")
                 continue
-            print(f"middles (m={m}, p={p}): {claim.checked} of "
+            print(f"classes (m={m}, p={p}): {claim.checked} of "
                   f"{claim.total} pass the quotient test; classification "
                   f"{'holds' if claim.ok else 'FAILS'}")
             witness = cd.witness_cor3(m, p, bound=ns.bound)

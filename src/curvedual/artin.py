@@ -45,18 +45,18 @@ def _mat_vec(field, mat, vec):
 
 def _mat_mul(field, a, b):
     cols = len(b[0]) if b else 0
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))
-                            if a[i][k]), field.zero)
-                       for j in range(cols)) for i in range(len(a)))
+    out = []
+    for row in a:
+        # a row's zero entries are skipped once, not once per column
+        terms = [(c, b[k]) for k, c in enumerate(row) if c]
+        out.append(tuple(sum((c * brow[j] for c, brow in terms), field.zero)
+                         for j in range(cols)))
+    return tuple(out)
 
 
 def _mat_add_scaled(field, acc, c, mat):
     return tuple(tuple(acc[i][j] + c * mat[i][j]
                        for j in range(len(acc[i]))) for i in range(len(acc)))
-
-
-def _mat_eq(a, b):
-    return a == b
 
 
 def _column(mat, j):
@@ -151,10 +151,6 @@ class ArtinAlgebra:
         """Matrix of multiplication by basis[i]; columns index the basis."""
         return tuple(tuple(self.mult[i][j][k] for j in range(self.dim))
                      for k in range(self.dim))
-
-    def is_unit(self, vec) -> bool:
-        # local ring: a vector is invertible iff its unit coordinate is
-        return bool(vec[0])
 
     def __repr__(self):
         return f"<algebra of dimension {self.dim}>"
@@ -618,16 +614,16 @@ def surjection_exists(mmodule: ArtinModule, nmodule: ArtinModule) -> bool:
 
 # -- extension enumeration -----------------------------------------------------
 
-def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
-                         bound: int = 12):
-    """One middle module per extension class of M by N.
+def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
+                       bound: int):
+    """Ext^1(M, N) as cocycles modulo coboundaries.
 
-    Classes are computed as Hom(K, N) modulo restrictions from the
-    minimal cover F -> M with kernel K; the middle for a cocycle is the
-    pushout (N + F)/graph.  The split class is the zero cocycle and is
-    always present.  The class count is |k|^e with e = dim Ext^1, which
-    is what makes exhaustive enumeration possible at all; infinite
-    fields and dimensions above `bound` are refused.
+    With F -> M the minimal cover and K its kernel, a class is a map
+    K -> N modulo restrictions of maps F -> N.  Returns (b0, kvecs,
+    reps): the rank of F, a basis of K, and cocycles whose classes form
+    a basis of Ext^1, so e = len(reps).  Dimensions above `bound` are
+    refused, and so is a nonzero dimension over an infinite field,
+    whose classes cannot be walked.
     """
     algebra = mmodule.algebra
     field = algebra.field
@@ -689,21 +685,66 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
     if e and not isinstance(field, FiniteField):
         raise TooLarge("enumeration needs a finite coefficient field")
 
-    middles = []
-    lam_space = _coeff_grid(field, e, 0) if e == 0 else itertools.product(
-        field.elements(), repeat=e)
-    for lam in lam_space:
-        psi = {}
-        for c, rep in zip(lam, reps):
-            if c:
-                for key, x in rep.items():
-                    y = psi.get(key, field.zero) + c * x
-                    if y:
-                        psi[key] = y
-                    else:
-                        psi.pop(key, None)
-        middles.append(_pushout_middle(algebra, nmodule, b0, kvecs, psi))
-    return middles
+    return b0, kvecs, reps
+
+
+def _cocycle(field, lam, reps):
+    """The cocycle sum(lam[i] * reps[i]) as a sparse dict."""
+    psi = {}
+    for c, rep in zip(lam, reps):
+        if c:
+            for key, x in rep.items():
+                y = psi.get(key, field.zero) + c * x
+                if y:
+                    psi[key] = y
+                else:
+                    psi.pop(key, None)
+    return psi
+
+
+def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
+                         bound: int = 12):
+    """One middle module per extension class of M by N, as a list.
+
+    The middle for a cocycle psi is the pushout (N + F)/graph(psi) of
+    the minimal cover F -> M.  The split class is the zero cocycle and
+    comes first.  The class count is |k|^e with e = dim Ext^1, which is
+    what makes exhaustive enumeration possible at all; infinite fields
+    and dimensions above `bound` are refused.
+    """
+    algebra = mmodule.algebra
+    field = algebra.field
+    b0, kvecs, reps = _extension_classes(mmodule, nmodule, bound)
+    e = len(reps)
+    lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
+    return [_pushout_middle(algebra, nmodule, b0, kvecs,
+                            _cocycle(field, lam, reps))
+            for lam in lam_space]
+
+
+def _line_middles(nmodule: ArtinModule, classes):
+    """(weight, middle) for one middle per line of extension classes.
+
+    Scaling N by c maps graph(psi) onto graph(c psi), so the middles of
+    a class and of its nonzero multiples are isomorphic and every
+    isomorphism invariant is constant on a line.  The split class
+    comes first with weight 1, then one class per line, with first
+    nonzero coordinate 1 and weight q - 1; the weights add up to q^e.
+    Lines come in the order of their first class in the full walk of
+    `enumerate_extensions` over a prime field: leading index from e - 1
+    down to 0, and the tail in `itertools.product` order.
+    """
+    algebra = nmodule.algebra
+    field = algebra.field
+    b0, kvecs, reps = classes
+    e = len(reps)
+    yield 1, _pushout_middle(algebra, nmodule, b0, kvecs, {})
+    for lead in range(e - 1, -1, -1):
+        head = (field.zero,) * lead + (field.one,)
+        for tail in itertools.product(field.elements(), repeat=e - 1 - lead):
+            psi = _cocycle(field, head + tail, reps)
+            yield (field.order - 1,
+                   _pushout_middle(algebra, nmodule, b0, kvecs, psi))
 
 
 def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
@@ -1021,6 +1062,10 @@ class ExtRouteReport:
 def ext_routes(m: int, p: int, bound: int = 12) -> ExtRouteReport:
     """Both computations of dim Ext^1(omega/x omega, k).
 
+    `via_resolution` reads the dimension off a minimal free resolution;
+    `via_enumeration` is the dimension of the cocycles modulo the
+    coboundaries on the minimal cover, a separate computation that
+    builds no middle module.  Dimensions above `bound` raise TooLarge.
     The closed form m^2 - m - 1 counts the raw residue-pairing
     parameters m^2 - m minus one lifting normalisation; the report
     carries all three numbers so disagreement is visible, not patched.
@@ -1028,15 +1073,8 @@ def ext_routes(m: int, p: int, bound: int = 12) -> ExtRouteReport:
     lab = ext_lab_instance(m, p)
     k = trivial_module(lab.square.algebra)
     via_res = ext(lab.module, k, 1)
-    middles = enumerate_extensions(lab.module, k, bound=bound)
-    q = lab.square.algebra.field.order
-    count = len(middles)
-    via_enum = 0
-    while q ** via_enum < count:
-        via_enum += 1
-    if q ** via_enum != count:
-        raise InvariantViolation("class count is not a power of the field size")
-    return ExtRouteReport(m, p, via_res, via_enum, m * m - m - 1)
+    _, _, reps = _extension_classes(lab.module, k, bound)
+    return ExtRouteReport(m, p, via_res, len(reps), m * m - m - 1)
 
 
 @dataclass(frozen=True)
@@ -1051,25 +1089,31 @@ class ClaimReport:
         return self.ok
 
 
+def _reduces_to(mid: ArtinModule, xvec, module: ArtinModule) -> bool:
+    """Whether E/xE is isomorphic to the given module."""
+    xmat = mid.action_matrix(xvec)
+    q = quotient_module(mid, [_column(xmat, j) for j in range(mid.dim)])
+    return q.dim == module.dim and module_iso(q, module) is not None
+
+
 def verify_claim4(m: int, p: int, bound: int = 12) -> ClaimReport:
     """Every self-extension middle E of omega/x omega with
-    E/xE isomorphic to omega/x omega is isomorphic to omega/x^2 omega."""
+    E/xE isomorphic to omega/x omega is isomorphic to omega/x^2 omega.
+
+    Both counts are of extension classes; one middle is built per line
+    of classes and weighted by the classes on it."""
     lab = ext_lab_instance(m, p)
     xvec = lab.square.class_of(lab.x)
-    middles = enumerate_extensions(lab.module, lab.module, bound=bound)
+    classes = _extension_classes(lab.module, lab.module, bound)
+    total = p ** len(classes[2])
     checked = 0
-    for mid in middles:
-        xmat = mid.action_matrix(xvec)
-        cols = [_column(xmat, j) for j in range(mid.dim)]
-        q = quotient_module(mid, cols)
-        if q.dim != lab.module.dim:
+    for weight, mid in _line_middles(lab.module, classes):
+        if not _reduces_to(mid, xvec, lab.module):
             continue
-        if module_iso(q, lab.module) is None:
-            continue
-        checked += 1
+        checked += weight
         if module_iso(mid, lab.target) is None:
-            return ClaimReport(False, checked, len(middles), m, p)
-    return ClaimReport(True, checked, len(middles), m, p)
+            return ClaimReport(False, checked, total, m, p)
+    return ClaimReport(True, checked, total, m, p)
 
 
 @dataclass(frozen=True)
@@ -1089,29 +1133,29 @@ def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
     Counting argument behind the search: extensions realised by
     quotients of the target form a proper subspace, so witnesses are
     plentiful; still, the search is exhaustive and NoWitness is raised
-    honestly if every class is covered.
+    honestly if every class is covered.  The counts are of extension
+    classes, walked one line at a time as in `verify_claim4`; the
+    witness is the middle of the first uncovered class of the full walk.
     """
     lab = ext_lab_instance(m, p)
     xvec = lab.square.class_of(lab.x)
     k = trivial_module(lab.square.algebra)
-    middles = enumerate_extensions(lab.module, k, bound=bound)
+    classes = _extension_classes(lab.module, k, bound)
     passing = 0
     covered = 0
     witness = None
-    for mid in middles:
-        xmat = mid.action_matrix(xvec)
-        cols = [_column(xmat, j) for j in range(mid.dim)]
-        q = quotient_module(mid, cols)
-        if q.dim != lab.module.dim or module_iso(q, lab.module) is None:
+    for weight, mid in _line_middles(k, classes):
+        if not _reduces_to(mid, xvec, lab.module):
             continue
-        passing += 1
+        passing += weight
         if surjection_exists(lab.target, mid):
-            covered += 1
+            covered += weight
         elif witness is None:
             witness = mid
     if witness is None:
         raise NoWitness("every extension class is covered by the target")
-    return WitnessReport(witness, len(middles), passing, covered, m, p)
+    return WitnessReport(witness, p ** len(classes[2]), passing, covered,
+                         m, p)
 
 
 # -- torsion pairing check -----------------------------------------------------

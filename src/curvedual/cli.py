@@ -487,10 +487,20 @@ def _build_parser():
     return parser
 
 
+def _check_counts(ns):
+    """Reject count flags outside their range before any work starts."""
+    if ns.window_bound < 1:
+        raise ParseError(f"--window-bound must be at least 1, "
+                         f"not {ns.window_bound}")
+    if getattr(ns, "cases", 0) < 0:
+        raise ParseError(f"--cases must be at least 0, not {ns.cases}")
+
+
 def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
+        _check_counts(ns)
         return ns.func(ns)
     except AlgebraError as err:
         print(f"error: {err}", file=sys.stderr)

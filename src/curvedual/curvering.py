@@ -303,10 +303,6 @@ class CurveRing:
             raise InvariantViolation("seminormalization is not seminormal")
         return out
 
-    def artin_quotient(self, x):
-        from .artin import curve_quotient
-        return curve_quotient(self, x)
-
     def base_change(self, e: int):
         """The same generators over the degree-e extension field.
 

@@ -190,23 +190,42 @@ class AffineSemigroup2:
         return self._member(w)
 
     def _member(self, w):
-        hit = self._memo.get(w)
+        """Depth-first search for w - g in the semigroup, generators in
+        order, every finished point memoised.  The stack is explicit, so
+        a point far from the origin does not hit the recursion limit."""
+        memo = self._memo
+        hit = memo.get(w)
         if hit is not None:
             return hit
-        out = False
-        for g in self._dp_gens:
-            z = _sub(w, g)
-            if z == (0, 0):
-                out = True
-                break
-            a, b = self.normal_values(z)
-            if a < 0 or b < 0:
-                continue
-            if self._member(z):
-                out = True
-                break
-        self._memo[w] = out
-        return out
+        gens = self._dp_gens
+        stack = [(w, iter(gens))]
+        found = None  # answer of the frame popped last, None on descent
+        while stack:
+            v, rest = stack[-1]
+            out, found = found, None
+            if not out:
+                out = False
+                for g in rest:
+                    z = _sub(v, g)
+                    if z == (0, 0):
+                        out = True
+                        break
+                    a, b = self.normal_values(z)
+                    if a < 0 or b < 0:
+                        continue
+                    known = memo.get(z)
+                    if known is None:
+                        out = None
+                        stack.append((z, iter(gens)))
+                        break
+                    if known:
+                        out = True
+                        break
+                if out is None:
+                    continue
+            stack.pop()
+            memo[v] = found = out
+        return found
 
     def _reachable(self, ray, t):
         """Vectors reachable by off-ray generator combos at edge level

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curvedual as cd
+from curvedual import artin
 from curvedual.artin import (ArtinAlgebra, ArtinModule, SocleData,
                              curve_quotient, enumerate_extensions, ext,
                              ext_lab_instance, ext_routes, free_module,
@@ -227,3 +231,113 @@ def test_socle_data_is_plain():
     data = socle(lab.module)
     assert isinstance(data, SocleData)
     assert data.dimension == len(data.basis)
+
+
+def _passes_quotient_test(mid, xvec, module):
+    xmat = mid.action_matrix(xvec)
+    cols = [tuple(row[j] for row in xmat) for j in range(mid.dim)]
+    q = quotient_module(mid, cols)
+    return q.dim == module.dim and module_iso(q, module) is not None
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3)])
+def test_line_walk_matches_full_enumeration(m, p):
+    # the claim 4 and corollary 3 counts, walked over every extension
+    # class one by one, against the reports that build one middle per
+    # line of classes and weight it by the classes on the line
+    lab = ext_lab_instance(m, p)
+    xvec = lab.square.class_of(lab.x)
+    k = trivial_module(lab.square.algebra)
+
+    selfs = enumerate_extensions(lab.module, lab.module)
+    passing = [mid for mid in selfs
+               if _passes_quotient_test(mid, xvec, lab.module)]
+    holds = all(module_iso(mid, lab.target) is not None for mid in passing)
+    claim = verify_claim4(m, p)
+    assert (claim.ok, claim.checked, claim.total) == (
+        holds, len(passing), len(selfs))
+
+    middles = enumerate_extensions(lab.module, k)
+    passing = [mid for mid in middles
+               if _passes_quotient_test(mid, xvec, lab.module)]
+    uncovered = [mid for mid in passing
+                 if not surjection_exists(lab.target, mid)]
+    rep = witness_cor3(m, p)
+    assert rep.total_classes == len(middles)
+    assert rep.passing_quotient_test == len(passing)
+    assert rep.covered_by_target == len(passing) - len(uncovered)
+    assert rep.witness.mats == uncovered[0].mats
+    assert rep.witness.labels == uncovered[0].labels
+
+
+def test_line_walk_is_the_full_walk_at_first_appearances():
+    # the walk yields the full walk's middles at the first class of
+    # each line, in full-walk order, weighted by the classes on the line
+    lab = ext_lab_instance(3, 3)
+    field = lab.square.algebra.field
+    classes = artin._extension_classes(lab.module, lab.module, 12)
+    e = len(classes[2])
+    middles = enumerate_extensions(lab.module, lab.module)
+    lines = {}
+    for i, lam in enumerate(itertools.product(field.elements(), repeat=e)):
+        line = frozenset(tuple(c * x for x in lam) for c in field.elements()
+                         if c) if any(lam) else frozenset([lam])
+        lines.setdefault(line, []).append(i)
+    walk = list(artin._line_middles(lab.module, classes))
+    assert [w for w, _ in walk] == [len(ix) for ix in lines.values()]
+    assert [mid.mats for _, mid in walk] == [middles[ix[0]].mats
+                                             for ix in lines.values()]
+    assert sum(w for w, _ in walk) == len(middles) == 3 ** e
+
+
+def test_middles_are_constant_on_lines():
+    # scaling N maps graph(psi) onto graph(c psi): the middles of a
+    # class and of its double are isomorphic
+    lab = ext_lab_instance(3, 3)
+    field = lab.square.algebra.field
+    middles = enumerate_extensions(lab.module, lab.module)
+    e = len(artin._extension_classes(lab.module, lab.module, 12)[2])
+    lams = list(itertools.product(field.elements(), repeat=e))
+    assert len(lams) == len(middles)
+    index = {lam: i for i, lam in enumerate(lams)}
+    for lam, mid in zip(lams, middles):
+        double = tuple(c + c for c in lam)
+        assert module_iso(mid, middles[index[double]]) is not None
+
+
+def test_ext_routes_builds_no_middle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ext_routes built a middle module")
+
+    monkeypatch.setattr(artin, "_pushout_middle", refuse)
+    rep = ext_routes(3, 2)
+    assert rep.via_enumeration == 5
+    rep = ext_routes(4, 2)
+    assert rep.via_resolution == rep.via_enumeration == 11
+    with pytest.raises(TooLarge):
+        ext_routes(5, 3)
+
+
+def _dense_mat_mul(field, a, b):
+    cols = len(b[0]) if b else 0
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))),
+                           field.zero)
+                       for j in range(cols)) for i in range(len(a)))
+
+
+LAB_FIELDS = [cd.rationals(), cd.prime_field(2), cd.prime_field(3),
+              cd.prime_field(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LAB_FIELDS), st.integers(0, 5), st.integers(0, 5),
+       st.integers(1, 5), st.data())
+def test_sparse_mat_mul_matches_dense(field, rows, inner, cols, data):
+    values = st.integers(-3, 3).map(field.of_int)
+    # zeros are drawn often, so rows with many zero entries are common
+    entry = st.one_of(st.just(field.zero), values)
+    a = tuple(tuple(data.draw(entry) for _ in range(inner))
+              for _ in range(rows))
+    b = tuple(tuple(data.draw(entry) for _ in range(cols))
+              for _ in range(inner))
+    assert artin._mat_mul(field, a, b) == _dense_mat_mul(field, a, b)

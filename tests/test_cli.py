@@ -268,6 +268,11 @@ MALFORMED = [
     ["report", "--inline", "field Q; branches 1; gen t^x"],
     ["report", "--field", "F1", "cusp"],
     ["report", "0,3"],
+    ["check", "cusp", "--cases", "-1"],
+    ["report", "--window-bound", "0", "cusp"],
+    ["report", "--window-bound", "-5", "--inline",
+     "field Q; branches 1; gen t^2 + t^3"],
+    ["ext-lab", "--m", "3", "--p", "2", "--window-bound", "0"],
 ]
 
 

@@ -2,7 +2,9 @@
 
 The files under tests/golden/ were written by the CLI before the
 elimination kernel was pivot-indexed; every later change to the
-linear algebra must leave these bytes alone.
+linear algebra must leave these bytes alone.  The ext-lab files were
+written while the lab still built one middle per extension class, so
+they pin the counts and the witness of the one-middle-per-line walk.
 """
 
 import contextlib
@@ -27,6 +29,10 @@ CASES = {
     "omega-7-9-F5.json": ["omega", "7,9", "--field", "F5"],
     "check-tacnode-cases8-seed2.json": ["check", "tacnode", "--cases", "8",
                                         "--seed", "2"],
+    "ext-lab-3-2.json": ["ext-lab", "--m", "3", "--p", "2"],
+    "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
+                                "--claim4"],
+    "ext-lab-3-3-cor3.json": ["ext-lab", "--m", "3", "--p", "3", "--cor3"],
 }
 
 

@@ -188,3 +188,49 @@ def test_model_names():
         model("banana")
     assert sorted(cd.toric2.MODELS) == ["diagonal-mod3", "pinched-plane",
                                         "plane"]
+
+
+def recursive_member(S, w, memo):
+    """The membership search written recursively, the shape `_member`
+    had before it took an explicit stack; only safe for shallow points."""
+    hit = memo.get(w)
+    if hit is not None:
+        return hit
+    out = False
+    for g in S._dp_gens:
+        z = (w[0] - g[0], w[1] - g[1])
+        if z == (0, 0):
+            out = True
+            break
+        a, b = S.normal_values(z)
+        if a < 0 or b < 0:
+            continue
+        if recursive_member(S, z, memo):
+            out = True
+            break
+    memo[w] = out
+    return out
+
+
+@pytest.mark.parametrize("name", ["plane", "diagonal-mod3", "pinched-plane"])
+def test_member_search_matches_recursive_walk(name):
+    # same answers and the same memo, entry by entry and in the same
+    # order, so the explicit stack visits exactly the points the
+    # recursion did
+    S = model(name)
+    memo = dict(S._memo)
+    # far points first, so each query searches deep before the memo fills
+    points = [(x, y) for x in range(14, -3, -1) for y in range(14, -3, -1)]
+    for pt in points:
+        want = pt == (0, 0) or (S.in_cone(pt) and S.in_group(pt)
+                                and recursive_member(S, pt, memo))
+        assert S.contains(pt) == want
+    assert list(S._memo.items()) == list(memo.items())
+
+
+def test_member_search_is_not_recursive():
+    # one search step per generator subtraction: 3000 steps deep
+    S = model("pinched-plane")
+    assert S.contains((3000, 3000))
+    assert S.contains((6001, 0))
+    assert not S.contains((1, 0))
