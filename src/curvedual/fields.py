@@ -4,6 +4,19 @@ Scalars are either `fractions.Fraction` (over Q) or `FFElement` (over a
 finite field).  Both support `+ - * /`, truthiness (zero is falsy),
 equality and hashing, which is all the linear algebra in this package
 needs.  No floating point is used anywhere.
+
+Over a prime field (e = 1) an element also keeps its coefficient as a
+plain int.  When both operands belong to the same field instance,
+`+ - *` and negation are one int operation mod p, `inv` is
+`pow(v, -1, p)` and truthiness tests the int; the result is looked up
+in the field's table of interned elements.  That table is filled on
+first use and holds at most `_INTERN_MAX` elements, so a large p such
+as 1000003 builds no table of p entries.  Operands from equal but
+distinct field instances pass a field equality test first and then
+take the same int path; every e > 1 field keeps the coefficient tuple
+arithmetic.  `FFElement` stays the one scalar class for every finite
+field: code that wraps its methods (counters, tracing) sees all finite
+field arithmetic, which a prime-field subclass would hide.
 """
 
 from __future__ import annotations
@@ -124,43 +137,79 @@ def _find_modulus(p, e):
     raise AssertionError("no irreducible polynomial found")
 
 
+# At most this many interned elements per prime field.
+_INTERN_MAX = 4096
+
+
+class _PrimeElements(dict):
+    """Interned elements of a prime field by value, filled on first use.
+
+    Holds at most _INTERN_MAX entries, so a large p builds no table of p
+    elements; a value met after the table is full gets a fresh element.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, v):
+        x = FFElement(self.field, (v,))
+        if len(self) < _INTERN_MAX:
+            self[v] = x
+        return x
+
+
 class FFElement:
     """Element of F_{p^e}, stored as a coefficient tuple of length e in
-    the power basis 1, a, ..., a^{e-1} of the defining root a."""
+    the power basis 1, a, ..., a^{e-1} of the defining root a.  Over a
+    prime field `_v` holds the one coefficient as an int, else None."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_v")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
+        self._v = coeffs[0] if field.e == 1 else None
 
     def _check(self, other):
-        if not isinstance(other, FFElement) or other.field is not self.field:
-            if isinstance(other, FFElement) and other.field == self.field:
-                return
+        if not isinstance(other, FFElement) or other.field != self.field:
             raise TypeError("mixed finite field arithmetic")
 
     def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        fld = self.field
+        if type(other) is not FFElement or other.field is not fld:
+            self._check(other)
+        p = fld.p
+        if fld.e == 1:
+            return fld._elements[(self._v + other._v) % p]
+        return FFElement(fld, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        fld = self.field
+        if type(other) is not FFElement or other.field is not fld:
+            self._check(other)
+        p = fld.p
+        if fld.e == 1:
+            return fld._elements[(self._v - other._v) % p]
+        return FFElement(fld, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-x) % p for x in self.coeffs))
+        fld = self.field
+        p = fld.p
+        if fld.e == 1:
+            return fld._elements[-self._v % p]
+        return FFElement(fld, tuple((-x) % p for x in self.coeffs))
 
     def __mul__(self, other):
-        self._check(other)
         fld = self.field
+        if type(other) is not FFElement or other.field is not fld:
+            self._check(other)
         p = fld.p
         e = fld.e
         if e == 1:
-            return FFElement(fld, ((self.coeffs[0] * other.coeffs[0]) % p,))
+            return fld._elements[(self._v * other._v) % p]
         a, b = self.coeffs, other.coeffs
         conv = [0] * (2 * e - 1)
         for i, x in enumerate(a):
@@ -180,9 +229,14 @@ class FFElement:
     def inv(self):
         if not self:
             raise ZeroDivisionError("finite field inverse of zero")
-        return self ** (self.field.order - 2)
+        fld = self.field
+        if fld.e == 1:
+            return fld._elements[pow(self._v, -1, fld.p)]
+        return self ** (fld.order - 2)
 
     def __truediv__(self, other):
+        if type(other) is not FFElement or other.field is not self.field:
+            self._check(other)
         return self * other.inv()
 
     def __pow__(self, n):
@@ -196,7 +250,8 @@ class FFElement:
         return result
 
     def __bool__(self):
-        return any(self.coeffs)
+        v = self._v
+        return any(self.coeffs) if v is None else v != 0
 
     def __eq__(self, other):
         return (isinstance(other, FFElement) and other.field == self.field
@@ -222,11 +277,17 @@ class FiniteField:
         self.order = p ** e
         self.char = p
         self.modulus = _find_modulus(p, e) if e > 1 else None
-        self.zero = FFElement(self, (0,) * e)
-        self.one = FFElement(self, (1,) + (0,) * (e - 1))
+        self._elements = _PrimeElements(self) if e == 1 else None
+        self.zero = self._make((0,) * e)
+        self.one = self._make((1,) + (0,) * (e - 1))
+
+    def _make(self, coeffs) -> FFElement:
+        if self.e == 1:
+            return self._elements[coeffs[0]]
+        return FFElement(self, coeffs)
 
     def of_int(self, n: int) -> FFElement:
-        return FFElement(self, (n % self.p,) + (0,) * (self.e - 1))
+        return self._make((n % self.p,) + (0,) * (self.e - 1))
 
     def coerce(self, x) -> FFElement:
         if isinstance(x, FFElement):
@@ -241,7 +302,7 @@ class FiniteField:
 
     def embed(self, x: FFElement) -> FFElement:
         """Embed a prime field scalar into this extension."""
-        return FFElement(self, (x.coeffs[0],) + (0,) * (self.e - 1))
+        return self._make((x.coeffs[0],) + (0,) * (self.e - 1))
 
     def extension(self, e: int) -> "FiniteField":
         if self.e != 1:
@@ -270,7 +331,7 @@ class FiniteField:
         return "+".join(parts) if parts else "0"
 
     def random(self, rng) -> FFElement:
-        return FFElement(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
+        return self._make(tuple(rng.randrange(self.p) for _ in range(self.e)))
 
     def random_nonzero(self, rng) -> FFElement:
         while True:
@@ -280,7 +341,7 @@ class FiniteField:
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.e):
-            yield FFElement(self, coeffs)
+            yield self._make(coeffs)
 
     def __repr__(self):
         return f"F{self.p}" if self.e == 1 else f"F{self.p}^{self.e}"

@@ -24,6 +24,7 @@ with a rim consistency check.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .curvering import semigroup_oracle
@@ -164,8 +165,9 @@ class AffineSemigroup2:
     def normal_values(self, pt):
         """(n1, n2): the two edge functionals, nonnegative on the cone,
         each vanishing on its own ray."""
-        d1, d2 = self.ray_directions
-        return (_cross(d1, pt), _cross(pt, d2))
+        (d1x, d1y), (d2x, d2y) = self.ray_directions
+        x, y = pt
+        return (d1x * y - d1y * x, x * d2y - y * d2x)
 
     def level(self, pt):
         a, b = self.normal_values(pt)
@@ -262,6 +264,21 @@ class AffineSemigroup2:
         self._ray_prims = tuple(out)
         return self._ray_prims
 
+    @property
+    def edge_period(self):
+        """Smallest t > 0 with t*d1/det in the group, d1 the first ray
+        direction: the step of the second edge coordinate n2 between
+        group points with the same n1.  As d1 is primitive, det divides
+        t, so t is det times the multiple of d1 that is the first ray's
+        group primitive."""
+        cached = getattr(self, "_edge_period", None)
+        if cached is None:
+            d1 = self.ray_directions[0]
+            v1 = self.ray_group_primitives[0]
+            k = v1[0] // d1[0] if d1[0] else v1[1] // d1[1]
+            cached = self._edge_period = self._det * k
+        return cached
+
     def __eq__(self, other):
         if not isinstance(other, AffineSemigroup2):
             return NotImplemented
@@ -280,13 +297,12 @@ class MonomialModule2:
 
     def __init__(self, semigroup, generators):
         self.semigroup = semigroup
-        pts = []
+        pts = {}
         for g in generators:
             pt = (int(g[0]), int(g[1]))
             if not semigroup.in_group(pt):
                 raise NotMember(f"generator {pt} lies outside the group")
-            if pt not in pts:
-                pts.append(pt)
+            pts[pt] = None
         if not pts:
             raise InvariantViolation("a module needs at least one generator")
         keep = []
@@ -355,20 +371,39 @@ class MonomialModule2:
 
 # -- operations -----------------------------------------------------------------
 
-def _corner_points(S, b1, b2, size):
-    """Group points whose edge coordinates lie in the given corner box,
-    recovered from (n1, n2) by exact Cramer division."""
+def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
+    """Group points u with edge coordinates a = n1(u) in [a_lo, a_hi]
+    and b = n2(u) in [b_lo, b_hi], in order of a, then b.
+
+    u = (a*d2 + b*d1)/det, so two group points with the same a differ by
+    a multiple of t*d1/det for t = S.edge_period, and each a has either
+    no group point or one per period of b.  For each a the walk finds
+    the first b of one period that gives a group point (exact Cramer
+    division, then the group test) and steps b by t from there; it
+    never looks at the pairs in between.
+    """
     (d1x, d1y), (d2x, d2y) = S.ray_directions
     det = S._det
-    for a in range(b1, b1 + size + 1):
-        for b in range(b2, b2 + size + 1):
-            px = a * d2x + b * d1x
-            py = a * d2y + b * d1y
+    t = S.edge_period
+    sx, sy = t * d1x // det, t * d1y // det
+    in_group = S.in_group
+    for a in range(a_lo, a_hi + 1):
+        ax, ay = a * d2x, a * d2y
+        for b in range(b_lo, min(b_lo + t, b_hi + 1)):
+            px = ax + b * d1x
+            py = ay + b * d1y
             if px % det or py % det:
                 continue
             u = (px // det, py // det)
-            if S.in_group(u):
-                yield u
+            if in_group(u):
+                break
+        else:
+            continue
+        x, y = u
+        for _ in range(b, b_hi + 1, t):
+            yield (x, y)
+            x += sx
+            y += sy
 
 
 def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
@@ -404,6 +439,28 @@ def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
     return out
 
 
+def _window_generators(module, b1, b2, size):
+    """Hull points u of the corner window [b1, b1 + size] x [b2, b2 +
+    size] of edge coordinates with no u - g a hull point of the window
+    for a semigroup generator g, in walk order.
+
+    The walk meets u - g before u, and the hull is a module, so a point
+    with u - g already found is a hull point without a pointwise test.
+    """
+    S = module.semigroup
+    steps = S.generators
+    found = set()
+    kept = []
+    for u in _corner_points(S, b1, b1 + size, b2, b2 + size):
+        x, y = u
+        if any((x - g[0], y - g[1]) in found for g in steps):
+            found.add(u)
+        elif module.hull_contains(u):
+            found.add(u)
+            kept.append(u)
+    return kept
+
+
 def s2_hull(module: MonomialModule2) -> MonomialModule2:
     """Intersection of the two ray localizations with the group.
 
@@ -413,6 +470,18 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     agreement between pointwise hull membership and the extracted
     module.  Disagreement grows the window; persistent disagreement is
     an invariant violation rather than a wrong answer.
+
+    The window is walked over group points only (`_corner_points`), in
+    order of edge coordinates, so for every semigroup generator g the
+    point u - g, when it lies in the window, comes before u.  The hull
+    is a module, so u - g in the hull puts u in it, and u = (u - g) + g
+    is not a minimal generator: `_window_generators` records such a u
+    without a pointwise test and does not keep it.  Every point dropped
+    this way descends, by strictly falling level, to a kept one, so the
+    kept points and the module's own generators span the same module as
+    all hull points of the window, and `MonomialModule2` minimalizes
+    them to the same generator tuple.  The rim is generated as the two
+    bands beyond the window, without walking the window again.
     """
     S = module.semigroup
     gens = module.generators
@@ -425,20 +494,13 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
                       + S._ray_gcds[1] * max(S._ray_conductors[1], 1))
     size = 2 * (span + mspan + reach) + 8
     for _ in range(3):
-        pts = list(gens)
-        for u in _corner_points(S, b1, b2, size):
-            if module.hull_contains(u):
-                pts.append(u)
-        out = MonomialModule2(S, pts)
-        rim_ok = True
-        for u in _corner_points(S, b1, b2, size + span + 2):
-            a, b = S.normal_values(u)
-            if a <= b1 + size and b <= b2 + size:
-                continue
-            if module.hull_contains(u) != out.contains(u):
-                rim_ok = False
-                break
-        if rim_ok:
+        kept = _window_generators(module, b1, b2, size)
+        out = MonomialModule2(S, list(gens) + kept)
+        top = size + span + 2
+        rim = itertools.chain(
+            _corner_points(S, b1 + size + 1, b1 + top, b2, b2 + top),
+            _corner_points(S, b1, b1 + size, b2 + size + 1, b2 + top))
+        if all(module.hull_contains(u) == out.contains(u) for u in rim):
             return out
         size *= 2
     raise InvariantViolation("hull corner window failed to stabilize")

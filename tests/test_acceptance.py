@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 import curvedual as cd
-from curvedual.duality import SerreReport
+from curvedual.duality import SerreReport, _socle_parameter
 from curvedual.errors import FieldTooSmall
 from curvedual.fracideal import (TorsionQuotient, conductor_module,
                                  from_generators, random_ideal, slab_module,
@@ -29,26 +29,9 @@ def family():
     return tuple(cd.family_rings(QQ))
 
 
-def regular_parameter(ring):
-    """Smallest-total-order basis vector that is a regular non-unit,
-    falling back to a diagonal conductor-power monomial."""
-    best = None
-    for b in ring.basis[1:]:
-        vals = b.valuations()
-        if INF in vals:
-            continue
-        total = sum(int(v) for v in vals)
-        if best is None or total < best[0]:
-            best = (total, b)
-    if best is not None:
-        return best[1]
-    return Element.diag_monomial(ring.field, ring.nbranches,
-                                 max(max(ring.cond), 1))
-
-
 @lru_cache(maxsize=1)
 def family_quotients():
-    return tuple((ring, cd.curve_quotient(ring, regular_parameter(ring)))
+    return tuple((ring, cd.curve_quotient(ring, _socle_parameter(ring)))
                  for ring in family())
 
 
@@ -187,7 +170,7 @@ def test_criterion_05_length_duality_on_nested_pairs():
     start = time.perf_counter()
     pairs = 0
     for i, ring in enumerate(random_rings()):
-        x = regular_parameter(ring)
+        x = _socle_parameter(ring)
         for j in range(5):
             total = random_ideal(ring, seed=2000 + 37 * i + j)
             other = random_ideal(ring, seed=4000 + 53 * i + j)
@@ -269,7 +252,7 @@ def test_criterion_09_matlis_duality_and_torsion_pairing():
              if max(ring.cond) <= 10 and ring.colength_normalization <= 12]
     cases = 0
     for i, ring in enumerate(small):
-        x = regular_parameter(ring)
+        x = _socle_parameter(ring)
         for j in range(3):
             total = random_ideal(ring, seed=7000 + 17 * i + j)
             report = cd.rees_check(
@@ -343,7 +326,7 @@ def test_criterion_11_one_element_length_identity():
     checked = 0
     small = [ring for ring in family() if max(ring.cond) <= 10]
     for i, ring in enumerate(small):
-        x = regular_parameter(ring)
+        x = _socle_parameter(ring)
         y = Element.diag_monomial(ring.field, ring.nbranches,
                                   max(max(ring.cond), 1))
         multipliers = [x, y]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import curvedual as cd
 from curvedual.errors import NotPrimeField
-from curvedual.fields import FiniteField, format_field
+from curvedual.fields import _INTERN_MAX, FiniteField, format_field
 
 
 def field_elems(field, size=40, seed=7):
@@ -111,3 +111,82 @@ def test_coerce_and_embed():
     with pytest.raises(TypeError):
         cd.prime_field(5).coerce(two)
     assert cd.rationals().coerce(3) == Fraction(3)
+
+
+# -- the int fast path of the prime fields -------------------------------------
+
+PRIMES = [2, 3, 5, 7, 11, 65537, 1000003]
+
+
+def ref_inv(v, p):
+    """Inverse by Fermat on the coefficient, as the tuple path takes it."""
+    return pow(v, p - 2, p)
+
+
+@given(st.sampled_from(PRIMES), st.integers(), st.integers())
+def test_prime_field_ops_match_tuple_arithmetic(p, m, n):
+    fp = FiniteField(p)
+    a, b = m % p, n % p
+    x, y = fp.of_int(m), fp.of_int(n)
+    assert x.coeffs == (a,) and y.coeffs == (b,)
+    assert (x + y).coeffs == ((a + b) % p,)
+    assert (x - y).coeffs == ((a - b) % p,)
+    assert (x * y).coeffs == ((a * b) % p,)
+    assert (-x).coeffs == ((-a) % p,)
+    assert bool(x) == any((a,))
+    assert (x == y) == (a == b)
+    assert hash(x) == hash((p, 1, (a,)))
+    assert x.field is fp and (x + y).field is fp and (-x).field is fp
+    if b:
+        assert y.inv().coeffs == (ref_inv(b, p),)
+        assert (x / y).coeffs == ((a * ref_inv(b, p)) % p,)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert fp.format(x) == str(a)
+
+
+@given(st.sampled_from(PRIMES), st.integers(), st.integers())
+def test_equal_prime_fields_mix(p, m, n):
+    f, g = FiniteField(p), FiniteField(p)
+    assert f is not g and f == g
+    x, y = f.of_int(m), g.of_int(n)
+    for got, want in ((x + y, m + n), (x - y, m - n), (x * y, m * n)):
+        assert got == f.of_int(want) and got == g.of_int(want)
+        assert got.field is f
+    assert x == g.of_int(m) and hash(x) == hash(g.of_int(m))
+    assert len({x, g.of_int(m)}) == 1
+
+
+def test_mixed_fields_raise():
+    f5, f7 = FiniteField(5), FiniteField(7)
+    x, y = f5.of_int(2), f7.of_int(3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(x, Fraction(2))
+        with pytest.raises(TypeError):
+            op(Fraction(2), x)
+    assert x != y and x != Fraction(2)
+
+
+def test_large_prime_builds_no_table():
+    fp = FiniteField(1000003)
+    assert len(fp._elements) <= 2
+    x = fp.of_int(999999)
+    assert (x * x).coeffs == (999999 * 999999 % 1000003,)
+    for n in range(2 * _INTERN_MAX):
+        fp.of_int(n * 7919)
+    assert len(fp._elements) == _INTERN_MAX
+    assert fp.of_int(-1) + fp.one == fp.zero
+
+
+def test_prime_field_elements_are_interned():
+    f7 = FiniteField(7)
+    assert f7.of_int(3) is f7.of_int(10) is f7.of_int(1) + f7.of_int(2)
+    assert list(f7.elements()) == [f7.of_int(v) for v in range(7)]
+    assert f7.zero is f7.of_int(0) and f7.one is f7.of_int(1)

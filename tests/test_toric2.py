@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import curvedual as cd
 from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
                               OwnerMismatch, ParseError)
 from curvedual.toric2 import (AffineSemigroup2, MonomialModule2,
+                              _corner_points, _window_generators,
                               canonical_module_toric, model, monomial_iso,
                               s2_hull, saturation)
 
@@ -234,3 +236,137 @@ def test_member_search_is_not_recursive():
     assert S.contains((3000, 3000))
     assert S.contains((6001, 0))
     assert not S.contains((1, 0))
+
+
+# -- the hull's lattice walk against the grid filter --------------------------
+
+def grid_corner_points(S, a_lo, a_hi, b_lo, b_hi):
+    """Every pair of edge coordinates in the box, kept when it gives a
+    group point: the filter `_corner_points` had before it walked the
+    lattice."""
+    (d1x, d1y), (d2x, d2y) = S.ray_directions
+    det = S._det
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
+            px = a * d2x + b * d1x
+            py = a * d2y + b * d1y
+            if px % det or py % det:
+                continue
+            u = (px // det, py // det)
+            if S.in_group(u):
+                yield u
+
+
+def reference_hull(module):
+    """`s2_hull` as it was before the lattice walk: every hull point of
+    the grid-filtered window goes to `MonomialModule2`, and the rim is
+    the outer box with the window skipped."""
+    S = module.semigroup
+    gens = module.generators
+    coords = [S.normal_values(h) for h in gens]
+    b1 = min(c[0] for c in coords)
+    b2 = min(c[1] for c in coords)
+    span = max(max(S.normal_values(g)) for g in S.generators)
+    mspan = max(c[0] - b1 + c[1] - b2 for c in coords)
+    reach = S._det * (S._ray_gcds[0] * max(S._ray_conductors[0], 1)
+                      + S._ray_gcds[1] * max(S._ray_conductors[1], 1))
+    size = 2 * (span + mspan + reach) + 8
+    for _ in range(3):
+        pts = list(gens)
+        for u in grid_corner_points(S, b1, b1 + size, b2, b2 + size):
+            if module.hull_contains(u):
+                pts.append(u)
+        out = MonomialModule2(S, pts)
+        top = size + span + 2
+        rim_ok = True
+        for u in grid_corner_points(S, b1, b1 + top, b2, b2 + top):
+            a, b = S.normal_values(u)
+            if a <= b1 + size and b <= b2 + size:
+                continue
+            if module.hull_contains(u) != out.contains(u):
+                rim_ok = False
+                break
+        if rim_ok:
+            return out
+        size *= 2
+    raise InvariantViolation("reference window failed to stabilize")
+
+
+@st.composite
+def plane_semigroups(draw):
+    """Pointed plane semigroups on two to four generators, det <= 40;
+    many generate a proper sublattice of Z^2."""
+    pts = draw(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)),
+                        min_size=2, max_size=4))
+    try:
+        S = AffineSemigroup2(pts)
+    except InvariantViolation:
+        assume(False)
+    assume(S._det <= 40)
+    return S
+
+
+def module_over(S, shift):
+    """The ring itself, or the ring plus the difference of two
+    generators (a group point that may lie outside S)."""
+    gens = [(0, 0)]
+    if shift and len(S.generators) > 1:
+        g, h = S.generators[0], S.generators[-1]
+        gens.append((g[0] - h[0], g[1] - h[1]))
+    return MonomialModule2(S, gens)
+
+
+def test_edge_period():
+    S = AffineSemigroup2([(1, 0), (1, 40)])
+    assert S._det == 40 and S.edge_period == 40
+    # group of index 3: the first ray's group primitive is 3 * d1
+    S3 = model("diagonal-mod3")
+    assert S3.ray_directions[0] == (1, 0) and S3.edge_period == 3
+    for S in (S, S3, AffineSemigroup2([(1, 7), (3, 2), (7, 2), (7, 7)])):
+        (d1x, d1y), t, det = S.ray_directions[0], S.edge_period, S._det
+        step = (t * d1x // det, t * d1y // det)
+        assert t % det == 0 and S.in_group(step)
+        assert not any(k * d1x % det == 0 and k * d1y % det == 0
+                       and S.in_group((k * d1x // det, k * d1y // det))
+                       for k in range(1, t))
+
+
+@settings(max_examples=80, deadline=None)
+@example(S=AffineSemigroup2([(1, 0), (1, 40)]), box=(-5, 30, -7, 90))
+@example(S=model("diagonal-mod3"), box=(0, 20, 1, 20))
+@given(plane_semigroups(),
+       st.tuples(st.integers(-10, 10), st.integers(0, 60),
+                 st.integers(-10, 10), st.integers(0, 60)))
+def test_corner_walk_matches_grid_filter(S, box):
+    a_lo, a_len, b_lo, b_len = box
+    a_hi, b_hi = a_lo + a_len, b_lo + b_len
+    walk = list(_corner_points(S, a_lo, a_hi, b_lo, b_hi))
+    assert walk == list(grid_corner_points(S, a_lo, a_hi, b_lo, b_hi))
+
+
+@settings(max_examples=40, deadline=None)
+@example(S=AffineSemigroup2([(1, 0), (1, 40)]), shift=False)
+@example(S=AffineSemigroup2([(2, 1), (1, 2)]), shift=True)
+@example(S=model("pinched-plane"), shift=True)
+@given(plane_semigroups(), st.booleans())
+def test_hull_matches_full_window_minimalization(S, shift):
+    module = module_over(S, shift)
+    assert s2_hull(module) == reference_hull(module)
+
+
+@settings(max_examples=40, deadline=None)
+@example(S=model("pinched-plane"), shift=False)
+@given(plane_semigroups(), st.booleans())
+def test_window_keeps_only_points_without_a_hull_point_below(S, shift):
+    # the kept points are exactly the window's hull points u with no
+    # u - g a hull point of the window, found pointwise on every point
+    module = module_over(S, shift)
+    b1 = min(S.normal_values(h)[0] for h in module.generators)
+    b2 = min(S.normal_values(h)[1] for h in module.generators)
+    size = 3 * max(max(S.normal_values(g)) for g in S.generators) + 6
+    window = list(grid_corner_points(S, b1, b1 + size, b2, b2 + size))
+    found = {u for u in window if module.hull_contains(u)}
+    want = [u for u in window if u in found
+            and not any((u[0] - g[0], u[1] - g[1]) in found
+                        for g in S.generators)]
+    assert _window_generators(module, b1, b2, size) == want
