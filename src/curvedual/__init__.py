@@ -19,7 +19,7 @@ from .duality import (canonical_module, conductor_duality, dual,
                       exact_seq_lengths, ext1_torsion, general_section,
                       general_section_extended, min_pole_profile,
                       seminormal_via_omega, serre_report, shriek, tfs2_hull,
-                      trace, uniqueness_check, verify_dualizing)
+                      uniqueness_check, verify_dualizing)
 from .errors import AlgebraError
 from .family import (curve_names, family_rings, family_specs, monomial_spec,
                      named_ring, named_spec, random_ring, semigroup_spec)
@@ -50,7 +50,7 @@ __all__ = [
     "random_ring", "rationals", "rees_check", "s2_hull", "saturation",
     "semigroup_oracle", "semigroup_spec", "seminormal_via_omega",
     "serre_report", "shriek", "slab_module", "socle", "surjection_exists",
-    "tfs2_hull", "trace", "trivial_module", "uniqueness_check", "unit_ideal",
+    "tfs2_hull", "trivial_module", "uniqueness_check", "unit_ideal",
     "verify_claim4", "verify_dualizing", "witness_cor3",
 ]
 

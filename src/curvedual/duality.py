@@ -9,6 +9,10 @@ the pole part of a form enters these conditions, so the module is a
 finite kernel plus the full regular form slab, and the condition
 matrix always has full row rank.
 
+Its defining identities are stated once, in the ordered table
+`invariant_checks`, which construction, the reporters and the
+command-line property harness all read.
+
 Everything else in this file is colon arithmetic against that module:
 duals and biduals, hulls that discard torsion directions, restriction
 along a finite overring, colength comparisons, section search, and the
@@ -22,8 +26,7 @@ from dataclasses import dataclass
 
 from .artin import curve_quotient, present_quotient, socle
 from .errors import (DifferentialDegreeError, FieldTooSmall,
-                     InvariantViolation, NotARing, NotDualizing, NotInModule,
-                     ZeroOnBranch)
+                     InvariantViolation, NotARing, NotDualizing, ZeroOnBranch)
 from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
                         conductor_module, from_generators,
@@ -64,7 +67,8 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
 
     `drop_conditions` discards that many trailing conditions and skips
     both verification and the cache.  It exists as a fault-injection
-    hook for the negative-control harness and must stay 0 in real use.
+    hook for the negative-control harness, which hands the corrupted
+    result to `invariant_checks`, and must stay 0 in real use.
     """
     if drop_conditions == 0:
         cached = getattr(ring, "_canonical_module", None)
@@ -105,12 +109,47 @@ def _verify_canonical(ring, data):
         raise InvariantViolation("dualizing module misses a regular form")
     if not _max_pole_forms(ring).contains_module(module):
         raise InvariantViolation("dualizing module has too deep a pole")
-    if module.len_quotient(_regular_forms(ring)) != ring.delta:
-        raise InvariantViolation(
-            "dualizing colength over the regular forms is not delta")
-    if module.colon(module) != unit_ideal(ring):
-        raise InvariantViolation(
-            "endomorphisms of the dualizing module exceed the ring")
+    _require(ring, data, "delta-over-regular", "omega-endomorphisms")
+
+
+# -- the invariant table -------------------------------------------------------
+
+def invariant_checks(ring, data: CanonicalModule = None):
+    """The deterministic duality properties of the ring, in order, as
+    (name, predicate) pairs.  `data` defaults to the cached, verified
+    dualizing module; the harness passes a possibly corrupted one.  A
+    failing invariant makes its predicate return False, not raise; only
+    a computation that a corrupted module breaks outright raises."""
+    omega = (canonical_module(ring) if data is None else data).module
+    a = ring.colength_normalization
+    b = ring.colength_ring
+
+    def double_colon():
+        nbar = normalization_module(ring)
+        return omega.colon(nbar).colon(omega) == unit_ideal(ring).colon(nbar)
+
+    return (
+        ("pole-profile", lambda: tuple(-p for p in omega.pole) == ring.cond),
+        ("delta-over-regular",
+         lambda: omega.len_quotient(_regular_forms(ring)) == ring.delta),
+        ("conductor-bound", lambda: a >= 2 * b),
+        ("gorenstein-threshold",
+         lambda: (a == 2 * b) == (omega.is_principal() is not None)),
+        ("conductor-duality", double_colon),
+        ("omega-endomorphisms",
+         lambda: omega.colon(omega) == unit_ideal(ring)),
+        ("seminormal-poles",
+         lambda: all(-p <= 1 for p in omega.pole) == ring.is_seminormal()),
+    )
+
+
+def _require(ring, data, *names):
+    """Raise InvariantViolation naming the first of the given table
+    properties that fails."""
+    checks = dict(invariant_checks(ring, data))
+    for name in names:
+        if not checks[name]():
+            raise InvariantViolation(f"duality invariant {name} fails")
 
 
 # -- duals and hulls ------------------------------------------------------------
@@ -171,14 +210,6 @@ def shriek(module: FracIdeal, overring: FracIdeal) -> FracIdeal:
     return out
 
 
-def trace(module: FracIdeal, sigma: Element) -> Element:
-    """A section of (G : S) acts on the overring S by multiplication;
-    its trace is the value at 1, i.e. the section itself seen in G."""
-    if not module.contains_element(sigma):
-        raise NotInModule("section lies outside the module")
-    return sigma
-
-
 # -- colength reports ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -194,40 +225,26 @@ def serre_report(ring) -> SerreReport:
     """Colength comparison around the conductor: the colength in the
     branch tuple is at least twice the colength in the ring, with
     equality exactly when the dualizing module is principal.  Both
-    routes are computed and must agree."""
-    omega = canonical_module(ring).module
-    extra = omega.len_quotient(_regular_forms(ring))
-    if extra != ring.delta:
-        raise InvariantViolation("dualizing colength differs from delta")
+    statements are read from the invariant table; the dualizing
+    colength over the regular forms was certified at construction."""
+    _require(ring, None, "conductor-bound", "gorenstein-threshold")
     a = ring.colength_normalization
     b = 2 * ring.colength_ring
-    if a < b:
-        raise InvariantViolation("colength inequality violated")
-    principal = omega.is_principal() is not None
-    if principal != (a == b):
-        raise InvariantViolation(
-            "principality of the dualizing module disagrees with the "
-            "colength comparison")
-    return SerreReport(a, b, ring.delta, extra, a == b)
+    return SerreReport(a, b, ring.delta, ring.delta, a == b)
 
 
 def min_pole_profile(ring):
     """Per-branch maximal pole order inside the dualizing module;
     always the conductor exponents, and checked against them."""
-    omega = canonical_module(ring).module
-    profile = tuple(-p for p in omega.pole)
-    if profile != tuple(ring.cond):
-        raise InvariantViolation("pole profile differs from the conductor")
-    return profile
+    _require(ring, None, "pole-profile")
+    return ring.cond
 
 
 def seminormal_via_omega(ring) -> bool:
     """Seminormality read off the dualizing module: every pole simple.
     Cross-checked against the conductor-exponent criterion."""
-    out = all(n <= 1 for n in min_pole_profile(ring))
-    if out != ring.is_seminormal():
-        raise InvariantViolation("seminormality routes disagree")
-    return out
+    _require(ring, None, "pole-profile", "seminormal-poles")
+    return ring.is_seminormal()
 
 
 @dataclass(frozen=True)
@@ -240,28 +257,21 @@ class BoundaryLengths:
 
 def exact_seq_lengths(ring) -> BoundaryLengths:
     """Slab distances around the dualizing module: the maximal-pole
-    slab exceeds it by the ring colength, and it exceeds the regular
-    forms by delta.  Both equalities are asserted."""
+    slab exceeds it by the ring colength, which is asserted here, and
+    it exceeds the regular forms by delta, which the invariant table
+    certified at construction."""
     omega = canonical_module(ring).module
     a = _max_pole_forms(ring).len_quotient(omega)
-    b = omega.len_quotient(_regular_forms(ring))
     if a != ring.colength_ring:
         raise InvariantViolation(
             "slab colength over the dualizing module is off")
-    if b != ring.delta:
-        raise InvariantViolation(
-            "dualizing colength over the regular forms is off")
-    return BoundaryLengths(a, ring.colength_ring, b, ring.delta)
+    return BoundaryLengths(a, ring.colength_ring, ring.delta, ring.delta)
 
 
 def conductor_duality(ring) -> bool:
     """Whether the conductor (ring : branch tuple) coincides with the
     double colon ((dualizing : branch tuple) : dualizing)."""
-    omega = canonical_module(ring).module
-    nbar = normalization_module(ring)
-    lhs = unit_ideal(ring).colon(nbar)
-    rhs = omega.colon(nbar).colon(omega)
-    return lhs == rhs
+    return dict(invariant_checks(ring))["conductor-duality"]()
 
 
 # -- sections --------------------------------------------------------------------

@@ -60,10 +60,6 @@ class NotARing(AlgebraError):
     """A fractional ideal that was required to be a ring is not one."""
 
 
-class NotInModule(AlgebraError):
-    """Section does not lie in the stated module."""
-
-
 class FieldTooSmall(AlgebraError):
     """No sufficiently general element exists (or was found) over this
     finite field; extend the field and retry."""

@@ -240,6 +240,8 @@ class FFElement:
         return self * other.inv()
 
     def __pow__(self, n):
+        if n < 0:
+            return self.inv() ** -n
         result = self.field.one
         base = self
         while n:

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+
 import pytest
 
 import curvedual as cd
+from curvedual import cli, duality
 from curvedual.errors import (FieldTooSmall, InvariantViolation, NotARing,
-                              NotDualizing, NotInModule, ZeroOnBranch)
+                              NotDualizing, ZeroOnBranch)
 from curvedual.fracideal import (ZeroModule, conductor_module, from_generators,
                                  maximal_ideal, normalization_module,
                                  slab_module, unit_ideal)
@@ -127,15 +132,6 @@ def test_shriek_rejects_non_rings(node):
         cd.shriek(omega, omega)
 
 
-def test_trace(node):
-    sections = cd.shriek(cd.canonical_module(node).module,
-                         normalization_module(node))
-    sigma = elem(node, "(t, t) dt")
-    assert cd.trace(sections, sigma) == sigma
-    with pytest.raises(NotInModule):
-        cd.trace(sections, elem(node, "(t^-1, 0) dt"))
-
-
 def test_pole_profiles_and_seminormality(named):
     for ring in named.values():
         assert cd.min_pole_profile(ring) == ring.cond
@@ -233,3 +229,82 @@ def test_uniqueness_check(node, r345):
         assert cd.uniqueness_check(ring, omega.scale(twist))
     with pytest.raises(NotDualizing):
         cd.uniqueness_check(r345, unit_ideal(r345))
+
+
+# -- the invariant table, read by the library and the harness alike -----------
+
+PROPERTIES = ("pole-profile", "delta-over-regular", "conductor-bound",
+              "gorenstein-threshold", "conductor-duality",
+              "omega-endomorphisms", "seminormal-poles")
+# verified when the dualizing module is built, so every reporter fails
+AT_CONSTRUCTION = ("delta-over-regular", "omega-endomorphisms")
+REPORTERS = (cd.serre_report, cd.min_pole_profile, cd.seminormal_via_omega,
+             cd.exact_seq_lengths)
+READERS = {
+    "pole-profile": (cd.min_pole_profile, cd.seminormal_via_omega),
+    "conductor-bound": (cd.serre_report,),
+    "gorenstein-threshold": (cd.serre_report,),
+    "conductor-duality": (),
+    "seminormal-poles": (cd.seminormal_via_omega,),
+}
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5)],
+                         ids=("Q", "F5"))
+def test_invariant_table_holds_on_family(field):
+    for ring in cd.family_rings(field):
+        table = duality.invariant_checks(ring)
+        assert tuple(name for name, _ in table) == PROPERTIES
+        for name, holds in table:
+            assert holds() is True, (ring.label, name)
+
+
+def test_invariant_table_catches_dropped_condition(qq):
+    for name in cd.curve_names():
+        ring = cd.named_ring(qq, name)
+        data = cd.canonical_module(ring, drop_conditions=1)
+        # stop at the first failure, as the harness does: a module that
+        # is no longer closed under the ring may break a later predicate
+        first = next((prop for prop, holds
+                      in duality.invariant_checks(ring, data)
+                      if not holds()), None)
+        assert first == (None if name == "smooth"
+                         else "delta-over-regular"), name
+
+
+def _break(monkeypatch, broken):
+    table = duality.invariant_checks
+
+    def patched(ring, data=None):
+        return tuple((name, (lambda: False) if name == broken else holds)
+                     for name, holds in table(ring, data))
+
+    monkeypatch.setattr(duality, "invariant_checks", patched)
+
+
+@pytest.mark.parametrize("broken", PROPERTIES)
+def test_reporters_and_harness_read_the_table(monkeypatch, qq, broken):
+    _break(monkeypatch, broken)
+    ring = cd.named_ring(qq, "cusp")
+    if broken in AT_CONSTRUCTION:
+        readers = (cd.canonical_module, cd.conductor_duality) + REPORTERS
+    else:
+        readers = READERS[broken]
+        assert cd.conductor_duality(ring) is (broken != "conductor-duality")
+        for reporter in set(REPORTERS) - set(readers):
+            reporter(ring)
+    for reporter in readers:
+        with pytest.raises(InvariantViolation, match=broken):
+            reporter(ring)
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", "cusp", "--cases", "0", "--format", "json"])
+    if broken in AT_CONSTRUCTION:
+        # the harness's own build fails verification: an error, not a case
+        assert code == 2 and broken in err.getvalue()
+    else:
+        doc = json.loads(out.getvalue())
+        assert code == 1
+        assert doc["counterexample"]["property"] == broken
+        assert doc["counterexample"]["error"] is None

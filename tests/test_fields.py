@@ -190,3 +190,16 @@ def test_prime_field_elements_are_interned():
     assert f7.of_int(3) is f7.of_int(10) is f7.of_int(1) + f7.of_int(2)
     assert list(f7.elements()) == [f7.of_int(v) for v in range(7)]
     assert f7.zero is f7.of_int(0) and f7.one is f7.of_int(1)
+
+
+@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(7),
+                                   FiniteField(5, 2)], ids=format_field)
+def test_negative_powers_are_inverse_powers(field):
+    for x in field.elements():
+        if not x:
+            for k in (1, 2, 5):
+                with pytest.raises(ZeroDivisionError):
+                    x ** -k
+            continue
+        for k in range(1, 2 * field.order + 2):
+            assert x ** -k == (x ** k).inv()

@@ -11,6 +11,10 @@ window; the lattice walk must give the same bytes.  They cover
 `saturate`, `omega` and `hull` on the three named models, the hard
 semigroup 1,7 3,2 7,2 7,7 and a semigroup of det 40.  The pinched
 plane is not saturated, so its `omega` exits 2 with nothing on stdout.
+The two extra `check` files pin the failure path (an injected fault,
+exit 1, counterexample `delta-over-regular` with a null error) and the
+family path; they were written before the harness and the library's
+reporters came to share one invariant table.
 """
 
 import contextlib
@@ -35,6 +39,10 @@ CASES = {
     "omega-7-9-F5.json": ["omega", "7,9", "--field", "F5"],
     "check-tacnode-cases8-seed2.json": ["check", "tacnode", "--cases", "8",
                                         "--seed", "2"],
+    "check-tacnode-inject-drop-residue-condition.json": [
+        "check", "tacnode", "--inject", "drop-residue-condition"],
+    "check-family-cases1-seed3.json": ["check", "--cases", "1",
+                                       "--seed", "3"],
     "ext-lab-3-2.json": ["ext-lab", "--m", "3", "--p", "2"],
     "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
                                 "--claim4"],
@@ -51,7 +59,8 @@ for _model in ("plane", "diagonal-mod3", "pinched-plane"):
                                                "--model", _model]
 
 # Exit codes other than 0.
-EXIT_CODES = {"toric-omega-pinched-plane.json": 2}
+EXIT_CODES = {"toric-omega-pinched-plane.json": 2,
+              "check-tacnode-inject-drop-residue-condition.json": 1}
 
 
 def run_json(argv):

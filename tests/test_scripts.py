@@ -1,9 +1,11 @@
-"""The sweep scripts under scripts/ run to the end without a traceback.
+"""The sweep scripts under scripts/ run to the end without a traceback,
+and the README's Python tour runs and prints what its comments claim.
 
 Each runs in a subprocess with src/ on PYTHONPATH, on a small input.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,15 +23,39 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
-def test_script_runs(argv):
+# Expressions of the README tour and the value each one's comment states.
+TOUR_CLAIMS = {
+    "ring.delta": 2,
+    "ring.cond": (3,),
+    "omega.is_principal()": None,
+    "cd.dual(cd.dual(m)) == m": True,
+    'cd.herbrand(m, cd.parse_element(QQ, "t^3"))': (3, 3),
+}
+
+
+def run_python(argv):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
-                           *argv[1:]], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_script_runs(argv):
+    assert run_python([str(ROOT / "scripts" / argv[0]), *argv[1:]])
+
+
+def test_readme_tour_matches_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    for expr, value in TOUR_CLAIMS.items():
+        assert re.search(rf"^{re.escape(expr)}\s+# {re.escape(repr(value))}",
+                         tour, re.M), expr
+    probe = "".join(f"print(repr({expr}))\n" for expr in TOUR_CLAIMS)
+    out = run_python(["-c", tour + probe])
+    assert out.splitlines() == [repr(v) for v in TOUR_CLAIMS.values()]
