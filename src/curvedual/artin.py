@@ -9,9 +9,12 @@ malformed quotient fails loudly instead of corrupting downstream
 counts.
 
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
-from the Laurent-window world: they pick basis representatives, reduce
-against the submodule span, and express products through a tracked
-echelon.
+from the Laurent-window world through one class map, `_WindowClasses`:
+a Laurent vector is clipped to the submodule's window, reduced against
+its echelon and written over the chosen representatives.  The
+quotients of a module by a span (`quotient_module` and the pushout
+middles of the extension laboratory) share one induced action,
+`_induced_action`, which projects images onto the non-pivot keys.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
 from .fields import FiniteField, prime_field
 from .fracideal import FracIdeal, maximal_ideal, unit_ideal
 from .laurent import INF, Element, clip_window, format_element, window_key
-from .linalg import Echelon, TrackedEchelon, dense_rank, is_invertible, kernel
+from .linalg import (Echelon, TrackedEchelon, dense_rank, is_invertible,
+                     kernel, span, vec_iaddmul)
 
 # -- dense matrix helpers -----------------------------------------------------
 
@@ -192,15 +196,6 @@ class ArtinModule:
                     raise InvariantViolation(
                         "action disagrees with the structure constants")
 
-    def act(self, avec, mvec):
-        field = self.algebra.field
-        out = (field.zero,) * self.dim
-        for k, c in enumerate(avec):
-            if c:
-                out = tuple(x + c * y for x, y in
-                            zip(out, _mat_vec(field, self.mats[k], mvec)))
-        return out
-
     def action_matrix(self, avec):
         field = self.algebra.field
         out = _zero_matrix(field, self.dim, self.dim)
@@ -295,16 +290,8 @@ def _free_left_apply(algebra, i, vec):
     """Multiply a free-module vector (dict over (slot, alg)) by basis[i]."""
     out = {}
     for (slot, a), c in vec.items():
-        for k, s in enumerate(algebra.mult[i][a]):
-            if not s:
-                continue
-            key = (slot, k)
-            x = out.get(key)
-            x = c * s if x is None else x + c * s
-            if x:
-                out[key] = x
-            else:
-                del out[key]
+        vec_iaddmul(out, c, {(slot, k): s
+                             for k, s in enumerate(algebra.mult[i][a]) if s})
     return out
 
 
@@ -345,10 +332,7 @@ def _syzygy_step(algebra, rank, kvecs):
     for v in kvecs:
         for i in range(1, algebra.dim):
             rad.insert(_free_left_apply(algebra, i, v))
-    ech = Echelon(field, sort_key=sort_key)
-    for row in rad.rows:
-        ech.insert(dict(row))
-    gens = [v for v in kvecs if ech.insert(v) is not None]
+    gens = [v for v in kvecs if rad.insert(v) is not None]
 
     b = len(gens)
     unknowns = [(s, a) for s in range(b) for a in range(algebra.dim)]
@@ -422,25 +406,9 @@ def _hom_differential(nmodule: ArtinModule, diff, rank_prev, rank_next):
                 continue
             mat = nmodule.action_matrix(entry)
             for w in range(nmodule.dim):
-                row = rows.setdefault((t, w), {})
-                for v in range(nmodule.dim):
-                    c = mat[w][v]
-                    if c:
-                        key = (j, v)
-                        x = row.get(key)
-                        x = c if x is None else x + c
-                        if x:
-                            row[key] = x
-                        else:
-                            del row[key]
+                vec_iaddmul(rows.setdefault((t, w), {}), field.one,
+                            {(j, v): c for v, c in enumerate(mat[w]) if c})
     return rows
-
-
-def _rank_of_rows(field, rows, sort_key=None):
-    ech = Echelon(field, sort_key=sort_key)
-    for row in rows:
-        ech.insert(dict(row))
-    return ech.dim
 
 
 def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
@@ -460,8 +428,7 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
         rows = _hom_differential(nmodule, diffs[s], betti[s], betti[s + 1])
         order = {(j, v): j * dn + v
                  for j in range(betti[s]) for v in range(dn)}
-        return _rank_of_rows(field, rows.values(),
-                             sort_key=order.__getitem__)
+        return span(field, rows.values(), sort_key=order.__getitem__).dim
 
     hom_dim = betti[i] * dn
     if i == 0:
@@ -688,17 +655,11 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
     return b0, kvecs, reps
 
 
-def _cocycle(field, lam, reps):
+def _cocycle(lam, reps):
     """The cocycle sum(lam[i] * reps[i]) as a sparse dict."""
     psi = {}
     for c, rep in zip(lam, reps):
-        if c:
-            for key, x in rep.items():
-                y = psi.get(key, field.zero) + c * x
-                if y:
-                    psi[key] = y
-                else:
-                    psi.pop(key, None)
+        vec_iaddmul(psi, c, rep)
     return psi
 
 
@@ -718,7 +679,7 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
     e = len(reps)
     lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
     return [_pushout_middle(algebra, nmodule, b0, kvecs,
-                            _cocycle(field, lam, reps))
+                            _cocycle(lam, reps))
             for lam in lam_space]
 
 
@@ -742,9 +703,33 @@ def _line_middles(nmodule: ArtinModule, classes):
     for lead in range(e - 1, -1, -1):
         head = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(field.elements(), repeat=e - 1 - lead):
-            psi = _cocycle(field, head + tail, reps)
+            psi = _cocycle(head + tail, reps)
             yield (field.order - 1,
                    _pushout_middle(algebra, nmodule, b0, kvecs, psi))
+
+
+def _induced_action(algebra, ech, keys, image):
+    """Action matrices on span(keys) / span(ech), and their basis.
+
+    The basis is the keys that are not pivots of ech, in key order;
+    image(i, k) is algebra basis[i] applied to the key k, a vector over
+    the keys, and its reduction against ech gives the column of k.
+    """
+    field = algebra.field
+    pivots = set(ech.pivots)
+    basis = [k for k in keys if k not in pivots]
+    pos = {k: i for i, k in enumerate(basis)}
+    d = len(basis)
+    mats = []
+    for i in range(algebra.dim):
+        cols = []
+        for k in basis:
+            col = [field.zero] * d
+            for key, c in ech.reduce(image(i, k)).items():
+                col[pos[key]] = c
+            cols.append(col)
+        mats.append(tuple(tuple(col[p] for col in cols) for p in range(d)))
+    return mats, basis
 
 
 def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
@@ -764,34 +749,18 @@ def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
             if c:
                 row[("n", p)] = -c
         graph.insert(row)
-    pivots = set(graph.pivots)
-    basis = [k for k in keys if k not in pivots]
-    pos = {k: i for i, k in enumerate(basis)}
+
+    def image(i, k):
+        if k[0] == "n":
+            col = _column(nmodule.mats[i], k[1])
+            return {("n", q): c for q, c in enumerate(col) if c}
+        j, a = k[1]
+        return {("f", (j, b)): c for b, c in enumerate(algebra.mult[i][a])
+                if c}
+
+    mats, basis = _induced_action(algebra, graph, keys, image)
     if len(basis) != dn + b0 * n - len(kvecs):
         raise InvariantViolation("middle has the wrong dimension")
-
-    def project(vec):
-        red = graph.reduce(vec)
-        out = [field.zero] * len(basis)
-        for k, c in red.items():
-            out[pos[k]] = c
-        return out
-
-    mats = []
-    for i in range(n):
-        cols = []
-        for k in basis:
-            if k[0] == "n":
-                p = k[1]
-                img = {("n", q): nmodule.mats[i][q][p]
-                       for q in range(dn) if nmodule.mats[i][q][p]}
-            else:
-                j, a = k[1]
-                img = {("f", (j, b)): algebra.mult[i][a][b]
-                       for b in range(n) if algebra.mult[i][a][b]}
-            cols.append(project(img))
-        mats.append(tuple(tuple(cols[q][p] for q in range(len(basis)))
-                          for p in range(len(basis))))
     return ArtinModule(algebra, mats)
 
 
@@ -808,44 +777,62 @@ def quotient_module(module: ArtinModule, vectors) -> ArtinModule:
             continue
         for i in range(1, algebra.dim):
             queue.append(_mat_vec(field, module.mats[i], v))
-    pivots = set(ech.pivots)
-    basis = [q for q in range(module.dim) if q not in pivots]
-    pos = {q: i for i, q in enumerate(basis)}
 
-    def project(vec):
-        red = ech.reduce(vec)
-        out = [field.zero] * len(basis)
-        for k, c in red.items():
-            out[pos[k]] = c
-        return out
+    def image(i, q):
+        col = _column(module.mats[i], q)
+        return {k: c for k, c in enumerate(col) if c}
 
-    mats = []
-    for i in range(algebra.dim):
-        cols = [project({k: module.mats[i][k][q]
-                         for k in range(module.dim) if module.mats[i][k][q]})
-                for q in basis]
-        mats.append(tuple(tuple(cols[c][r] for c in range(len(basis)))
-                          for r in range(len(basis))))
+    mats, basis = _induced_action(algebra, ech, range(module.dim), image)
     return ArtinModule(algebra, mats,
                        labels=tuple(module.labels[q] for q in basis))
 
 
 # -- quotients of the curve ring ----------------------------------------------
 
+class _WindowClasses:
+    """The class map of Laurent vectors modulo a submodule `sub`, over
+    representatives added one at a time.
+
+    A vector is clipped to the window of sub and reduced against its
+    echelon; what is left is written over the residuals of the
+    representatives through a tracked echelon.
+    """
+
+    __slots__ = ("sub", "tracked")
+
+    def __init__(self, sub: FracIdeal):
+        self.sub = sub
+        self.tracked = TrackedEchelon(sub.ring.field, sort_key=window_key)
+
+    def _residual(self, elem):
+        return self.sub.ech.reduce(clip_window(elem.coeffs, self.sub.tail))
+
+    def add(self, rep) -> bool:
+        """Take rep as the next representative if its class is new."""
+        return self.tracked.insert(self._residual(rep), self.tracked.dim)
+
+    def __call__(self, elem):
+        """Coefficient tuple of the class of elem, or None when elem is
+        not in the span of the representatives and the submodule."""
+        combo = self.tracked.express(self._residual(elem))
+        if combo is None:
+            return None
+        zero = self.sub.ring.field.zero
+        return tuple(combo.get(i, zero) for i in range(self.tracked.dim))
+
+
 class ArtinQuotient:
     """O/xO packaged with the data needed to move elements in and out:
-    representative lifts, and a class map through the window echelon."""
+    representative lifts, and the class map modulo xO."""
 
-    __slots__ = ("algebra", "ring", "x", "reps", "_tail", "_sub", "_tracked")
+    __slots__ = ("algebra", "ring", "x", "reps", "_classes")
 
-    def __init__(self, algebra, ring, x, reps, tail, sub, tracked):
+    def __init__(self, algebra, ring, x, reps, classes):
         self.algebra = algebra
         self.ring = ring
         self.x = x
         self.reps = reps
-        self._tail = tail
-        self._sub = sub
-        self._tracked = tracked
+        self._classes = classes
 
     @property
     def dim(self):
@@ -853,12 +840,10 @@ class ArtinQuotient:
 
     def class_of(self, elem: Element):
         """Coefficient tuple of the class of a ring element."""
-        field = self.algebra.field
-        red = self._sub.reduce(clip_window(elem.coeffs, self._tail))
-        combo = self._tracked.express(red)
-        if combo is None:
+        vec = self._classes(elem)
+        if vec is None:
             raise NotMember("element is not in the ring")
-        return tuple(combo.get(i, field.zero) for i in range(self.dim))
+        return vec
 
     def lift(self, vec) -> Element:
         field = self.algebra.field
@@ -894,52 +879,35 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
         raise InvariantViolation("quotient by a unit is the zero algebra")
 
     sub = total.scale(x)
-    tail = sub.tail
-    sub_ech = Echelon(field, sort_key=window_key)
-    for row in sub.ech.rows:
-        sub_ech.insert(dict(row))
-
     mm = maximal_ideal(ring)
     candidates = [Element.one(field, r)]
     candidates.extend(mm.rows_as_elements())
     for i in range(r):
-        for j in range(mm.tail[i], tail[i]):
+        for j in range(mm.tail[i], sub.tail[i]):
             candidates.append(Element.monomial(field, r, i, j))
 
-    tracked = TrackedEchelon(field, sort_key=window_key)
-    reps = []
-    for cand in candidates:
-        red = sub_ech.reduce(clip_window(cand.coeffs, tail))
-        if tracked.insert(red, len(reps)):
-            reps.append(cand)
+    classes = _WindowClasses(sub)
+    reps = [cand for cand in candidates if classes.add(cand)]
     if len(reps) != expected:
         raise InvariantViolation(
             f"quotient dimension {len(reps)} differs from the "
             f"order sum {expected}")
 
-    def class_vec(elem):
-        red = sub_ech.reduce(clip_window(elem.coeffs, tail))
-        combo = tracked.express(red)
-        if combo is None:
-            raise InvariantViolation("product left the ring window")
-        return tuple(combo.get(i, field.zero) for i in range(len(reps)))
-
     mult = [[None] * len(reps) for _ in reps]
     for i, a in enumerate(reps):
         for j in range(i, len(reps)):
-            vec = class_vec(a * reps[j])
-            mult[i][j] = vec
-            mult[j][i] = vec
+            vec = classes(a * reps[j])
+            if vec is None:
+                raise InvariantViolation("product left the ring window")
+            mult[i][j] = mult[j][i] = vec
     algebra = ArtinAlgebra(field, mult,
                            labels=tuple(format_element(rep) for rep in reps))
-    return ArtinQuotient(algebra, ring, x, tuple(reps), tail, sub_ech,
-                         tracked)
+    return ArtinQuotient(algebra, ring, x, tuple(reps), classes)
 
 
 def present_quotient(total: FracIdeal, sub: FracIdeal,
                      quotient: ArtinQuotient) -> ArtinModule:
     """M/N as a module over O/xO; requires x*M inside N."""
-    field = quotient.algebra.field
     if total.degree != sub.degree:
         raise DifferentialDegreeError("pair mixes functions and forms")
     if not total.contains_module(sub):
@@ -948,28 +916,16 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
         raise NotKilled("the quotient class of x does not kill M/N")
 
     reps = total.quotient_basis(sub)
-    tail = sub.tail
-    sub_ech = Echelon(field, sort_key=window_key)
-    for row in sub.ech.rows:
-        sub_ech.insert(dict(row))
-    tracked = TrackedEchelon(field, sort_key=window_key)
-    for idx, rep in enumerate(reps):
-        red = sub_ech.reduce(clip_window(rep.coeffs, tail))
-        if not tracked.insert(red, idx):
-            raise InvariantViolation("quotient representatives collapsed")
-
-    def class_vec(elem):
-        red = sub_ech.reduce(clip_window(elem.coeffs, tail))
-        combo = tracked.express(red)
-        if combo is None:
-            raise InvariantViolation("action left the module window")
-        return tuple(combo.get(i, field.zero) for i in range(len(reps)))
+    classes = _WindowClasses(sub)
+    if not all(classes.add(rep) for rep in reps):
+        raise InvariantViolation("quotient representatives collapsed")
 
     mats = []
-    for a in range(quotient.algebra.dim):
-        lift = quotient.reps[a]
-        cols = [class_vec(lift * rep) for rep in reps]
-        mats.append(tuple(tuple(cols[c][rw] for c in range(len(reps)))
+    for lift in quotient.reps:
+        cols = [classes(lift * rep) for rep in reps]
+        if None in cols:
+            raise InvariantViolation("action left the module window")
+        mats.append(tuple(tuple(col[rw] for col in cols)
                           for rw in range(len(reps))))
     return ArtinModule(quotient.algebra, mats,
                        labels=tuple(format_element(rep) for rep in reps))

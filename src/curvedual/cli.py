@@ -231,20 +231,11 @@ def cmd_check(ns):
         field = parse_field(ns.field)
         rings = family.family_rings(field, bound=8)
     drop = 1 if ns.inject == "drop-residue-condition" else 0
-    datas = [duality.canonical_module(ring, drop_conditions=drop)
-             for ring in rings]
-
     properties = {}
     counterexample = None
 
-    def record(name, thunk, ring, case_seed=None):
-        # a raise inside a corrupted computation becomes a recorded
-        # failure carrying its message instead of a crash
+    def tally(name, ok, error, ring, case_seed=None):
         nonlocal counterexample
-        try:
-            ok, error = bool(thunk()), None
-        except AlgebraError as err:
-            ok, error = False, str(err)
         slot = properties.setdefault(name, {"runs": 0, "failures": 0})
         slot["runs"] += 1
         if not ok:
@@ -259,13 +250,32 @@ def cmd_check(ns):
                     "rerun": _rerun_hint(ns, ring.spec),
                 }
 
+    def record(name, thunk, ring, case_seed=None):
+        # a raise inside a corrupted computation becomes a recorded
+        # failure carrying its message instead of a crash
+        try:
+            ok, error = bool(thunk()), None
+        except AlgebraError as err:
+            ok, error = False, str(err)
+        tally(name, ok, error, ring, case_seed)
+
+    # a property verified while the dualizing module is built fails
+    # there, and counts as that property's counterexample
+    datas = []
+    for ring in rings:
+        try:
+            datas.append(duality.canonical_module(ring, drop_conditions=drop))
+        except duality._FailedInvariant as err:
+            tally(err.property, False, str(err), ring)
+            break
+
     for ring, data in zip(rings, datas):
+        if counterexample:
+            break
         for name, thunk in duality.invariant_checks(ring, data):
             record(name, thunk, ring)
             if counterexample:
                 break
-        if counterexample:
-            break
 
     if not counterexample:
         for i in range(ns.cases):

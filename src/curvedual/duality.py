@@ -143,13 +143,21 @@ def invariant_checks(ring, data: CanonicalModule = None):
     )
 
 
+class _FailedInvariant(InvariantViolation):
+    """A property of the invariant table failed; `property` names it."""
+
+    def __init__(self, name):
+        super().__init__(f"duality invariant {name} fails")
+        self.property = name
+
+
 def _require(ring, data, *names):
-    """Raise InvariantViolation naming the first of the given table
+    """Raise `_FailedInvariant` for the first of the given table
     properties that fails."""
     checks = dict(invariant_checks(ring, data))
     for name in names:
         if not checks[name]():
-            raise InvariantViolation(f"duality invariant {name} fails")
+            raise _FailedInvariant(name)
 
 
 # -- duals and hulls ------------------------------------------------------------

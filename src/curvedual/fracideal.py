@@ -26,7 +26,7 @@ import random
 from .errors import (DifferentialDegreeError, InvariantViolation, NotContained,
                      NotMember, OwnerMismatch, ZeroDivisor, ZeroOnBranch)
 from .laurent import INF, Element, clip_window, window_key
-from .linalg import Echelon, intersect_spans, kernel, vec_iaddmul
+from .linalg import Echelon, intersect_spans, kernel, span, vec_iaddmul
 
 
 class FracIdeal:
@@ -74,6 +74,15 @@ class FracIdeal:
     def rows_as_elements(self):
         return [Element(self.ring.field, self.ring.nbranches, row, self.degree)
                 for row in self.ech.rows]
+
+    def _window_vectors(self, top):
+        """The window rows, then on each branch the slab monomials from
+        the tail up to top[i], as fresh vectors."""
+        one = self.ring.field.one
+        vecs = [dict(row) for row in self.ech.rows]
+        for i in range(self.ring.nbranches):
+            vecs.extend({(i, j): one} for j in range(self.tail[i], top[i]))
+        return vecs
 
     def module_generators(self):
         """Generators of M over the ring: the window rows plus one slab
@@ -187,19 +196,9 @@ class FracIdeal:
         self._same_ring(other)
         if other.degree != self.degree:
             raise DifferentialDegreeError("meet of a function module and a form module")
-        field = self.ring.field
-        r = self.ring.nbranches
         top = [max(a, b) for a, b in zip(self.tail, other.tail)]
-
-        def vectors(mod):
-            vecs = [dict(row) for row in mod.ech.rows]
-            for i in range(r):
-                for j in range(mod.tail[i], top[i]):
-                    vecs.append({(i, j): field.one})
-            return vecs
-
-        rows = intersect_spans(field, vectors(self), vectors(other),
-                               sort_key=window_key)
+        rows = intersect_spans(self.ring.field, self._window_vectors(top),
+                               other._window_vectors(top), sort_key=window_key)
         pole = [max(a, b) for a, b in zip(self.pole, other.pole)]
         return FracIdeal(self.ring, self.degree, pole, top, rows)
 
@@ -217,10 +216,7 @@ class FracIdeal:
         hi = [tm - pn for tm, pn in zip(self.tail, other.pole)]
         unknowns = [(i, j) for i in range(r) for j in range(lo[i], hi[i])]
         unknowns.sort(key=window_key)
-        reps = [dict(row) for row in other.ech.rows]
-        for i in range(r):
-            for j in range(other.tail[i], self.tail[i] - lo[i]):
-                reps.append({(i, j): field.one})
+        reps = other._window_vectors([t - l for t, l in zip(self.tail, lo)])
         # the residual of x_u * n is linear in the monomials of the
         # clipped product, so it is a combination of their normal forms
         normal = {}
@@ -260,20 +256,9 @@ class FracIdeal:
         field = self.ring.field
         r = self.ring.nbranches
         top = [max(a, b) for a, b in zip(self.tail, sub.tail)]
-        ech = Echelon(field, sort_key=window_key)
-        for row in sub.ech.rows:
-            ech.insert(dict(row))
-        for i in range(r):
-            for j in range(sub.tail[i], top[i]):
-                ech.insert({(i, j): field.one})
-        reps = []
-        for row in self.ech.rows:
-            if ech.insert(dict(row)) is not None:
-                reps.append(Element(field, r, row, self.degree))
-        for i in range(r):
-            for j in range(self.tail[i], top[i]):
-                if ech.insert({(i, j): field.one}) is not None:
-                    reps.append(Element.monomial(field, r, i, j, degree=self.degree))
+        ech = span(field, sub._window_vectors(top), sort_key=window_key)
+        reps = [Element(field, r, v, self.degree)
+                for v in self._window_vectors(top) if ech.insert(v) is not None]
         if len(reps) != expected:
             raise InvariantViolation("quotient basis does not match its length")
         return reps

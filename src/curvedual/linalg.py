@@ -155,75 +155,56 @@ def span(field, vecs, sort_key=None) -> Echelon:
     return ech
 
 
+class _Tag:
+    """The extra coordinate of a `TrackedEchelon` row that stands for
+    one inserted vector; compared by identity, sorted by `serial`."""
+
+    __slots__ = ("tag", "serial")
+
+    def __init__(self, tag, serial):
+        self.tag = tag
+        self.serial = serial
+
+
 class TrackedEchelon:
     """Echelon that remembers how each row combines the inserted
     vectors, so span members can be rewritten over the original tags.
 
-    Invariant: rows[i] == sum over t of combos[i][t] * (vector inserted
-    under tag t).  Tags must be unique per insert.  Rows are indexed by
-    pivot as in `Echelon`.
+    Each vector goes into a plain `Echelon` with one extra coordinate,
+    its tag, at coefficient one.  Tag coordinates sort after every real
+    key, and only vectors that grow the real span are inserted, so
+    every pivot is a real key and a row's tag part is its combination
+    of the inserted vectors.  Reducing a span member then leaves only
+    tag coordinates: minus that residual writes it over the tags.
+    Tags must be unique per insert.
     """
 
     def __init__(self, field, sort_key=None):
-        self.field = field
-        self.sort_key = sort_key if sort_key is not None else (lambda k: k)
-        self.rows = []
-        self.combos = []
-        self.pivots = []
-        self._pivot_keys = []
-        self._row_at = {}
-
-    _hits = Echelon._hits
-
-    def _reduce(self, vec):
-        out = {k: x for k, x in vec.items() if x}
-        acc = {}
-        row_at = self._row_at
-        for p in self._hits(out):
-            c = out[p]
-            row, combo = row_at[p]
-            vec_iaddmul(out, -c, row)
-            vec_iaddmul(acc, -c, combo)
-        return out, acc
+        sk = sort_key if sort_key is not None else (lambda k: k)
+        self.ech = Echelon(field, sort_key=lambda k: (
+            (1, k.serial) if k.__class__ is _Tag else (0, sk(k))))
 
     def insert(self, vec, tag) -> bool:
         """Insert under a fresh tag; True if the span grew."""
-        r, acc = self._reduce(vec)
-        if not r:
+        ech = self.ech
+        aug = dict(vec)
+        aug[_Tag(tag, ech.dim)] = ech.field.one
+        r = ech.reduce(aug)
+        if all(k.__class__ is _Tag for k in r):
             return False
-        vec_iaddmul(acc, self.field.one, {tag: self.field.one})
-        p = min(r, key=self.sort_key)
-        inv = self.field.one / r[p]
-        r = vec_scale(inv, r)
-        acc = vec_scale(inv, acc)
-        row_at = self._row_at
-        for i, row in enumerate(self.rows):
-            c = row.get(p)
-            if c is not None:
-                row = vec_addmul(row, -c, r)
-                combo = vec_addmul(self.combos[i], -c, acc)
-                self.rows[i] = row
-                self.combos[i] = combo
-                row_at[self.pivots[i]] = (row, combo)
-        key = self.sort_key(p)
-        pos = bisect_left(self._pivot_keys, key)
-        self.rows.insert(pos, r)
-        self.combos.insert(pos, acc)
-        self.pivots.insert(pos, p)
-        self._pivot_keys.insert(pos, key)
-        row_at[p] = (r, acc)
+        ech.insert(r)
         return True
 
     def express(self, vec):
         """vec as a tag combination (dict), or None if outside the span."""
-        r, acc = self._reduce(vec)
-        if r:
+        r = self.ech.reduce(vec)
+        if any(k.__class__ is not _Tag for k in r):
             return None
-        return {t: -c for t, c in acc.items()}
+        return {k.tag: -c for k, c in r.items()}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.ech.dim
 
 
 def kernel(field, constraints, unknowns):

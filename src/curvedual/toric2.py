@@ -406,6 +406,21 @@ def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
             y += sy
 
 
+def _parallelogram_scan(S):
+    """Group points z of the bounding box of the fundamental
+    parallelogram spanned by the in-group ray primitives v1, v2, in
+    order of x, then y, each with its cross coordinates z x v2 and
+    v1 x z; the parallelogram is where both lie in [0, v1 x v2]."""
+    v1, v2 = S.ray_group_primitives
+    xs = [0, v1[0], v2[0], v1[0] + v2[0]]
+    ys = [0, v1[1], v2[1], v1[1] + v2[1]]
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            z = (x, y)
+            if S.in_group(z):
+                yield z, _cross(z, v2), _cross(v1, z)
+
+
 def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
     """Hilbert basis of cone(S) intersected with group(S).
 
@@ -414,18 +429,9 @@ def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
     that primitive and stay in the saturation), so the candidate list
     is finite and exact.
     """
-    v1, v2 = S.ray_group_primitives
-    dv = _cross(v1, v2)
-    xs = [0, v1[0], v2[0], v1[0] + v2[0]]
-    ys = [0, v1[1], v2[1], v1[1] + v2[1]]
-    pts = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            z = (x, y)
-            if z == (0, 0) or not S.in_group(z):
-                continue
-            if 0 <= _cross(z, v2) <= dv and 0 <= _cross(v1, z) <= dv:
-                pts.append(z)
+    dv = _cross(*S.ray_group_primitives)
+    pts = [z for z, a, b in _parallelogram_scan(S)
+           if z != (0, 0) and 0 <= a <= dv and 0 <= b <= dv]
 
     def in_saturation(w):
         return S.in_cone(w) and S.in_group(w)
@@ -515,19 +521,9 @@ def canonical_module_toric(S: AffineSemigroup2) -> MonomialModule2:
     """
     if saturation(S) != S:
         raise NotSaturated("interior-point recipe needs a saturated input")
-    v1, v2 = S.ray_group_primitives
-    dv = _cross(v1, v2)
-    xs = [0, v1[0], v2[0], v1[0] + v2[0]]
-    ys = [0, v1[1], v2[1], v1[1] + v2[1]]
-    pts = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            z = (x, y)
-            if not S.in_group(z):
-                continue
-            if 0 < _cross(z, v2) <= dv and 0 < _cross(v1, z) <= dv:
-                pts.append(z)
-    return MonomialModule2(S, pts)
+    dv = _cross(*S.ray_group_primitives)
+    return MonomialModule2(S, [z for z, a, b in _parallelogram_scan(S)
+                               if 0 < a <= dv and 0 < b <= dv])
 
 
 def monomial_iso(mod_a: MonomialModule2, mod_b: MonomialModule2):

@@ -79,12 +79,36 @@ def test_curve_quotient_dimensions(cusp, node, r345):
     assert curve_quotient(r345, elem(r345, "t^3 + t^4")).dim == 3
 
 
-def test_class_and_lift_roundtrip(r345):
-    q = curve_quotient(r345, elem(r345, "t^3"))
-    for rep in q.reps:
+# ring -> (x, an element outside the ring)
+QUOTIENTS = {
+    "node": ("(t, t)", "(1, 0)"),
+    "tacnode": ("(t, t)", "(1, 0)"),
+    "three-lines": ("(t, t, 2 t)", "(1, 0, 0)"),
+    "3,4,5": ("t^3", "t^2"),
+}
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5)],
+                         ids=("Q", "F5"))
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_class_and_lift_roundtrip(name, field):
+    if name in cd.curve_names():
+        ring = cd.named_ring(field, name)
+    else:
+        ring = cd.build(cd.semigroup_spec(field, (3, 4, 5)))
+    x_text, outside = QUOTIENTS[name]
+    x = elem(ring, x_text)
+    q = curve_quotient(ring, x)
+    zero = q.class_of(Element.zero(field, ring.nbranches))
+    assert zero == (field.zero,) * q.dim
+    for i, rep in enumerate(q.reps):
         vec = q.class_of(rep)
+        assert vec == tuple(field.one if j == i else field.zero
+                            for j in range(q.dim))
         assert q.class_of(q.lift(vec)) == vec
-    assert q.class_of(elem(r345, "t^6")) == q.class_of(Element.zero(r345.field, 1))
+    assert q.class_of(x * x) == zero
+    with pytest.raises(NotMember):
+        q.class_of(elem(ring, outside))
 
 
 def test_socle_detects_gorenstein(cusp, r345):

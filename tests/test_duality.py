@@ -300,11 +300,13 @@ def test_reporters_and_harness_read_the_table(monkeypatch, qq, broken):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["check", "cusp", "--cases", "0", "--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert code == 1 and not err.getvalue()
+    assert doc["counterexample"]["property"] == broken
     if broken in AT_CONSTRUCTION:
-        # the harness's own build fails verification: an error, not a case
-        assert code == 2 and broken in err.getvalue()
+        # the harness's own build fails verification: a counterexample
+        # that carries the verification message
+        assert doc["counterexample"]["error"] == (
+            f"duality invariant {broken} fails")
     else:
-        doc = json.loads(out.getvalue())
-        assert code == 1
-        assert doc["counterexample"]["property"] == broken
         assert doc["counterexample"]["error"] is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvedual as cd
-from curvedual.linalg import (Echelon, TrackedEchelon, dense_rank,
+from curvedual.linalg import (Echelon, TrackedEchelon, _Tag, dense_rank,
                               intersect_spans, is_invertible, kernel, span,
                               vec_addmul, vec_sub)
 
@@ -85,6 +85,25 @@ def test_tracked_echelon_express():
 
 
 @pytest.mark.parametrize("field_name", ["Q", "F5"])
+def test_tracked_dependent_insert_keeps_rows(field_name):
+    field = cd.parse_field(field_name)
+    one, two, three = (field.of_int(n) for n in (1, 2, 3))
+    a = {0: one, 1: one, 2: one}
+    b = {1: one, 2: two}
+    tracked = TrackedEchelon(field)
+    assert tracked.insert(a, "a") and tracked.insert(b, "b")
+    rows = [dict(row) for row in tracked.ech.rows]
+    pivots = list(tracked.ech.pivots)
+    dependent = vec_addmul(vec_addmul({}, three, a), two, b)
+    # the residual is a pure tag combination: it must not become a row
+    # pivoted at an old tag, which would rewrite the rows holding that tag
+    assert tracked.insert(dependent, "c") is False
+    assert tracked.ech.rows == rows and tracked.ech.pivots == pivots
+    assert tracked.express(dependent) == {"a": three, "b": two}
+    assert_echelon_invariants(tracked, {"a": a, "b": b})
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F5"])
 def test_kernel_solves_constraints(field_name):
     field = cd.parse_field(field_name)
     rng = random.Random(19)
@@ -152,18 +171,26 @@ def combine(coeffs, vecs):
     return out
 
 
-def assert_echelon_invariants(ech):
+def assert_echelon_invariants(ech, inserted=None):
+    """Echelon shape and pivot index; for a TrackedEchelon, the tagged
+    echelon's, with every pivot a real key and every row's tag part
+    combining the `inserted` vectors (tag -> vector) to its real part."""
+    if isinstance(ech, TrackedEchelon):
+        tagged = ech.ech
+        assert_echelon_invariants(tagged)
+        for p, row in zip(tagged.pivots, tagged.rows):
+            assert not isinstance(p, _Tag)
+            real = {k: x for k, x in row.items() if not isinstance(k, _Tag)}
+            tags = {k.tag: x for k, x in row.items() if isinstance(k, _Tag)}
+            assert combine(tags.values(), [inserted[t] for t in tags]) == real
+        return
     assert len(ech.rows) == len(ech.pivots) == len(ech._pivot_keys)
     assert list(ech._pivot_keys) == sorted(ech._pivot_keys)
     assert ech._pivot_keys == [ech.sort_key(p) for p in ech.pivots]
     assert set(ech._row_at) == set(ech.pivots)
     pivots = set(ech.pivots)
-    for i, (p, row) in enumerate(zip(ech.pivots, ech.rows)):
-        index_row = ech._row_at[p]
-        if isinstance(ech, TrackedEchelon):
-            assert index_row[1] is ech.combos[i]
-            index_row = index_row[0]
-        assert index_row is row
+    for p, row in zip(ech.pivots, ech.rows):
+        assert ech._row_at[p] is row
         assert row[p] == ech.field.one
         assert min(row, key=ech.sort_key) == p
         assert not (pivots - {p}) & set(row)
@@ -219,7 +246,7 @@ def test_pivot_index_matches_textbook_elimination(field_name, n, dense, seed):
     tracked = TrackedEchelon(field, sort_key=order)
     for tag, v in enumerate(fresh):
         tracked.insert(v, tag)
-        assert_echelon_invariants(tracked)
+        assert_echelon_invariants(tracked, fresh)
     for _ in range(8):
         weights = [field.random(rng) for _ in fresh]
         probe = combine(weights, fresh)

@@ -1,7 +1,9 @@
 """The sweep scripts under scripts/ run to the end without a traceback,
-and the README's Python tour runs and prints what its comments claim.
+the README's Python tour runs and prints what its comments claim, and
+the benchmark's span tracer still wraps the library.
 
-Each runs in a subprocess with src/ on PYTHONPATH, on a small input.
+Each runs in a subprocess with src/ and the repository root on
+PYTHONPATH, on a small input.
 """
 
 import os
@@ -35,9 +37,10 @@ TOUR_CLAIMS = {
 
 def run_python(argv):
     env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                               if env.get("PYTHONPATH") else "")
+    paths = [str(ROOT / "src"), str(ROOT)]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     proc = subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -59,3 +62,22 @@ def test_readme_tour_matches_its_comments():
     probe = "".join(f"print(repr({expr}))\n" for expr in TOUR_CLAIMS)
     out = run_python(["-c", tour + probe])
     assert out.splitlines() == [repr(v) for v in TOUR_CLAIMS.values()]
+
+
+# perfbench/spans.py wraps library functions and methods by name, so a
+# rename there breaks only the traced benchmark (--trace 1) unless a
+# traced run is tried here
+TRACED_LAB = """
+from curvedual import cli
+from perfbench import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+code = cli.main(["ext-lab", "--m", "3", "--p", "2", "--claim2"])
+print(tracer.layer_metrics()["linalg.tracked.calls"])
+raise SystemExit(code)
+"""
+
+
+def test_traced_ext_lab_runs():
+    out = run_python(["-c", TRACED_LAB])
+    assert int(out.splitlines()[-1]) > 0
