@@ -1,12 +1,18 @@
 """Finite-dimensional commutative local algebras and their modules.
 
-Everything here is exact linear algebra over the coefficient field:
-algebras are stored by structure constants on a basis whose first
-element is the unit and whose remaining elements span the radical;
-modules are stored by one action matrix per algebra basis element.
-Both types verify their defining identities at construction, so a
-malformed quotient fails loudly instead of corrupting downstream
-counts.
+Everything here is exact linear algebra over the coefficient field.
+Algebras are stored by structure constants on a basis whose first
+element is the unit and whose remaining elements span the radical.
+Algebra elements stay dense coefficient tuples over that basis: the
+structure constants, the classes of `ArtinQuotient.class_of` and the
+argument of `ArtinModule.action_matrix`.  Module vectors are sparse,
+as in `linalg`: dicts from module coordinates to nonzero scalars.  A
+module stores the action of each algebra basis element as sparse
+columns, the images of the module basis vectors, and a map between
+modules (a hom-space element, an isomorphism) is a tuple of sparse
+columns in the same way.  Both types verify their defining identities
+at construction, so a malformed quotient fails loudly instead of
+corrupting downstream counts.
 
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one class map, `_WindowClasses`:
@@ -28,43 +34,26 @@ from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
 from .fields import FiniteField, prime_field
 from .fracideal import FracIdeal, maximal_ideal, unit_ideal
 from .laurent import INF, Element, clip_window, format_element, window_key
-from .linalg import (Echelon, TrackedEchelon, dense_rank, is_invertible,
-                     kernel, span, vec_iaddmul)
+from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
 
-# -- dense matrix helpers -----------------------------------------------------
+# -- sparse columns -------------------------------------------------------------
 
-def _identity(field, d):
-    return tuple(tuple(field.one if i == j else field.zero
-                       for j in range(d)) for i in range(d))
-
-
-def _zero_matrix(field, rows, cols):
-    return tuple((field.zero,) * cols for _ in range(rows))
+def _apply(cols, vec):
+    """The linear map with the given sparse columns applied to vec."""
+    out = {}
+    for k, c in vec.items():
+        vec_iaddmul(out, c, cols[k])
+    return out
 
 
-def _mat_vec(field, mat, vec):
-    return tuple(sum((row[j] * vec[j] for j in range(len(vec))
-                      if vec[j]), field.zero) for row in mat)
-
-
-def _mat_mul(field, a, b):
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        # a row's zero entries are skipped once, not once per column
-        terms = [(c, b[k]) for k, c in enumerate(row) if c]
-        out.append(tuple(sum((c * brow[j] for c, brow in terms), field.zero)
-                         for j in range(cols)))
-    return tuple(out)
-
-
-def _mat_add_scaled(field, acc, c, mat):
-    return tuple(tuple(acc[i][j] + c * mat[i][j]
-                       for j in range(len(acc[i]))) for i in range(len(acc)))
-
-
-def _column(mat, j):
-    return tuple(row[j] for row in mat)
+def _rows(cols, d):
+    """The rows of a map with d-dimensional target, given by columns:
+    row p maps each column index to its entry at p (the transpose)."""
+    out = [{} for _ in range(d)]
+    for q, col in enumerate(cols):
+        for p, c in col.items():
+            out[p][q] = c
+    return out
 
 
 # -- algebras -----------------------------------------------------------------
@@ -151,58 +140,66 @@ class ArtinAlgebra:
                         out[k] = out[k] + c * s
         return tuple(out)
 
-    def left_mult_matrix(self, i):
-        """Matrix of multiplication by basis[i]; columns index the basis."""
-        return tuple(tuple(self.mult[i][j][k] for j in range(self.dim))
-                     for k in range(self.dim))
-
     def __repr__(self):
         return f"<algebra of dimension {self.dim}>"
 
 
 class ArtinModule:
-    """A finite module given by one action matrix per algebra basis
-    element; compatibility with the structure constants is checked."""
+    """A finite module over an `ArtinAlgebra`, stored by its action.
 
-    __slots__ = ("algebra", "dim", "mats", "labels")
+    `cols[i][j]` is algebra basis[i] applied to module basis vector j,
+    a sparse dict over range(dim) (zero entries are dropped).  The
+    unit must act as the identity, and basis[i] applied to cols[j][v]
+    must equal sum_k mult[i][j][k] * cols[k][v] for every i and j;
+    both are checked.
+    """
 
-    def __init__(self, algebra, mats, labels=None):
+    __slots__ = ("algebra", "dim", "cols", "labels")
+
+    def __init__(self, algebra, cols, labels=None):
         self.algebra = algebra
-        self.mats = tuple(tuple(tuple(row) for row in m) for m in mats)
-        self.dim = len(self.mats[0]) if self.mats and self.mats[0] else 0
+        self.cols = tuple(tuple({k: c for k, c in col.items() if c}
+                                for col in line) for line in cols)
+        self.dim = len(self.cols[0]) if self.cols else 0
         self.labels = tuple(labels) if labels is not None else tuple(
             f"v{i}" for i in range(self.dim))
         self._validate()
 
     def _validate(self):
-        field, n = self.algebra.field, self.algebra.dim
-        if len(self.mats) != n:
-            raise InvariantViolation("one matrix per algebra basis element")
-        d = self.dim
-        for m in self.mats:
-            if len(m) != d or any(len(row) != d for row in m):
-                raise InvariantViolation("ragged action matrix")
-        if self.mats[0] != _identity(field, d):
+        algebra, d = self.algebra, self.dim
+        if len(self.cols) != algebra.dim:
+            raise InvariantViolation("one action per algebra basis element")
+        coords = set(range(d))
+        for line in self.cols:
+            if len(line) != d or any(not col.keys() <= coords
+                                     for col in line):
+                raise InvariantViolation("ragged action column")
+        one = algebra.field.one
+        if any(col != {v: one} for v, col in enumerate(self.cols[0])):
             raise InvariantViolation("unit does not act as identity")
-        for i in range(1, n):
-            for j in range(i, n):
-                prod = _mat_mul(field, self.mats[i], self.mats[j])
-                expect = _zero_matrix(field, d, d)
-                for k, c in enumerate(self.algebra.mult[i][j]):
-                    if c:
-                        expect = _mat_add_scaled(field, expect, c,
-                                                 self.mats[k])
-                if prod != expect:
-                    raise InvariantViolation(
-                        "action disagrees with the structure constants")
+        # every ordered pair: with i <= j alone, basis[j] applied after
+        # basis[i] could disagree with the structure constants
+        for i in range(1, algebra.dim):
+            for j in range(1, algebra.dim):
+                terms = [(k, c) for k, c in enumerate(algebra.mult[i][j])
+                         if c]
+                for v in range(d):
+                    expect = {}
+                    for k, c in terms:
+                        vec_iaddmul(expect, c, self.cols[k][v])
+                    if _apply(self.cols[i], self.cols[j][v]) != expect:
+                        raise InvariantViolation(
+                            "action disagrees with the structure constants")
 
     def action_matrix(self, avec):
-        field = self.algebra.field
-        out = _zero_matrix(field, self.dim, self.dim)
+        """The action of the algebra element with coefficient tuple
+        avec, as a tuple of sparse columns."""
+        cols = [{} for _ in range(self.dim)]
         for k, c in enumerate(avec):
             if c:
-                out = _mat_add_scaled(field, out, c, self.mats[k])
-        return out
+                for col, image in zip(cols, self.cols[k]):
+                    vec_iaddmul(col, c, image)
+        return tuple(cols)
 
     def __repr__(self):
         return (f"<module of dimension {self.dim} over a dimension "
@@ -211,57 +208,46 @@ class ArtinModule:
 
 def trivial_module(algebra) -> ArtinModule:
     """The residue field as a module: radical acts by zero."""
-    field = algebra.field
-    mats = [((field.one,),)]
-    mats.extend(((field.zero,),) for _ in range(algebra.dim - 1))
-    return ArtinModule(algebra, mats, labels=("1",))
+    cols = [({0: algebra.field.one},)]
+    cols.extend(({},) for _ in range(algebra.dim - 1))
+    return ArtinModule(algebra, cols, labels=("1",))
 
 
 def free_module(algebra) -> ArtinModule:
     """The algebra as a module over itself (the regular action)."""
-    mats = [algebra.left_mult_matrix(i) for i in range(algebra.dim)]
-    return ArtinModule(algebra, mats, labels=algebra.labels)
+    cols = [[{k: c for k, c in enumerate(prod) if c} for prod in line]
+            for line in algebra.mult]
+    return ArtinModule(algebra, cols, labels=algebra.labels)
 
 
 def matlis_dual(module: ArtinModule) -> ArtinModule:
     """The dual vector space with the transposed action."""
-    d = module.dim
-    mats = [tuple(tuple(m[j][i] for j in range(d)) for i in range(d))
-            for m in module.mats]
-    return ArtinModule(module.algebra, mats,
+    cols = [_rows(line, module.dim) for line in module.cols]
+    return ArtinModule(module.algebra, cols,
                        labels=tuple(f"{l}*" for l in module.labels))
 
 
 @dataclass(frozen=True)
 class SocleData:
+    """The socle's dimension and a basis of sparse module vectors."""
+
     dimension: int
     basis: tuple
 
 
 def socle(module: ArtinModule) -> SocleData:
     """The subspace killed by the radical."""
-    field = module.algebra.field
-    unknowns = list(range(module.dim))
     rows = []
-    for i in range(1, module.algebra.dim):
-        for p in range(module.dim):
-            row = {q: module.mats[i][p][q] for q in unknowns
-                   if module.mats[i][p][q]}
-            if row:
-                rows.append(row)
-    sols = kernel(field, rows, unknowns)
-    basis = tuple(tuple(s.get(q, field.zero) for q in unknowns) for s in sols)
+    for line in module.cols[1:]:
+        rows.extend(_rows(line, module.dim))
+    basis = tuple(kernel(module.algebra.field, rows, range(module.dim)))
     return SocleData(len(basis), basis)
 
 
 def _radical_span(module: ArtinModule) -> Echelon:
     """Echelon of rad * module inside the module's coordinates."""
-    ech = Echelon(module.algebra.field)
-    for i in range(1, module.algebra.dim):
-        for j in range(module.dim):
-            col = _column(module.mats[i], j)
-            ech.insert({k: c for k, c in enumerate(col) if c})
-    return ech
+    return span(module.algebra.field,
+                (col for line in module.cols[1:] for col in line))
 
 
 def top_data(module: ArtinModule):
@@ -275,17 +261,6 @@ def top_data(module: ArtinModule):
 
 # -- minimal resolutions and Ext ----------------------------------------------
 
-def _top_generators(module: ArtinModule):
-    """Standard basis vectors of the module generating it minimally."""
-    field = module.algebra.field
-    _, coords, _rad = top_data(module)
-    gens = []
-    for q in coords:
-        gens.append(tuple(field.one if k == q else field.zero
-                          for k in range(module.dim)))
-    return gens
-
-
 def _free_left_apply(algebra, i, vec):
     """Multiply a free-module vector (dict over (slot, alg)) by basis[i]."""
     out = {}
@@ -296,26 +271,22 @@ def _free_left_apply(algebra, i, vec):
 
 
 def _module_presentation(module: ArtinModule):
-    """First syzygy: minimal generators and the kernel of the cover.
+    """First syzygy of the minimal cover.
 
-    Returns (gens, kernel basis), the kernel inside the free module on
-    the generators, with coordinates keyed by (slot, algebra index).
+    The cover sends slot j of the free module to the standard basis
+    vector at the j-th top coordinate.  Returns (b0, kernel basis): the
+    cover rank and the kernel inside the free module, with coordinates
+    keyed by (slot, algebra index).
     """
     algebra = module.algebra
-    field = algebra.field
-    gens = _top_generators(module)
-    b0 = len(gens)
-    unknowns = [(j, a) for j in range(b0) for a in range(algebra.dim)]
-    images = {}
-    for j, g in enumerate(gens):
+    _, coords, _ = top_data(module)
+    rows = [{} for _ in range(module.dim)]
+    for j, q in enumerate(coords):
         for a in range(algebra.dim):
-            images[(j, a)] = _mat_vec(field, module.mats[a], g)
-    rows = []
-    for c in range(module.dim):
-        row = {u: images[u][c] for u in unknowns if images[u][c]}
-        if row:
-            rows.append(row)
-    return gens, kernel(field, rows, unknowns)
+            for p, x in module.cols[a][q].items():
+                rows[p][(j, a)] = x
+    unknowns = [(j, a) for j in range(len(coords)) for a in range(algebra.dim)]
+    return len(coords), kernel(algebra.field, rows, unknowns)
 
 
 def _syzygy_step(algebra, rank, kvecs):
@@ -348,38 +319,18 @@ def _syzygy_step(algebra, rank, kvecs):
     return gens, nextk
 
 
-def _gens_to_diff(algebra, rank, gens):
-    """Free-module generators as a matrix of algebra elements: entry
-    [target slot][source slot]."""
-    field = algebra.field
-    out = []
-    for t in range(rank):
-        line = []
-        for g in gens:
-            line.append(tuple(g.get((t, a), field.zero)
-                              for a in range(algebra.dim)))
-        out.append(tuple(line))
-    return tuple(out)
-
-
 def _resolution(module: ArtinModule, length: int):
-    """Betti numbers b_0..b_length and differentials d_1..d_length of a
-    minimal free resolution (entries are algebra coefficient tuples)."""
+    """Betti numbers b_0..b_length of a minimal free resolution, and
+    for each differential d_1..d_length the images of its source basis
+    vectors, sparse over (target slot, algebra index)."""
     algebra = module.algebra
-    gens0, kv = _module_presentation(module)
-    betti = [len(gens0)]
+    rank, kv = _module_presentation(module)
+    betti = [rank]
     diffs = []
-    rank = len(gens0)
     for _ in range(length):
-        if not kv:
-            betti.append(0)
-            diffs.append(tuple(() for _ in range(rank)))
-            rank = 0
-            kv = []
-            continue
-        gens, kv = _syzygy_step(algebra, rank, kv)
+        gens, kv = _syzygy_step(algebra, rank, kv) if kv else ([], [])
         betti.append(len(gens))
-        diffs.append(_gens_to_diff(algebra, rank, gens))
+        diffs.append(gens)
         rank = len(gens)
     return betti, diffs
 
@@ -390,25 +341,20 @@ def minimal_resolution(module: ArtinModule, i_max: int = 5):
     return tuple(betti)
 
 
-def _hom_differential(nmodule: ArtinModule, diff, rank_prev, rank_next):
-    """Matrix of Hom(F_prev, N) -> Hom(F_next, N), phi -> phi o d.
+def _hom_differential(nmodule: ArtinModule, gens):
+    """Columns of Hom(F_prev, N) -> Hom(F_next, N), phi -> phi o d.
 
-    Input keys (j, v): j slot of F_prev, v coordinate of N; output keys
-    (t, w) likewise for F_next.  Returned as a dict of rows keyed by
-    output key.
+    d sends the t-th basis vector of F_next to gens[t].  The column at
+    (j, v) is the image of the map sending slot j of F_prev to N's
+    basis vector v; its entries are keyed (t, w), w a coordinate of N.
     """
-    field = nmodule.algebra.field
-    rows = {}
-    for t in range(rank_next):
-        for j in range(rank_prev):
-            entry = diff[j][t]
-            if not any(entry):
-                continue
-            mat = nmodule.action_matrix(entry)
-            for w in range(nmodule.dim):
-                vec_iaddmul(rows.setdefault((t, w), {}), field.one,
-                            {(j, v): c for v, c in enumerate(mat[w]) if c})
-    return rows
+    cols = {}
+    for t, g in enumerate(gens):
+        for (j, a), c in g.items():
+            for v, image in enumerate(nmodule.cols[a]):
+                vec_iaddmul(cols.setdefault((j, v), {}), c,
+                            {(t, w): x for w, x in image.items()})
+    return cols
 
 
 def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
@@ -425,10 +371,9 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
     def delta_rank(s):
         if betti[s] == 0 or betti[s + 1] == 0:
             return 0
-        rows = _hom_differential(nmodule, diffs[s], betti[s], betti[s + 1])
-        order = {(j, v): j * dn + v
-                 for j in range(betti[s]) for v in range(dn)}
-        return span(field, rows.values(), sort_key=order.__getitem__).dim
+        cols = _hom_differential(nmodule, diffs[s])
+        return span(field, cols.values(),
+                    sort_key=lambda k: k[0] * dn + k[1]).dim
 
     hom_dim = betti[i] * dn
     if i == 0:
@@ -441,34 +386,31 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
 # -- hom spaces, isomorphism, surjection --------------------------------------
 
 def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
-    """Basis of the space of equivariant maps, as dense matrices."""
+    """Basis of the space of equivariant maps M -> N, as a list.
+
+    Each map is a tuple of sparse columns, column q the image of M's
+    basis vector q.  A map X is equivariant when X applied to
+    M.cols[i][q] equals N's basis[i] applied to X's column q.
+    """
     field = mmodule.algebra.field
     dm, dn = mmodule.dim, nmodule.dim
-    unknowns = [(p, q) for p in range(dn) for q in range(dm)]
-    rows = {}
-    for i in range(1, mmodule.algebra.dim):
-        amat = mmodule.mats[i]
-        bmat = nmodule.mats[i]
-        for p in range(dn):
-            for q in range(dm):
-                row = rows.setdefault((i, p, q), {})
-                for r in range(dm):
-                    c = amat[r][q]
-                    if c:
-                        key = (p, r)
-                        row[key] = row.get(key, field.zero) + c
-                for r in range(dn):
-                    c = bmat[p][r]
-                    if c:
-                        key = (r, q)
-                        row[key] = row.get(key, field.zero) - c
-    cleaned = [{k: v for k, v in row.items() if v} for row in rows.values()]
-    sols = kernel(field, cleaned, unknowns)
-    mats = []
-    for s in sols:
-        mats.append(tuple(tuple(s.get((p, q), field.zero)
-                                for q in range(dm)) for p in range(dn)))
-    return mats
+    minus = -field.one
+    rows = []
+    for mline, nline in zip(mmodule.cols[1:], nmodule.cols[1:]):
+        nrows = _rows(nline, dn)
+        for q, mcol in enumerate(mline):
+            for p, nrow in enumerate(nrows):
+                row = {(p, r): c for r, c in mcol.items()}
+                vec_iaddmul(row, minus, {(r, q): c for r, c in nrow.items()})
+                rows.append(row)
+    maps = []
+    for sol in kernel(field, rows,
+                      [(p, q) for p in range(dn) for q in range(dm)]):
+        cols = [{} for _ in range(dm)]
+        for (p, q), c in sol.items():
+            cols[q][p] = c
+        maps.append(tuple(cols))
+    return maps
 
 
 def _coeff_grid(field, nvars, degree_bound):
@@ -482,27 +424,13 @@ def _coeff_grid(field, nvars, degree_bound):
     return itertools.product(values, repeat=nvars)
 
 
-def _top_matrix(xmat, m_coords, n_rad, n_coords, field):
-    """The map induced on tops by the matrix xmat, w.r.t. the given
-    complement coordinates."""
-    cols = []
-    for q in m_coords:
-        vec = {k: xmat[k][q] for k in range(len(xmat)) if xmat[k][q]}
-        red = n_rad.reduce(vec)
-        cols.append(tuple(red.get(p, field.zero) for p in n_coords))
-    return tuple(tuple(col[i] for col in cols) for i in range(len(n_coords)))
-
-
-def _independent_subset(field, mats):
-    """Indices of a maximal linearly independent subfamily."""
-    ech = Echelon(field)
-    picked = []
-    for idx, m in enumerate(mats):
-        vec = {(i, j): m[i][j] for i in range(len(m))
-               for j in range(len(m[i])) if m[i][j]}
-        if vec and ech.insert(vec) is not None:
-            picked.append(idx)
-    return picked
+def _combine(coeffs, maps):
+    """sum c * map over the pairs, for maps given by sparse columns."""
+    out = [{} for _ in maps[0]]
+    for c, cols in zip(coeffs, maps):
+        for acc, col in zip(out, cols):
+            vec_iaddmul(acc, c, col)
+    return out
 
 
 def _search_hom(mmodule, nmodule, want_rank):
@@ -511,57 +439,52 @@ def _search_hom(mmodule, nmodule, want_rank):
 
     Nakayama reduces invertibility/surjectivity of an equivariant map
     to the same property of its top, and the top of a combination is
-    the combination of tops, so searching coefficient tuples over the
-    projected basis is complete.  Over the rationals the determinant
-    and minors are polynomials of per-variable degree at most the top
-    dimension, so the integer grid 0..dim suffices to find a nonzero
-    value whenever one exists.
+    the combination of tops, so searching coefficient tuples over a
+    maximal independent family of tops is complete.  Over the
+    rationals the determinant and minors are polynomials of
+    per-variable degree at most the top dimension, so the integer grid
+    0..dim suffices to find a nonzero value whenever one exists.
     """
     field = mmodule.algebra.field
-    if nmodule.dim == 0:
-        return ()
     homs = hom_space(mmodule, nmodule)
     if not homs:
         return None
     _, m_coords, _ = top_data(mmodule)
-    n_top, n_coords, n_rad = top_data(nmodule)
+    n_top, _, n_rad = top_data(nmodule)
     if want_rank > min(len(m_coords), n_top):
         return None
-    tops = [_top_matrix(h, m_coords, n_rad, n_coords, field) for h in homs]
-    picked = _independent_subset(field, tops)
+    # the top of a map: its columns at M's top coordinates, modulo rad N
+    ech = Echelon(field)
+    picked, tops = [], []
+    for h in homs:
+        top = [n_rad.reduce(h[q]) for q in m_coords]
+        flat = {(q, p): c for q, col in enumerate(top) for p, c in col.items()}
+        if flat and ech.insert(flat) is not None:
+            picked.append(h)
+            tops.append(top)
     if not picked:
         return None
-    bound = max(n_top, 1)
-    for coeffs in _coeff_grid(field, len(picked), bound):
-        if not any(coeffs):
-            continue
-        top = _zero_matrix(field, n_top, len(m_coords))
-        for c, idx in zip(coeffs, picked):
-            if c:
-                top = _mat_add_scaled(field, top, c, tops[idx])
-        if dense_rank(field, top) == want_rank:
-            x = _zero_matrix(field, nmodule.dim, mmodule.dim)
-            for c, idx in zip(coeffs, picked):
-                if c:
-                    x = _mat_add_scaled(field, x, c, homs[idx])
-            return x
+    for coeffs in _coeff_grid(field, len(picked), max(n_top, 1)):
+        if any(coeffs) and \
+                span(field, _combine(coeffs, tops)).dim == want_rank:
+            return tuple(_combine(coeffs, picked))
     return None
 
 
 def module_iso(mmodule: ArtinModule, nmodule: ArtinModule):
-    """An equivariant isomorphism matrix, or None (a proof of absence)."""
+    """An equivariant isomorphism M -> N as a tuple of sparse columns,
+    or None (a proof of absence)."""
     if mmodule.dim != nmodule.dim:
         return None
     if mmodule.dim == 0:
         return ()
-    tm, m_coords, _ = top_data(mmodule)
     tn = top_data(nmodule)[0]
-    if tm != tn:
+    if top_data(mmodule)[0] != tn:
         return None
     x = _search_hom(mmodule, nmodule, tn)
     if x is None:
         return None
-    if not is_invertible(mmodule.algebra.field, x):
+    if span(mmodule.algebra.field, x).dim != mmodule.dim:
         raise InvariantViolation("full top rank must lift to an isomorphism")
     return x
 
@@ -574,7 +497,7 @@ def surjection_exists(mmodule: ArtinModule, nmodule: ArtinModule) -> bool:
     x = _search_hom(mmodule, nmodule, tn)
     if x is None:
         return False
-    if dense_rank(mmodule.algebra.field, x) < nmodule.dim:
+    if span(mmodule.algebra.field, x).dim < nmodule.dim:
         raise InvariantViolation("surjective top must lift to a surjection")
     return True
 
@@ -594,8 +517,7 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
     """
     algebra = mmodule.algebra
     field = algebra.field
-    gens, kvecs = _module_presentation(mmodule)
-    b0 = len(gens)
+    b0, kvecs = _module_presentation(mmodule)
     n = algebra.dim
     dn = nmodule.dim
 
@@ -608,43 +530,33 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
         if not tracked.insert(v, mdx):
             raise InvariantViolation("kernel basis is not independent")
 
-    unknowns = [(mdx, p) for mdx in range(len(kvecs)) for p in range(dn)]
+    # psi(basis[i] k) = basis[i] psi(k) for each radical basis[i] and
+    # each kernel basis vector k, one row per coordinate p of N
+    minus = -field.one
     rows = []
     for i in range(1, n):
+        nrows = _rows(nmodule.cols[i], dn)
         for mdx, v in enumerate(kvecs):
-            moved = _free_left_apply(algebra, i, v)
-            combo = tracked.express(moved)
+            combo = tracked.express(_free_left_apply(algebra, i, v))
             if combo is None:
                 raise InvariantViolation("kernel is not closed under the action")
-            for p in range(dn):
-                row = {}
-                for ldx, c in combo.items():
-                    row[(ldx, p)] = c
-                for r in range(dn):
-                    c = nmodule.mats[i][p][r]
-                    if c:
-                        key = (mdx, r)
-                        row[key] = row.get(key, field.zero) - c
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    rows.append(row)
-    solutions = kernel(field, rows, unknowns)
+            for p, nrow in enumerate(nrows):
+                row = {(ldx, p): c for ldx, c in combo.items()}
+                vec_iaddmul(row, minus, {(mdx, r): c for r, c in nrow.items()})
+                rows.append(row)
+    solutions = kernel(field, rows,
+                       [(mdx, p) for mdx in range(len(kvecs))
+                        for p in range(dn)])
 
-    image_ech = Echelon(field, sort_key=lambda k: (k[0], k[1]))
-    for j in range(b0):
-        for v in range(dn):
-            vec = {}
-            for mdx, kv in enumerate(kvecs):
-                acc = (field.zero,) * dn
-                for a in range(n):
-                    c = kv.get((j, a))
-                    if c:
-                        col = _column(nmodule.mats[a], v)
-                        acc = tuple(x + c * y for x, y in zip(acc, col))
-                for p, c in enumerate(acc):
-                    if c:
-                        vec[(mdx, p)] = c
-            image_ech.insert(vec)
+    # the coboundaries: restrictions to K of the maps sending slot j
+    # of F to N's basis vector v
+    cobs = {(j, v): {} for j in range(b0) for v in range(dn)}
+    for mdx, kv in enumerate(kvecs):
+        for (j, a), c in kv.items():
+            for v, image in enumerate(nmodule.cols[a]):
+                vec_iaddmul(cobs[(j, v)], c,
+                            {(mdx, p): x for p, x in image.items()})
+    image_ech = span(field, cobs.values())
     reps = [s for s in solutions if image_ech.insert(dict(s)) is not None]
     e = len(reps)
     if e > bound:
@@ -709,27 +621,18 @@ def _line_middles(nmodule: ArtinModule, classes):
 
 
 def _induced_action(algebra, ech, keys, image):
-    """Action matrices on span(keys) / span(ech), and their basis.
+    """Action columns on span(keys) / span(ech), and their basis.
 
     The basis is the keys that are not pivots of ech, in key order;
     image(i, k) is algebra basis[i] applied to the key k, a vector over
     the keys, and its reduction against ech gives the column of k.
     """
-    field = algebra.field
     pivots = set(ech.pivots)
     basis = [k for k in keys if k not in pivots]
     pos = {k: i for i, k in enumerate(basis)}
-    d = len(basis)
-    mats = []
-    for i in range(algebra.dim):
-        cols = []
-        for k in basis:
-            col = [field.zero] * d
-            for key, c in ech.reduce(image(i, k)).items():
-                col[pos[key]] = c
-            cols.append(col)
-        mats.append(tuple(tuple(col[p] for col in cols) for p in range(d)))
-    return mats, basis
+    cols = [[{pos[key]: c for key, c in ech.reduce(image(i, k)).items()}
+             for k in basis] for i in range(algebra.dim)]
+    return cols, basis
 
 
 def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
@@ -752,38 +655,31 @@ def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
 
     def image(i, k):
         if k[0] == "n":
-            col = _column(nmodule.mats[i], k[1])
-            return {("n", q): c for q, c in enumerate(col) if c}
+            return {("n", q): c for q, c in nmodule.cols[i][k[1]].items()}
         j, a = k[1]
         return {("f", (j, b)): c for b, c in enumerate(algebra.mult[i][a])
                 if c}
 
-    mats, basis = _induced_action(algebra, graph, keys, image)
+    cols, basis = _induced_action(algebra, graph, keys, image)
     if len(basis) != dn + b0 * n - len(kvecs):
         raise InvariantViolation("middle has the wrong dimension")
-    return ArtinModule(algebra, mats)
+    return ArtinModule(algebra, cols)
 
 
 def quotient_module(module: ArtinModule, vectors) -> ArtinModule:
-    """The quotient by the submodule generated by the given vectors."""
+    """The quotient by the submodule generated by the given sparse
+    vectors; its basis is the module basis vectors that are not pivots
+    of that submodule's echelon, labels kept."""
     algebra = module.algebra
-    field = algebra.field
-    ech = Echelon(field)
-    queue = [tuple(v) for v in vectors]
+    ech = Echelon(algebra.field)
+    queue = list(vectors)
     while queue:
-        v = queue.pop()
-        vec = {k: c for k, c in enumerate(v) if c}
-        if not vec or ech.insert(vec) is None:
-            continue
-        for i in range(1, algebra.dim):
-            queue.append(_mat_vec(field, module.mats[i], v))
-
-    def image(i, q):
-        col = _column(module.mats[i], q)
-        return {k: c for k, c in enumerate(col) if c}
-
-    mats, basis = _induced_action(algebra, ech, range(module.dim), image)
-    return ArtinModule(algebra, mats,
+        vec = queue.pop()
+        if ech.insert(vec) is not None:
+            queue.extend(_apply(line, vec) for line in module.cols[1:])
+    cols, basis = _induced_action(algebra, ech, range(module.dim),
+                                  lambda i, q: module.cols[i][q])
+    return ArtinModule(algebra, cols,
                        labels=tuple(module.labels[q] for q in basis))
 
 
@@ -920,14 +816,13 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
     if not all(classes.add(rep) for rep in reps):
         raise InvariantViolation("quotient representatives collapsed")
 
-    mats = []
+    cols = []
     for lift in quotient.reps:
-        cols = [classes(lift * rep) for rep in reps]
-        if None in cols:
+        line = [classes(lift * rep) for rep in reps]
+        if None in line:
             raise InvariantViolation("action left the module window")
-        mats.append(tuple(tuple(col[rw] for col in cols)
-                          for rw in range(len(reps))))
-    return ArtinModule(quotient.algebra, mats,
+        cols.append([{k: c for k, c in enumerate(vec) if c} for vec in line])
+    return ArtinModule(quotient.algebra, cols,
                        labels=tuple(format_element(rep) for rep in reps))
 
 
@@ -981,17 +876,13 @@ def _check_lab_action(module, square, m):
     """Pinned structure constants of omega/x omega on the adapted basis
     [sigma_m .. sigma_2, s]: a monomial of order i sends sigma_j to s
     exactly when i = j + m - 1, and everything else to zero."""
-    field = square.algebra.field
+    one = square.algebra.field.one
     for a in range(1, square.algebra.dim):
         i = int(square.reps[a].valuation(0))
-        mat = module.mats[a]
-        for col in range(m):
+        for col, got in enumerate(module.cols[a]):
             j = m - col if col < m - 1 else None  # last column is s itself
-            expect = [field.zero] * m
-            if j is not None and m <= i < 2 * m and i == j + m - 1:
-                expect[m - 1] = field.one
-            got = [mat[rw][col] for rw in range(m)]
-            if got != expect:
+            hits = j is not None and m <= i < 2 * m and i == j + m - 1
+            if got != ({m - 1: one} if hits else {}):
                 raise InvariantViolation(
                     "lab module action differs from the pinned constants")
 
@@ -1047,8 +938,7 @@ class ClaimReport:
 
 def _reduces_to(mid: ArtinModule, xvec, module: ArtinModule) -> bool:
     """Whether E/xE is isomorphic to the given module."""
-    xmat = mid.action_matrix(xvec)
-    q = quotient_module(mid, [_column(xmat, j) for j in range(mid.dim)])
+    q = quotient_module(mid, mid.action_matrix(xvec))
     return q.dim == module.dim and module_iso(q, module) is not None
 
 

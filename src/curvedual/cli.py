@@ -307,14 +307,15 @@ def cmd_check(ns):
 # -- ext lab -----------------------------------------------------------------
 
 def _matrix_payload(module):
-    field = module.algebra.field
+    """A module's action as dense matrices (rows of formatted entries);
+    the one place a module is rendered densely."""
+    fmt, zero = module.algebra.field.format, module.algebra.field.zero
+    coords = range(module.dim)
     return {
         "module_labels": list(module.labels),
         "action_matrices": {
-            module.algebra.labels[i]:
-                [[field.format(entry) for entry in row]
-                 for row in module.mats[i]]
-            for i in range(module.algebra.dim)
+            label: [[fmt(col.get(p, zero)) for col in line] for p in coords]
+            for label, line in zip(module.algebra.labels, module.cols)
         },
     }
 

@@ -345,20 +345,21 @@ def general_section(ring, seed: int = 0, trials: int = 64) -> Element:
 def general_section_extended(ring, seed: int = 0, trials: int = 64,
                              max_degree: int = 4):
     """general_section with automatic field growth: on FieldTooSmall
-    the ring is rebuilt over extension fields of increasing degree
-    until a section appears.  Returns (ring used, section)."""
+    the ring is rebuilt over extension fields of degree 2 up to
+    max_degree until a section appears.  Returns (ring used, section);
+    when every degree fails, the last FieldTooSmall is raised, the base
+    field's own when max_degree is below 2."""
     try:
         return ring, general_section(ring, seed=seed, trials=trials)
-    except FieldTooSmall:
-        last = None
-        for e in range(2, max_degree + 1):
-            bigger, _ = ring.base_change(e)
-            try:
-                return bigger, general_section(bigger, seed=seed,
-                                               trials=trials)
-            except FieldTooSmall as exc:
-                last = exc
-        raise last
+    except FieldTooSmall as exc:
+        last = exc
+    for e in range(2, max_degree + 1):
+        bigger, _ = ring.base_change(e)
+        try:
+            return bigger, general_section(bigger, seed=seed, trials=trials)
+        except FieldTooSmall as exc:
+            last = exc
+    raise last
 
 
 # -- torsion duality --------------------------------------------------------------

@@ -39,21 +39,6 @@ def vec_addmul(a, c, b):
     return vec_iaddmul(dict(a), c, b)
 
 
-def vec_sub(a, b):
-    out = dict(a)
-    for k, x in b.items():
-        y = out.get(k)
-        if y is None:
-            out[k] = -x
-        else:
-            y = y - x
-            if y:
-                out[k] = y
-            else:
-                del out[k]
-    return out
-
-
 class Echelon:
     """Row-reduced spanning set, maintained fully reduced.
 
@@ -135,6 +120,7 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    # kept without a caller in the library: perfbench/spans.py wraps it
     def coords(self, vec):
         """Coefficients of vec on self.rows, or None if outside the span."""
         out = {k: x for k, x in vec.items() if x}
@@ -250,18 +236,10 @@ def intersect_spans(field, avecs, bvecs, sort_key=None):
     return out
 
 
+# kept without a caller in the library: perfbench/spans.py wraps it by name
 def dense_rank(field, mat) -> int:
     """Rank of a dense matrix given as a list of rows of scalars."""
     ech = Echelon(field)
     for row in mat:
         ech.insert({j: x for j, x in enumerate(row) if x})
     return ech.dim
-
-
-def is_invertible(field, mat) -> bool:
-    n = len(mat)
-    if n == 0:
-        return True
-    if any(len(row) != n for row in mat):
-        return False
-    return dense_rank(field, mat) == n

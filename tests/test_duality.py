@@ -188,6 +188,14 @@ def test_general_section_small_field(f2):
         assert sigma.coefficient(i, -n)
 
 
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_general_section_extended_without_extensions(f2, max_degree):
+    # no extension degree to try: the base field's FieldTooSmall comes back
+    axes2 = cd.named_ring(f2, "axes")
+    with pytest.raises(FieldTooSmall, match="extend the field"):
+        cd.general_section_extended(axes2, seed=3, max_degree=max_degree)
+
+
 def test_ext1_torsion(node):
     one = unit_ideal(node)
     m = maximal_ideal(node)

@@ -22,6 +22,7 @@ RUNS = [
     ["ext_lab.py", "--m", "3", "--p", "2"],
     ["family_report.py", "--bound", "5"],
     ["family_report.py", "--bound", "5", "--field", "F5"],
+    ["job_digests.py", "--workload", "finite-labs", "--seeds", "1"],
 ]
 
 
