@@ -16,11 +16,11 @@ corrupting downstream counts.
 
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one class map, `_WindowClasses`:
-a Laurent vector is clipped to the submodule's window, reduced against
-its echelon and written over the chosen representatives.  The
-quotients of a module by a span (`quotient_module` and the pushout
-middles of the extension laboratory) share one induced action,
-`_induced_action`, which projects images onto the non-pivot keys.
+the submodule's `FracIdeal.residual` of a Laurent vector is written
+over the chosen representatives.  The quotients of a module by a span
+(`quotient_module` and the pushout middles of the extension laboratory)
+share one induced action, `_induced_action`, which projects images onto
+the non-pivot keys.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
                      ZeroDivisor)
 from .fields import FiniteField, prime_field
 from .fracideal import FracIdeal, maximal_ideal, unit_ideal
-from .laurent import INF, Element, clip_window, format_element, window_key
+from .laurent import (INF, Element, format_element, linear_combination,
+                      window_key)
 from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
 
 # -- sparse columns -------------------------------------------------------------
@@ -433,8 +434,8 @@ def _combine(coeffs, maps):
     return out
 
 
-def _search_hom(mmodule, nmodule, want_rank):
-    """A hom-space element whose top map has the requested rank, or
+def _search_hom(mmodule, nmodule, m_top, n_top):
+    """A hom-space element whose top map is onto the top of N, or
     None; exhaustive over the top projections, so None is a proof.
 
     Nakayama reduces invertibility/surjectivity of an equivariant map
@@ -444,14 +445,15 @@ def _search_hom(mmodule, nmodule, want_rank):
     rationals the determinant and minors are polynomials of
     per-variable degree at most the top dimension, so the integer grid
     0..dim suffices to find a nonzero value whenever one exists.
+    `m_top` and `n_top` are the two modules' `top_data`.
     """
     field = mmodule.algebra.field
     homs = hom_space(mmodule, nmodule)
     if not homs:
         return None
-    _, m_coords, _ = top_data(mmodule)
-    n_top, _, n_rad = top_data(nmodule)
-    if want_rank > min(len(m_coords), n_top):
+    _, m_coords, _ = m_top
+    n_dim, _, n_rad = n_top
+    if n_dim > len(m_coords):
         return None
     # the top of a map: its columns at M's top coordinates, modulo rad N
     ech = Echelon(field)
@@ -464,9 +466,9 @@ def _search_hom(mmodule, nmodule, want_rank):
             tops.append(top)
     if not picked:
         return None
-    for coeffs in _coeff_grid(field, len(picked), max(n_top, 1)):
+    for coeffs in _coeff_grid(field, len(picked), max(n_dim, 1)):
         if any(coeffs) and \
-                span(field, _combine(coeffs, tops)).dim == want_rank:
+                span(field, _combine(coeffs, tops)).dim == n_dim:
             return tuple(_combine(coeffs, picked))
     return None
 
@@ -478,10 +480,10 @@ def module_iso(mmodule: ArtinModule, nmodule: ArtinModule):
         return None
     if mmodule.dim == 0:
         return ()
-    tn = top_data(nmodule)[0]
-    if top_data(mmodule)[0] != tn:
+    m_top, n_top = top_data(mmodule), top_data(nmodule)
+    if m_top[0] != n_top[0]:
         return None
-    x = _search_hom(mmodule, nmodule, tn)
+    x = _search_hom(mmodule, nmodule, m_top, n_top)
     if x is None:
         return None
     if span(mmodule.algebra.field, x).dim != mmodule.dim:
@@ -493,8 +495,7 @@ def surjection_exists(mmodule: ArtinModule, nmodule: ArtinModule) -> bool:
     """Whether some equivariant map M -> N is onto."""
     if nmodule.dim == 0:
         return True
-    tn = top_data(nmodule)[0]
-    x = _search_hom(mmodule, nmodule, tn)
+    x = _search_hom(mmodule, nmodule, top_data(mmodule), top_data(nmodule))
     if x is None:
         return False
     if span(mmodule.algebra.field, x).dim < nmodule.dim:
@@ -689,9 +690,9 @@ class _WindowClasses:
     """The class map of Laurent vectors modulo a submodule `sub`, over
     representatives added one at a time.
 
-    A vector is clipped to the window of sub and reduced against its
-    echelon; what is left is written over the residuals of the
-    representatives through a tracked echelon.
+    The residual of a vector against sub (`FracIdeal.residual`) is
+    written over the residuals of the representatives through a
+    tracked echelon.
     """
 
     __slots__ = ("sub", "tracked")
@@ -700,17 +701,14 @@ class _WindowClasses:
         self.sub = sub
         self.tracked = TrackedEchelon(sub.ring.field, sort_key=window_key)
 
-    def _residual(self, elem):
-        return self.sub.ech.reduce(clip_window(elem.coeffs, self.sub.tail))
-
     def add(self, rep) -> bool:
         """Take rep as the next representative if its class is new."""
-        return self.tracked.insert(self._residual(rep), self.tracked.dim)
+        return self.tracked.insert(self.sub.residual(rep), self.tracked.dim)
 
     def __call__(self, elem):
         """Coefficient tuple of the class of elem, or None when elem is
         not in the span of the representatives and the submodule."""
-        combo = self.tracked.express(self._residual(elem))
+        combo = self.tracked.express(self.sub.residual(elem))
         if combo is None:
             return None
         zero = self.sub.ring.field.zero
@@ -742,12 +740,8 @@ class ArtinQuotient:
         return vec
 
     def lift(self, vec) -> Element:
-        field = self.algebra.field
-        out = Element.zero(field, self.ring.nbranches)
-        for c, rep in zip(vec, self.reps):
-            if c:
-                out = out + rep.scale(c)
-        return out
+        return linear_combination(self.algebra.field, self.ring.nbranches,
+                                  vec, [rep.coeffs for rep in self.reps])
 
     def __repr__(self):
         return f"<quotient algebra of dimension {self.dim}>"

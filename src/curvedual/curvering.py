@@ -3,17 +3,18 @@
 A ring O is the subalgebra of ⊕_i k[[t_i]] generated by finitely many
 vectors with zero constant term (adjoined to the diagonal constants).
 Everything is computed through the image of O in the finite window
-⊕_i k[t]/t^W: the closure of the generators under multiplication, as a
-reduced echelon of exponent vectors.
+⊕_i k[t]/t^W: the closure of the generators under `laurent.clip_product`,
+as a reduced echelon of exponent vectors.
 
-The conductor exponents n_i are read off the window image by a
-top-down scan for the full monomial slab.  The scan is certified once
-the window is at least twice the claimed conductor plus two: any ring
-element agreeing with a slab monomial that far out can be corrected to
-an exact slab member by the usual successive-approximation argument,
-so the scan result is the true conductor, not a window artifact.  The
-window grows adaptively toward that certificate and gives up at
-`window_bound` with NotFiniteColength.
+The conductor exponents n_i are read off the window image by
+`laurent.shed_slab`, which sheds the full monomial slab from the top of
+the window; the rows it leaves are the ring basis modulo the conductor.
+The scan is certified once the window is at least twice the claimed
+conductor plus two: any ring element agreeing with a slab monomial that
+far out can be corrected to an exact slab member by the usual
+successive-approximation argument, so the scan result is the true
+conductor, not a window artifact.  The window grows adaptively toward
+that certificate and gives up at `window_bound` with NotFiniteColength.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from .errors import (DifferentialDegreeError, InvariantViolation, NotARing,
                      NotCoprime, NotFiniteColength, NotPrimeField, ParseError)
 from .fields import FiniteField, format_field, parse_field
-from .laurent import Element, format_element, parse_element, window_key
+from .laurent import (Element, clip_product, clip_window, format_element,
+                      parse_element, shed_slab, window_key)
 from .linalg import Echelon
 
 INF = math.inf
@@ -83,26 +85,6 @@ def _normalize_generators(gens):
     return out
 
 
-def _mul_clip(a, b, width):
-    """Branchwise product of two exponent-vector dicts, clipped."""
-    out = {}
-    for (i, ja), ca in a.items():
-        for (ib, jb), cb in b.items():
-            if ib != i:
-                continue
-            j = ja + jb
-            if j >= width:
-                continue
-            key = (i, j)
-            s = out.get(key)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
 def _closure_window(field, nbranches, gens, width):
     """Echelon of the image of the ring in ⊕ k[t]/t^width.
 
@@ -112,11 +94,11 @@ def _closure_window(field, nbranches, gens, width):
     many rounds; the span dimension bounds the work outright.
     """
     ech = Echelon(field, sort_key=window_key)
-    gvecs = [{k: c for k, c in g.coeffs.items() if k[1] < width} for g in gens]
+    tail = (width,) * nbranches
+    gvecs = [clip_window(g.coeffs, tail) for g in gens]
     frontier = []
 
     def push(vec):
-        vec = {k: c for k, c in vec.items() if k[1] < width}
         if vec and ech.insert(vec) is not None:
             frontier.append(vec)
 
@@ -124,24 +106,8 @@ def _closure_window(field, nbranches, gens, width):
     while frontier:
         v = frontier.pop()
         for g in gvecs:
-            push(_mul_clip(v, g, width))
+            push(clip_product(v, g, tail))
     return ech
-
-
-def _slab_start(ech, nbranches, width):
-    """Per-branch least s with every monomial t^j, s <= j < width, in
-    the span; width itself when even the top monomial is missing."""
-    field = ech.field
-    out = []
-    for i in range(nbranches):
-        s = width
-        for j in range(width - 1, -1, -1):
-            if ech.contains({(i, j): field.one}):
-                s = j
-            else:
-                break
-        out.append(s)
-    return out
 
 
 def build(spec: CurveSpec) -> "CurveRing":
@@ -170,7 +136,7 @@ def build(spec: CurveSpec) -> "CurveRing":
         width = min(spec.window_bound, max(8, 2 * max(vals) + 2))
     while True:
         ech = _closure_window(field, nbranches, gens, width)
-        cond = _slab_start(ech, nbranches, width)
+        cond = shed_slab(ech, (0,) * nbranches, (width,) * nbranches)
         need = 2 * max(max(cond), 1) + 2
         if need <= width:
             break
@@ -183,13 +149,7 @@ def build(spec: CurveSpec) -> "CurveRing":
                 f"{spec.window_bound} (needs at least {need})")
         width = min(need, spec.window_bound)
 
-    basis = []
-    for row, piv in zip(ech.rows, ech.pivots):
-        if piv[1] < cond[piv[0]]:
-            basis.append({k: c for k, c in row.items() if k[1] < cond[k[0]]})
-    reduced = Echelon(field, sort_key=window_key)
-    reduced.extend(basis)
-    lifts = tuple(Element(field, nbranches, row, 0) for row in reduced.rows)
+    lifts = tuple(Element(field, nbranches, row, 0) for row in ech.rows)
     return CurveRing(spec, field, nbranches, tuple(gens), tuple(cond),
                      lifts, width)
 
@@ -386,6 +346,7 @@ def parse_curve_file(text: str, window_bound: int = 200,
     nbranches = None
     gens = []
     semigroup = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,12 +354,18 @@ def parse_curve_file(text: str, window_bound: int = 200,
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
+            if key != "gen" and key in seen:
+                raise ParseError(f"repeated {key} section")
+            seen.add(key)
             if key == "field":
                 field = parse_field(rest)
             elif key == "branches":
                 nbranches = int(rest)
                 if nbranches < 1:
                     raise ParseError("at least one branch")
+                if any(g.nbranches != nbranches for g in gens):
+                    raise ParseError(f"branches {nbranches} disagrees with "
+                                     f"an earlier gen")
             elif key == "gen":
                 if field is None:
                     raise ParseError("gen before field")

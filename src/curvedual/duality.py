@@ -31,7 +31,7 @@ from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
                         conductor_module, from_generators,
                         normalization_module, slab_module, unit_ideal)
-from .laurent import INF, Element, window_key
+from .laurent import INF, Element, linear_combination, window_key
 from .linalg import kernel
 
 
@@ -284,14 +284,6 @@ def conductor_duality(ring) -> bool:
 
 # -- sections --------------------------------------------------------------------
 
-def _combine(field, r, rows, weights):
-    out = Element.zero(field, r, degree=1)
-    for w, row in zip(weights, rows):
-        if w:
-            out = out + row.scale(w)
-    return out
-
-
 def _exact_poles(ring, sigma):
     return all(bool(sigma.coefficient(i, -n))
                for i, n in enumerate(ring.cond))
@@ -319,14 +311,14 @@ def general_section(ring, seed: int = 0, trials: int = 64) -> Element:
     omega = canonical_module(ring).module
     field = ring.field
     r = ring.nbranches
-    rows = omega.rows_as_elements()
+    rows = [e.coeffs for e in omega.rows_as_elements()]
     if all(n == 0 for n in ring.cond):
         return _checked_section(
             ring, Element.diag_monomial(field, r, 0, degree=1))
     if not isinstance(field, FiniteField):
         for k in range(1, r * max(len(rows), 1) + 2):
             weights = [field.of_int(k) ** j for j in range(len(rows))]
-            sigma = _combine(field, r, rows, weights)
+            sigma = linear_combination(field, r, weights, rows, degree=1)
             if _exact_poles(ring, sigma):
                 return _checked_section(ring, sigma)
         raise InvariantViolation(
@@ -334,7 +326,7 @@ def general_section(ring, seed: int = 0, trials: int = 64) -> Element:
     rng = random.Random(seed)
     for _ in range(trials):
         weights = [field.random(rng) for _ in rows]
-        sigma = _combine(field, r, rows, weights)
+        sigma = linear_combination(field, r, weights, rows, degree=1)
         if _exact_poles(ring, sigma):
             return _checked_section(ring, sigma)
     raise FieldTooSmall(

@@ -9,11 +9,12 @@ in canonical form as
   * the implicit full monomial slab t^{tail_i} k[[t_i]] on every branch,
 
 so M = V ⊕ slab.  Tails are minimal (the monomial just below each
-tail is not in M) and poles are the true minimal valuations, which
-makes equality structural.  The owning ring only needs to expose
-`field`, `nbranches`, `cond` (the conductor exponents) and `basis`
-(polynomial lifts of a reduced basis of the ring modulo its conductor,
-unit row first).
+tail is not in M; `laurent.shed_slab` lowers them) and poles are the
+true minimal valuations, which makes equality structural.  Products
+are `laurent.clip_product` of rows, cut to the result's window.  The
+owning ring only needs to expose `field`, `nbranches`, `cond` (the
+conductor exponents) and `basis` (polynomial lifts of a reduced basis
+of the ring modulo its conductor, unit row first).
 
 All constructions here assume, and preserve, closure under the ring
 action; `from_generators` is the safe entry point.
@@ -25,7 +26,8 @@ import random
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NotContained,
                      NotMember, OwnerMismatch, ZeroDivisor, ZeroOnBranch)
-from .laurent import INF, Element, clip_window, window_key
+from .laurent import (INF, Element, clip_product, clip_window,
+                      linear_combination, shed_slab, window_key)
 from .linalg import Echelon, intersect_spans, kernel, span, vec_iaddmul
 
 
@@ -33,7 +35,6 @@ class FracIdeal:
     __slots__ = ("ring", "degree", "pole", "tail", "ech")
 
     def __init__(self, ring, degree, pole, tail, rows):
-        field = ring.field
         r = ring.nbranches
         pole = [int(x) for x in pole]
         tail = [int(x) for x in tail]
@@ -41,20 +42,10 @@ class FracIdeal:
             raise OwnerMismatch("window length does not match branch count")
         if any(t < p for p, t in zip(pole, tail)):
             raise InvariantViolation("window tail below window start")
-        ech = Echelon(field, sort_key=window_key)
+        ech = Echelon(ring.field, sort_key=window_key)
         for row in rows:
             ech.insert(clip_window(row, tail))
-        # shrink each tail while the monomial just below it is present;
-        # a fully reduced echelon that contains e_k has e_k itself as the
-        # row pivoted at k, and no other row touches k, so dropping that
-        # row leaves the echelon of the window one shorter
-        for i in range(r):
-            while tail[i] > pole[i]:
-                key = (i, tail[i] - 1)
-                if not ech.contains({key: field.one}):
-                    break
-                ech.discard(key)
-                tail[i] -= 1
+        tail = shed_slab(ech, pole, tail)
         # poles become the true minimal valuations
         for i in range(r):
             exps = [j for row in ech.rows for (b, j) in row if b == i]
@@ -106,7 +97,12 @@ class FracIdeal:
         for (i, j) in elem.coeffs:
             if j < self.pole[i]:
                 return False
-        return self.ech.contains(clip_window(elem.coeffs, self.tail))
+        return not self.residual(elem)
+
+    def residual(self, elem):
+        """The window part of elem reduced against the window echelon;
+        empty iff elem is in M, for elem with no term below the poles."""
+        return self.ech.reduce(clip_window(elem.coeffs, self.tail))
 
     def contains_module(self, other) -> bool:
         self._same_ring(other)
@@ -167,8 +163,7 @@ class FracIdeal:
             raise DifferentialDegreeError("scaling a form module by a form")
         pole = [p + v for p, v in zip(self.pole, vals)]
         tail = [t + v for t, v in zip(self.tail, vals)]
-        rows = [clip_window((e * x).coeffs, tail)
-                for e in self.rows_as_elements()]
+        rows = [clip_product(row, x.coeffs, tail) for row in self.ech.rows]
         return FracIdeal(self.ring, deg, pole, tail, rows)
 
     def __mul__(self, other):
@@ -181,12 +176,8 @@ class FracIdeal:
         pole = [a + b for a, b in zip(self.pole, other.pole)]
         tail = [min(pa + tb, pb + ta) for pa, ta, pb, tb
                 in zip(self.pole, self.tail, other.pole, other.tail)]
-        rows = []
-        mine = self.rows_as_elements()
-        theirs = other.rows_as_elements()
-        for a in mine:
-            for b in theirs:
-                rows.append(clip_window((a * b).coeffs, tail))
+        rows = [clip_product(a, b, tail)
+                for a in self.ech.rows for b in other.ech.rows]
         return FracIdeal(self.ring, deg, pole, tail, rows)
 
     def __rmul__(self, other):
@@ -361,11 +352,9 @@ def from_generators(ring, gens, degree=None):
             raise ZeroOnBranch(f"every generator vanishes on branch {i}")
         pole.append(min(vals))
     tail = [ring.cond[i] + pole[i] for i in range(r)]
-    rows = []
     basis = list(ring.basis) or [Element.one(field, r)]
-    for b in basis:
-        for g in gens:
-            rows.append(clip_window((b * g).coeffs, tail))
+    rows = [clip_product(b.coeffs, g.coeffs, tail)
+            for b in basis for g in gens]
     return FracIdeal(ring, deg, pole, tail, rows)
 
 
@@ -411,12 +400,11 @@ def random_ring_element(ring, rng, unit=False):
     """Random polynomial vector inside the ring; a unit if requested."""
     field = ring.field
     r = ring.nbranches
-    out = Element.zero(field, r)
-    for b in ring.basis:
-        out = out + b.scale(field.random(rng))
-    for i in range(r):
-        for j in range(ring.cond[i], ring.cond[i] + 2):
-            out = out + Element.monomial(field, r, i, j, field.random(rng))
+    vecs = [b.coeffs for b in ring.basis]
+    vecs += [{(i, j): field.one} for i in range(r)
+             for j in range(ring.cond[i], ring.cond[i] + 2)]
+    out = linear_combination(field, r, [field.random(rng) for _ in vecs],
+                             vecs)
     if unit:
         c = out.coefficient(0, 0)
         if not c:

@@ -8,6 +8,10 @@ is not a restriction; ring elements with infinite tails are always
 handled through their window image plus a conductor tail at the module
 layer.
 
+The window arithmetic of every layer lives here, on coefficient dicts:
+the cut `clip_window`, the clipped branchwise product `clip_product`
+and the slab scan `shed_slab`, which lowers per-branch tails.
+
 Text form: a single branch is a sum of terms like "3*t^-2 + t + 5/2";
 several branches are tuple-wrapped, "(t^2 + t^5, 0)".  A differential
 carries the suffix "dt": "(t^-1, -t^-1) dt", "t^-2 dt", or bare "dt"
@@ -21,6 +25,7 @@ import re
 
 from .errors import (BranchMismatch, BranchOutOfRange,
                      DifferentialDegreeError, ParseError)
+from .linalg import vec_iaddmul
 
 INF = math.inf
 
@@ -35,6 +40,44 @@ def clip_window(coeffs, tail):
     """The terms of a coefficient dict strictly below each branch's
     tail, zero coefficients dropped."""
     return {(i, j): c for (i, j), c in coeffs.items() if j < tail[i] and c}
+
+
+def clip_product(a, b, tail=None):
+    """Branchwise product of two coefficient dicts, keeping only the
+    terms below each branch's tail (every term when tail is None);
+    sums that cancel are dropped."""
+    out = {}
+    for (i, ja), ca in a.items():
+        top = INF if tail is None else tail[i] - ja
+        for (ib, jb), cb in b.items():
+            if ib != i or jb >= top:
+                continue
+            key = (i, ja + jb)
+            s = out.get(key)
+            s = ca * cb if s is None else s + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def shed_slab(ech, floor, tail):
+    """Lower each branch's tail, not below floor, while the monomial
+    just below it is in the span of `ech`, discarding its row; returns
+    the new tails.  A fully reduced echelon containing e_k has e_k as
+    the row pivoted at k and no other row touches k, so the rows left
+    are an echelon of the shorter window."""
+    one = ech.field.one
+    tail = list(tail)
+    for i in range(len(tail)):
+        while tail[i] > floor[i]:
+            key = (i, tail[i] - 1)
+            if not ech.contains({key: one}):
+                break
+            ech.discard(key)
+            tail[i] -= 1
+    return tail
 
 
 class Element:
@@ -121,27 +164,11 @@ class Element:
         deg = self.degree + other.degree
         if deg > 1:
             raise DifferentialDegreeError("product of two forms")
-        out = {}
-        for (i, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                if i2 != i:
-                    continue
-                k = (i, j1 + j2)
-                s = out.get(k)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Element(self.field, self.nbranches, out, deg)
+        return Element(self.field, self.nbranches,
+                       clip_product(self.coeffs, other.coeffs), deg)
 
-    def __rmul__(self, other):
-        try:
-            c = self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.scale(c)
+    # a left operand that is not an Element is a scalar
+    __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
@@ -222,9 +249,7 @@ class Element:
         if isinstance(bounds, int):
             bounds = (bounds,) * self.nbranches
         return Element(self.field, self.nbranches,
-                       {(i, j): c for (i, j), c in self.coeffs.items()
-                        if j < bounds[i]},
-                       self.degree)
+                       clip_window(self.coeffs, bounds), self.degree)
 
     def max_exponent(self):
         return max((j for (_, j) in self.coeffs), default=None)
@@ -254,6 +279,15 @@ class Element:
 
     def __str__(self):
         return format_element(self)
+
+
+def linear_combination(field, nbranches, weights, vecs, degree=0):
+    """The Element sum of w * v over paired weights and coefficient
+    dicts, accumulated in one dict."""
+    out = {}
+    for w, v in zip(weights, vecs):
+        vec_iaddmul(out, w, v)
+    return Element(field, nbranches, out, degree)
 
 
 _TERM_RE = re.compile(

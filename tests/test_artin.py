@@ -164,6 +164,27 @@ def test_hom_space_and_iso(r345):
     assert not surjection_exists(k, free)
 
 
+@pytest.mark.parametrize("fn, left, right", [
+    (module_iso, "target", "target"), (module_iso, "module", "module"),
+    (surjection_exists, "target", "module"),
+    (surjection_exists, "module", "trivial"),
+    (surjection_exists, "trivial", "module")])
+def test_top_data_once_per_module(monkeypatch, fn, left, right):
+    lab = ext_lab_instance(3, 2)
+    mods = {"target": lab.target, "module": lab.module,
+            "trivial": trivial_module(lab.square.algebra)}
+    calls = []
+    real = artin._radical_span
+
+    def counted(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(artin, "_radical_span", counted)
+    fn(mods[left], mods[right])
+    assert len(calls) == 2
+
+
 def test_quotient_module(cusp):
     alg = curve_quotient(cusp, elem(cusp, "t^3")).algebra  # dim 3
     free = free_module(alg)

@@ -273,6 +273,12 @@ MALFORMED = [
     ["report", "--window-bound", "-5", "--inline",
      "field Q; branches 1; gen t^2 + t^3"],
     ["ext-lab", "--m", "3", "--p", "2", "--window-bound", "0"],
+    ["report", "--inline", "field F5; branches 1; gen t^2 + 3 t^3; field F7"],
+    ["report", "--inline", "field F5; branches 1; gen t^2 + 3 t^3; field Q"],
+    ["report", "--inline", "field Q; semigroup 2 3; semigroup 3 4"],
+    ["report", "--inline", "field Q; gen (t^2, t); branches 1"],
+    ["report", "--inline", "field Q; gen (t, 0); gen (0, t); branches 1"],
+    ["report", "--inline", "field Q; branches 1; branches 1; gen t^2 + t^3"],
 ]
 
 

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import curvedual as cd
+from curvedual import curvering
 from curvedual.errors import (NotCoprime, NotFiniteColength, NotPrimeField,
                               ParseError)
+from curvedual.family import random_spec
+from curvedual.fields import format_field
+from curvedual.laurent import Element, window_key
+from curvedual.linalg import Echelon
 
 
 # frozen by hand: members of <4,6,7> are 0,4,6,7,8,10,11,12,...
@@ -191,6 +196,19 @@ def test_parse_curve_file_errors():
         cd.parse_curve_file("field Q\ngen t^2\nsemigroup 2 3\n")
     with pytest.raises(ParseError, match="line 3"):
         cd.parse_curve_file("field Q\nbranches 2\ngen (t, t\n")
+    # each of field, branches and semigroup may appear once
+    with pytest.raises(ParseError, match="line 4: repeated field"):
+        cd.parse_curve_file("field F5\nbranches 1\ngen t^2 + 3 t^3\n"
+                            "field F7\n")
+    with pytest.raises(ParseError, match="line 4: repeated field"):
+        cd.parse_curve_file("field F5\nbranches 1\ngen t^2 + 3 t^3\n"
+                            "field Q\n")
+    with pytest.raises(ParseError, match="line 3: repeated semigroup"):
+        cd.parse_curve_file("field Q\nsemigroup 2 3\nsemigroup 3 4\n")
+    with pytest.raises(ParseError, match="line 3: repeated branches"):
+        cd.parse_curve_file("field Q\nbranches 1\nbranches 1\n")
+    with pytest.raises(ParseError, match="line 3: branches 1 disagrees"):
+        cd.parse_curve_file("field Q\ngen (t^2, t)\nbranches 1\n")
 
 
 def test_spec_conveniences(qq):
@@ -200,3 +218,74 @@ def test_spec_conveniences(qq):
     with pytest.raises(ParseError):
         cd.named_spec(qq, "doodle")
     assert "cusp" in cd.curve_names()
+
+
+def reference_build(spec):
+    """(cond, window, basis) of the ring build before the slab shed:
+    the closure under a product clipped at the window width, the
+    top-down scan for the full slab, the pivot filter and a second
+    echelon of the filtered rows."""
+    field = spec.field
+    gens = list(spec.generators)
+    if spec.semigroup is not None:
+        gens = [Element.monomial(field, 1, 0, a) for a in spec.semigroup]
+        width = 2 * max(cd.semigroup_oracle(spec.semigroup).conductor, 1) + 2
+    gens = curvering._normalize_generators(gens)
+    r = gens[0].nbranches
+    if spec.semigroup is None:
+        vals = [g.valuation(i) for g in gens for i in range(r)
+                if g.valuation(i) != math.inf]
+        width = min(spec.window_bound, max(8, 2 * max(vals) + 2))
+    while True:
+        ech = Echelon(field, sort_key=window_key)
+        frontier = [{(i, 0): field.one for i in range(r)}]
+        ech.insert(frontier[0])
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                vec = {}
+                for (i, ja), ca in v.items():
+                    for (ib, jb), cb in g.coeffs.items():
+                        if ib == i and ja + jb < width:
+                            vec[(i, ja + jb)] = \
+                                vec.get((i, ja + jb), field.zero) + ca * cb
+                vec = {k: c for k, c in vec.items() if c}
+                if vec and ech.insert(vec) is not None:
+                    frontier.append(vec)
+        cond = []
+        for i in range(r):
+            s = width
+            for j in range(width - 1, -1, -1):
+                if not ech.contains({(i, j): field.one}):
+                    break
+                s = j
+            cond.append(s)
+        need = 2 * max(max(cond), 1) + 2
+        if need <= width:
+            break
+        width = min(need, spec.window_bound)
+    rows = [{k: c for k, c in row.items() if k[1] < cond[k[0]]}
+            for row, piv in zip(ech.rows, ech.pivots)
+            if piv[1] < cond[piv[0]]]
+    reduced = Echelon(field, sort_key=window_key)
+    reduced.extend(rows)
+    return (tuple(cond), width,
+            tuple(Element(field, r, row) for row in reduced.rows))
+
+
+REFERENCE_SPECS = (
+    [spec for name in ("Q", "F5")
+     for spec in cd.family_specs(cd.parse_field(name))]
+    + [random_spec(cd.parse_field(name), seed)
+       for name in ("Q", "F2", "F7") for seed in range(30)])
+
+
+@pytest.mark.parametrize(
+    "spec", REFERENCE_SPECS,
+    ids=[f"{format_field(s.field)}-{s.label}" for s in REFERENCE_SPECS])
+def test_build_matches_the_reference_scan(spec):
+    ring = cd.build(spec)
+    cond, window, basis = reference_build(spec)
+    assert (ring.cond, ring.window, ring.basis) == (cond, window, basis)
+    assert [list(b.coeffs) for b in ring.basis] == \
+        [list(b.coeffs) for b in basis]

@@ -14,7 +14,10 @@ plane is not saturated, so its `omega` exits 2 with nothing on stdout.
 The two extra `check` files pin the failure path (an injected fault,
 exit 1, counterexample `delta-over-regular` with a null error) and the
 family path; they were written before the harness and the library's
-reporters came to share one invariant table.
+reporters came to share one invariant table.  The `omega` files of the
+three generator curves (one branch, two and three branches) were
+written before the ring closure, the module products and the class
+maps came to share one clipped product and one slab scan.
 """
 
 import contextlib
@@ -37,6 +40,9 @@ CASES = {
     "report-7-9-F5.json": ["report", "7,9", "--field", "F5"],
     "omega-7-9-Q.json": ["omega", "7,9", "--field", "Q"],
     "omega-7-9-F5.json": ["omega", "7,9", "--field", "F5"],
+    "omega-quartic-branch.json": ["omega", "inputs/quartic-branch.curve"],
+    "omega-tacnode.json": ["omega", "inputs/tacnode.curve"],
+    "omega-three-lines.json": ["omega", "inputs/three-lines.curve"],
     "check-tacnode-cases8-seed2.json": ["check", "tacnode", "--cases", "8",
                                         "--seed", "2"],
     "check-tacnode-inject-drop-residue-condition.json": [

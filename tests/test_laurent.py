@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import curvedual as cd
 from curvedual.errors import (BranchMismatch, BranchOutOfRange,
                               DifferentialDegreeError, ParseError)
-from curvedual.laurent import INF, Element
+from curvedual.laurent import (INF, Element, clip_product, clip_window,
+                               linear_combination)
 
 QQ = cd.rationals()
 
@@ -138,3 +139,73 @@ def test_map_coefficients_base_change(qq, f5):
     moved = e.map_coefficients(lambda c: f5.of_int(c.numerator), f5)
     assert moved.field == f5
     assert moved.coefficient(1, 0) == f5.of_int(2)
+
+
+PRODUCT_FIELDS = [QQ, cd.prime_field(5), cd.prime_field(5).extension(2)]
+
+
+def _scalars(field):
+    if field is QQ:
+        return coeff
+    return st.sampled_from(list(field.elements())).filter(bool)
+
+
+@st.composite
+def coeff_dicts(draw, field, nb):
+    return draw(st.dictionaries(
+        st.tuples(st.integers(0, nb - 1), st.integers(-6, 6)),
+        _scalars(field), max_size=7))
+
+
+def full_product(a, b):
+    """The branchwise double loop of the product before it was clipped:
+    every term, a cancelled key dropped and re-added on its next hit."""
+    out = {}
+    for (i, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            if ib == i:
+                key = (i, ja + jb)
+                s = out.get(key)
+                s = ca * cb if s is None else s + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+@settings(max_examples=150)
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=["Q", "F5", "F25"])
+@given(data=st.data())
+def test_clip_product_is_the_clipped_full_product(field, data):
+    nb = data.draw(st.integers(1, 3))
+    a = data.draw(coeff_dicts(field, nb))
+    b = data.draw(coeff_dicts(field, nb))
+    tail = data.draw(st.none() | st.tuples(
+        *[st.integers(-10, 10) for _ in range(nb)]))
+    want = full_product(a, b)
+    if tail is not None:
+        want = clip_window(want, tail)
+    got = clip_product(a, b, tail)
+    # items in order: the key order of a product reaches echelon rows
+    assert list(got.items()) == list(want.items())
+    if tail is None:
+        assert Element(field, nb, a) * Element(field, nb, b) == \
+            Element(field, nb, want)
+
+
+@settings(max_examples=80)
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=["Q", "F5", "F25"])
+@given(data=st.data())
+def test_linear_combination_matches_the_element_sum(field, data):
+    nb = data.draw(st.integers(1, 3))
+    vecs = data.draw(st.lists(coeff_dicts(field, nb), max_size=5))
+    weights = [data.draw(st.just(field.zero) | _scalars(field))
+               for _ in vecs]
+    want = Element.zero(field, nb, degree=1)
+    for w, v in zip(weights, vecs):
+        if w:
+            want = want + Element(field, nb, v, 1).scale(w)
+    got = linear_combination(field, nb, weights, vecs, degree=1)
+    assert got == want
+    assert list(got.coeffs.items()) == list(want.coeffs.items())

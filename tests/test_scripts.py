@@ -67,18 +67,31 @@ def test_readme_tour_matches_its_comments():
 
 # perfbench/spans.py wraps library functions and methods by name, so a
 # rename there breaks only the traced benchmark (--trace 1) unless a
-# traced run is tried here
-TRACED_LAB = """
+# traced run is tried here.  TRACED runs the CLI call in sys.argv[2:]
+# and prints the metrics named in sys.argv[1].
+TRACED = """
+import sys
 from curvedual import cli
 from perfbench import spans
 tracer = spans.Tracer()
 spans.install(tracer)
-code = cli.main(["ext-lab", "--m", "3", "--p", "2", "--claim2"])
-print(tracer.layer_metrics()["linalg.tracked.calls"])
+code = cli.main(sys.argv[2:])
+metrics = tracer.layer_metrics()
+print(" ".join(str(metrics[name]) for name in sys.argv[1].split(",")))
 raise SystemExit(code)
 """
 
+# (CLI call, metrics that must be positive after it)
+TRACED_RUNS = [
+    (["ext-lab", "--m", "3", "--p", "2", "--claim2"],
+     ["linalg.tracked.calls"]),
+    (["report", "3,4,5"], ["curvering.build.calls", "fracideal.init.calls"]),
+]
+
 
 def test_traced_ext_lab_runs():
-    out = run_python(["-c", TRACED_LAB])
-    assert int(out.splitlines()[-1]) > 0
+    for argv, names in TRACED_RUNS:
+        out = run_python(["-c", TRACED, ",".join(names), *argv])
+        counts = out.splitlines()[-1].split()
+        assert len(counts) == len(names)
+        assert all(int(c) > 0 for c in counts), (argv, names, counts)
