@@ -366,12 +366,18 @@ def parse_curve_file(text: str, window_bound: int = 200,
                 if any(g.nbranches != nbranches for g in gens):
                     raise ParseError(f"branches {nbranches} disagrees with "
                                      f"an earlier gen")
+                if semigroup is not None and nbranches != 1:
+                    raise ParseError(f"a semigroup ring has one branch, "
+                                     f"not {nbranches}")
             elif key == "gen":
                 if field is None:
                     raise ParseError("gen before field")
                 gens.append(parse_element(field, rest, nbranches=nbranches))
             elif key == "semigroup":
                 semigroup = tuple(int(tok) for tok in rest.split())
+                if nbranches not in (None, 1):
+                    raise ParseError(f"a semigroup ring has one branch, "
+                                     f"not {nbranches}")
             else:
                 raise ParseError(f"unknown section {key!r}")
         except ParseError as exc:

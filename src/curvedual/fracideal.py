@@ -11,10 +11,16 @@ in canonical form as
 so M = V ⊕ slab.  Tails are minimal (the monomial just below each
 tail is not in M; `laurent.shed_slab` lowers them) and poles are the
 true minimal valuations, which makes equality structural.  Products
-are `laurent.clip_product` of rows, cut to the result's window.  The
-owning ring only needs to expose `field`, `nbranches`, `cond` (the
-conductor exponents) and `basis` (polynomial lifts of a reduced basis
-of the ring modulo its conductor, unit row first).
+are `laurent.clip_product` of rows, cut to the result's window.
+
+A module computes its minimal generators once, on first use, as lifts
+of a basis of M/mM.  `colon` writes its constraints from the minimal
+generators of the divisor N, μ(N) of them per unknown rather than
+dim(N), and `is_principal` reads their count.  The owning ring only
+needs to expose `field`, `nbranches`, `cond` (the conductor exponents),
+`basis` (polynomial lifts of a reduced basis of the ring modulo its
+conductor, unit row first) and `gens` (generators of the maximal ideal,
+with no constant terms).
 
 All constructions here assume, and preserve, closure under the ring
 action; `from_generators` is the safe entry point.
@@ -31,8 +37,15 @@ from .laurent import (INF, Element, clip_product, clip_window,
 from .linalg import Echelon, intersect_spans, kernel, span, vec_iaddmul
 
 
+def _orders(ring):
+    """e_i, the least order on branch i of a generator of the ring's
+    maximal ideal."""
+    return [min(g.valuation(i) for g in ring.gens)
+            for i in range(ring.nbranches)]
+
+
 class FracIdeal:
-    __slots__ = ("ring", "degree", "pole", "tail", "ech")
+    __slots__ = ("ring", "degree", "pole", "tail", "ech", "_min_gens")
 
     def __init__(self, ring, degree, pole, tail, rows):
         r = ring.nbranches
@@ -55,6 +68,7 @@ class FracIdeal:
         self.pole = tuple(pole)
         self.tail = tuple(tail)
         self.ech = ech
+        self._min_gens = None
 
     # -- basic views --------------------------------------------------------
 
@@ -76,16 +90,41 @@ class FracIdeal:
         return vecs
 
     def module_generators(self):
-        """Generators of M over the ring: the window rows plus one slab
-        monomial per needed step at each tail."""
+        """Generators of M over the ring: the window rows plus, on each
+        branch i, the slab monomials from tail_i to tail_i + e_i - 1.
+        Here e_i is the least order on branch i of a ring generator g;
+        those monomials times the power series in g fill the slab on
+        that branch."""
         gens = self.rows_as_elements()
         field = self.ring.field
         r = self.ring.nbranches
-        for i in range(r):
-            for k in range(max(self.ring.cond[i], 1)):
+        for i, e in enumerate(_orders(self.ring)):
+            for k in range(e):
                 gens.append(Element.monomial(field, r, i, self.tail[i] + k,
                                              degree=self.degree))
         return gens
+
+    def minimal_generators(self):
+        """Lifts of a basis of M/mM, picked greedily in the order of
+        `module_generators()`; computed once per module.
+
+        mM is the sum of g*M over the ring's generators g.  It holds
+        the slab from tail_i + e_i up (the slab of M times a generator
+        of order e_i on branch i), so below that slab it is spanned by
+        the products of the g with the module generators."""
+        if self._min_gens is None:
+            ring = self.ring
+            top = [t + e for t, e in zip(self.tail, _orders(ring))]
+            cands = self.module_generators()
+            ech = Echelon(ring.field, sort_key=window_key)
+            for g in ring.gens:
+                for v in cands:
+                    prod = clip_product(g.coeffs, v.coeffs, top)
+                    if prod:
+                        ech.insert(prod)
+            self._min_gens = tuple(v for v in cands
+                                   if ech.insert(v.coeffs) is not None)
+        return self._min_gens
 
     def contains_element(self, elem) -> bool:
         if not isinstance(elem, Element):
@@ -207,7 +246,8 @@ class FracIdeal:
         hi = [tm - pn for tm, pn in zip(self.tail, other.pole)]
         unknowns = [(i, j) for i in range(r) for j in range(lo[i], hi[i])]
         unknowns.sort(key=window_key)
-        reps = other._window_vectors([t - l for t, l in zip(self.tail, lo)])
+        # x*other ⊆ self iff x*g ∈ self for the generators g of other
+        reps = [g.coeffs for g in other.minimal_generators()]
         # the residual of x_u * n is linear in the monomials of the
         # clipped product, so it is a combination of their normal forms
         normal = {}
@@ -257,20 +297,17 @@ class FracIdeal:
     def is_principal(self):
         """A single element generating self over the ring, or None.
 
-        Nakayama: the module is principal iff self/(m*self) has length
-        one, in which case any module generator outside m*self works.
-        The returned generator is double-checked by regeneration.
+        Nakayama: the module is principal iff it has one minimal
+        generator.  The generator is double-checked by regeneration.
         """
-        mm = maximal_ideal(self.ring) * self
-        if self.len_quotient(mm) != 1:
+        gens = self.minimal_generators()
+        if len(gens) != 1:
             return None
-        for g in self.module_generators():
-            if not mm.contains_element(g):
-                if from_generators(self.ring, [g], degree=self.degree) != self:
-                    raise InvariantViolation(
-                        "generator candidate fails to regenerate the module")
-                return g
-        raise InvariantViolation("no generator found despite corank one")
+        g = gens[0]
+        if from_generators(self.ring, [g], degree=self.degree) != self:
+            raise InvariantViolation(
+                "generator candidate fails to regenerate the module")
+        return g
 
 
 class TorsionQuotient:

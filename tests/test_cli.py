@@ -112,6 +112,27 @@ def test_check_injection_is_caught(capsys):
     assert doc2["counterexample"]["property"] == ce["property"]
 
 
+def test_semigroup_rerun_line_replays_branches_one(capsys):
+    # format_curve_file writes `branches 1` next to a semigroup line,
+    # and the rerun line must read it back as the same ring
+    code, doc, _ = run_json(capsys, "check", "3,4,5", "--cases", "2",
+                            "--inject", "drop-residue-condition")
+    assert code == 1
+    inline = doc["counterexample"]["curve"]
+    assert "branches 1; semigroup 3 4 5" in inline
+    code2, doc2, _ = run_json(capsys, "check", "--inline", inline,
+                              "--cases", "2", "--inject",
+                              "drop-residue-condition")
+    assert code2 == 1
+    assert doc2["counterexample"]["property"] == \
+        doc["counterexample"]["property"]
+    _, direct, _ = run_json(capsys, "report", "3,4,5")
+    code3, replayed, _ = run_json(capsys, "report", "--inline", inline)
+    assert code3 == 0
+    direct["ring"].pop("label"), replayed["ring"].pop("label")
+    assert replayed == direct
+
+
 def test_check_injection_never_escalates_to_input_error(capsys):
     # dropping a residue condition can leave a window span that is not
     # even multiplication-closed; a property raising on such a corrupted
@@ -279,6 +300,8 @@ MALFORMED = [
     ["report", "--inline", "field Q; gen (t^2, t); branches 1"],
     ["report", "--inline", "field Q; gen (t, 0); gen (0, t); branches 1"],
     ["report", "--inline", "field Q; branches 1; branches 1; gen t^2 + t^3"],
+    ["report", "--inline", "field Q; branches 2; semigroup 2 3"],
+    ["report", "--inline", "field Q; semigroup 2 3; branches 2"],
 ]
 
 

@@ -209,6 +209,14 @@ def test_parse_curve_file_errors():
         cd.parse_curve_file("field Q\nbranches 1\nbranches 1\n")
     with pytest.raises(ParseError, match="line 3: branches 1 disagrees"):
         cd.parse_curve_file("field Q\ngen (t^2, t)\nbranches 1\n")
+    # a semigroup ring has one branch, whichever line comes first
+    with pytest.raises(ParseError, match="line 3: a semigroup ring has one"):
+        cd.parse_curve_file("field Q\nbranches 2\nsemigroup 2 3\n")
+    with pytest.raises(ParseError, match="line 3: a semigroup ring has one"):
+        cd.parse_curve_file("field Q\nsemigroup 2 3\nbranches 2\n")
+    spec = cd.parse_curve_file("field Q\nbranches 1\nsemigroup 2 3\n")
+    assert spec.semigroup == (2, 3)
+    assert cd.parse_curve_file(cd.format_curve_file(spec)) == spec
 
 
 def test_spec_conveniences(qq):

@@ -11,8 +11,8 @@ from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
                                  maximal_ideal, normalization_module,
                                  random_ideal, random_ring_element,
                                  slab_module, unit_ideal)
-from curvedual.laurent import Element, clip_window, window_key
-from curvedual.linalg import span
+from curvedual.laurent import INF, Element, clip_window, window_key
+from curvedual.linalg import kernel, span, vec_iaddmul
 
 
 def elem(ring, text):
@@ -351,3 +351,141 @@ def test_tail_shrink_matches_rebuild(named, r345, name):
         assert grown.ech.rows == want.rows
         assert grown.ech.pivots == want.pivots
         assert grown == mod
+
+
+# -- minimal generators against the row-based reference ----------------------
+
+def reference_colon(a, b):
+    """a:b with one constraint per window row and slab monomial of b, as
+    `colon` computed it before it read b's minimal generators."""
+    field = a.ring.field
+    r = a.ring.nbranches
+    lo = [pm - pn for pm, pn in zip(a.pole, b.pole)]
+    hi = [tm - pn for tm, pn in zip(a.tail, b.pole)]
+    unknowns = [(i, j) for i in range(r) for j in range(lo[i], hi[i])]
+    unknowns.sort(key=window_key)
+    reps = b._window_vectors([t - l for t, l in zip(a.tail, lo)])
+    normal = {}
+
+    def normal_form(key):
+        nf = normal.get(key)
+        if nf is None:
+            nf = normal[key] = a.ech.reduce({key: field.one})
+        return nf
+
+    constraints = {}
+    for idx, n in enumerate(reps):
+        for u in unknowns:
+            i, j = u
+            top = a.tail[i] - j
+            resid = {}
+            for (br, l), c in n.items():
+                if br == i and l < top:
+                    vec_iaddmul(resid, c, normal_form((i, l + j)))
+            for key, c in resid.items():
+                constraints.setdefault((idx, key), {})[u] = c
+    sols = kernel(field, constraints.values(), unknowns)
+    return FracIdeal(a.ring, a.degree ^ b.degree, lo, hi, sols)
+
+
+def reference_is_principal(mod):
+    """Nakayama through the full product m*M: the first module
+    generator outside m*M when M/mM has length one, else None."""
+    mm = maximal_ideal(mod.ring) * mod
+    if mod.len_quotient(mm) != 1:
+        return None
+    return next(g for g in mod.module_generators()
+                if not mm.contains_element(g))
+
+
+def sparse_element_of_m(ring, rng):
+    """A combination of one to three non-unit basis rows and slab
+    monomials of the ring, nonzero on every branch."""
+    field = ring.field
+    r = ring.nbranches
+    pool = [b.coeffs for b in ring.basis[1:]]
+    pool += [{(i, j): field.one} for i in range(r)
+             for j in range(max(ring.cond[i], 1), max(ring.cond[i], 1) + 2)]
+    while True:
+        picks = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+        x = sum((Element(field, r, v, 0).scale(field.random_nonzero(rng))
+                 for v in picks), Element.zero(field, r))
+        if INF not in x.valuations():
+            return x
+
+
+def sample_modules(ring, seed):
+    """Unit, m, m^2, omega, the normalization, the conductor, m*omega
+    and two modules generated by sparse elements of m."""
+    rng = random.Random(seed)
+    m = maximal_ideal(ring)
+    omega = cd.canonical_module(ring).module
+    mods = [unit_ideal(ring), m, m * m, omega, normalization_module(ring),
+            conductor_module(ring), m * omega]
+    for count in (2, 3):
+        gens = [sparse_element_of_m(ring, rng) for _ in range(count)]
+        mods.append(from_generators(ring, gens))
+    return mods
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F5", "F7"])
+def test_colon_and_principality_match_the_row_based_reference(field_name):
+    field = cd.parse_field(field_name)
+    nonprincipal = total = 0
+    for seed, ring in enumerate(cd.family_rings(field, bound=8)):
+        mods = sample_modules(ring, seed)
+        for mod in mods:
+            gens = mod.minimal_generators()
+            assert gens == mod.minimal_generators()
+            assert len(gens) == mod.len_quotient(maximal_ideal(ring) * mod)
+            assert from_generators(ring, gens, degree=mod.degree) == mod
+            assert mod.is_principal() == reference_is_principal(mod)
+            nonprincipal += len(gens) > 1
+            total += 1
+        for a in mods:
+            for b in mods:
+                assert a.colon(b) == reference_colon(a, b), (ring.label, a, b)
+    assert nonprincipal > total // 2
+
+
+def semigroup_counts(gens):
+    """(multiplicity, embedding dimension, type) of <gens>, from its
+    members: the least positive member, the positive members that are
+    no sum of two positive members, and the pseudo-Frobenius numbers,
+    the gaps x with x + s a member for every positive member s."""
+    cond = cd.semigroup_oracle(gens).conductor
+    upto = max(cond, max(gens)) + min(gens) + 1
+    members = semigroup_values(gens, upto)
+    positive = sorted(members - {0})
+    sums = {a + b for a in positive for b in positive}
+    minimal = [s for s in positive if s not in sums]
+    pseudo_frobenius = [x for x in range(cond) if x not in members
+                        and all(x + s in members or x + s >= cond
+                                for s in positive)]
+    return positive[0], len(minimal), len(pseudo_frobenius)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F5"])
+@pytest.mark.parametrize("gens", [(3, 4, 5), (7, 9), (5, 7, 9), (4, 6, 9),
+                                  (6, 7, 8, 9, 10, 11), (9, 11)])
+def test_generator_counts_of_semigroup_rings(gens, field_name):
+    ring = cd.build(cd.semigroup_spec(cd.parse_field(field_name), gens))
+    multiplicity, embedding_dim, type_ = semigroup_counts(gens)
+    omega = cd.canonical_module(ring).module
+    assert len(normalization_module(ring).minimal_generators()) \
+        == multiplicity
+    assert len(maximal_ideal(ring).minimal_generators()) == embedding_dim
+    assert len(omega.minimal_generators()) == type_
+    assert (type_ == 1) == (omega.is_principal() is not None)
+
+
+def test_large_semigroup_colons_match_the_reference():
+    ring = cd.build(cd.semigroup_spec(cd.prime_field(5), (17, 19)))
+    assert ring.cond == (288,)
+    omega = cd.canonical_module(ring).module
+    m = maximal_ideal(ring)
+    dual_m = omega.colon(m)
+    assert dual_m == reference_colon(omega, m)
+    assert cd.dual(dual_m) == reference_colon(omega, dual_m) == m
+    assert len(m.minimal_generators()) == 2
+    assert len(omega.minimal_generators()) == 1
