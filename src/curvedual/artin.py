@@ -1017,10 +1017,10 @@ def rees_check(ring, torsion, r: Element) -> ReesReport:
     the length of the torsion dual of F/G, the second counts maps into
     the quotient of the dualizing module.
     """
-    from .duality import canonical_module
+    from .duality import canonical_module, dual
     omega = canonical_module(ring).module
-    dual_sub = omega.colon(torsion.sub)
-    dual_total = omega.colon(torsion.total)
+    dual_sub = dual(torsion.sub)
+    dual_total = dual(torsion.total)
     lhs = dual_sub.len_quotient(dual_total)
     quotient = curve_quotient(ring, r)
     tmod = present_quotient(torsion.total, torsion.sub, quotient)

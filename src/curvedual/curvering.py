@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NotARing,
-                     NotCoprime, NotFiniteColength, NotPrimeField, ParseError)
+                     NotCoprime, NotFiniteColength, NotPrimeField, ParseError,
+                     TooLarge)
 from .fields import FiniteField, format_field, parse_field
 from .laurent import (Element, clip_product, clip_window, format_element,
                       parse_element, shed_slab, window_key)
@@ -300,12 +301,20 @@ class SemigroupData:
     gaps: tuple
 
 
+# Largest semigroup conductor the oracle sieves for.  `report 2,4097`,
+# at the cap, takes about 9 s on a 2-vCPU VM; past it the oracle raises
+# TooLarge before any sieve or ring of that size is built.
+MAX_SEMIGROUP_CONDUCTOR = 4096
+
+
 def semigroup_oracle(generators) -> SemigroupData:
     """Conductor, gap count and symmetry of a numerical semigroup.
 
     Sieve reachability with a growing bound; once a run of min(gens)
     consecutive members appears, every larger integer is a member, so
-    the sieve is complete.
+    the sieve is complete.  The first such run starts at the conductor
+    c, so a sieve over [0, MAX_SEMIGROUP_CONDUCTOR + min(gens)) finds it
+    iff c <= MAX_SEMIGROUP_CONDUCTOR; otherwise TooLarge is raised.
     """
     gens = sorted({int(a) for a in generators})
     if not gens or gens[0] <= 0:
@@ -316,7 +325,13 @@ def semigroup_oracle(generators) -> SemigroupData:
     if g != 1:
         raise NotCoprime(f"generators share the common factor {g}")
     step = gens[0]
-    bound = 2 * max(gens) + 2
+    too_large = TooLarge(f"semigroup conductor exceeds the bound "
+                         f"{MAX_SEMIGROUP_CONDUCTOR}")
+    if step > MAX_SEMIGROUP_CONDUCTOR:
+        # the gaps 1..step-1 put the conductor at step or above
+        raise too_large
+    limit = MAX_SEMIGROUP_CONDUCTOR + step
+    bound = min(2 * max(gens) + 2, limit)
     while True:
         hit = [False] * bound
         hit[0] = True
@@ -333,7 +348,9 @@ def semigroup_oracle(generators) -> SemigroupData:
                 c = gaps[-1] + 1 if gaps else 0
                 return SemigroupData(tuple(gens), c, len(gaps),
                                      c == 2 * len(gaps), gaps)
-        bound *= 2
+        if bound == limit:
+            raise too_large
+        bound = min(2 * bound, limit)
 
 
 # -- text format ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -311,4 +312,20 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "99999999999,2"],
+    ["report", "3001,3002"],
+    ["report", "--inline", "field Q; semigroup 99999999999 2"],
+    ["report", "--inline", "field Q; semigroup 3001 3002"],
+])
+def test_semigroup_past_the_conductor_cap_exits_2_at_once(capsys, argv):
+    # conductors 99999999998 and about 9e6: the sieve stops at its cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "bound 4096" in err
     assert "Traceback" not in err

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import curvedual as cd
 from curvedual import curvering
 from curvedual.errors import (NotCoprime, NotFiniteColength, NotPrimeField,
-                              ParseError)
+                              ParseError, TooLarge)
 from curvedual.family import random_spec
 from curvedual.fields import format_field
 from curvedual.laurent import Element, window_key
@@ -44,6 +44,17 @@ def test_semigroup_pairs_match_closed_form(a, b):
     assert data.conductor == (a - 1) * (b - 1)
     assert data.delta == (a - 1) * (b - 1) // 2
     assert data.symmetric
+
+
+def test_semigroup_oracle_stops_at_the_conductor_cap():
+    cap = curvering.MAX_SEMIGROUP_CONDUCTOR
+    assert cap >= 288
+    assert cd.semigroup_oracle((2, cap + 1)).conductor == cap
+    assert cd.semigroup_oracle((17, 19)).conductor == 288
+    for gens in [(2, cap + 3), (cap + 1, cap + 2), (cap + 2, cap + 3),
+                 (3, cap * cap)]:
+        with pytest.raises(TooLarge, match=f"bound {cap}"):
+            cd.semigroup_oracle(gens)
 
 
 @pytest.mark.parametrize("bad", [(2, 4), (0, 3), (-2, 3), (6, 10, 14)])

@@ -8,10 +8,12 @@ import curvedual as cd
 from curvedual import cli, duality
 from curvedual.errors import (FieldTooSmall, InvariantViolation, NotARing,
                               NotDualizing, ZeroOnBranch)
-from curvedual.fracideal import (ZeroModule, conductor_module, from_generators,
-                                 maximal_ideal, normalization_module,
+from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
+                                 from_generators, maximal_ideal,
+                                 normalization_module, random_ideal,
                                  slab_module, unit_ideal)
-from curvedual.laurent import Element
+from curvedual.laurent import Element, window_key
+from curvedual.linalg import kernel
 
 
 def elem(ring, text):
@@ -75,9 +77,73 @@ def test_dual_of_zero_module(node):
 
 
 def test_biduality_on_samples(tacnode):
+    # under the residue route dual(dual(m)) == m would only restate it:
+    # each bidual here runs one dual by residues and one by the colon
+    omega = cd.canonical_module(tacnode).module
     for seed in range(6):
         m = cd.random_ideal(tacnode, seed=seed)
-        assert cd.dual(cd.dual(m)) == m
+        assert omega.colon(cd.dual(m)) == m
+        assert cd.dual(omega.colon(m)) == m
+
+
+# -- the residue route against the general colon --------------------------------
+
+def dual_inputs(ring):
+    """ω, Ō, O, m, the conductor, random ideals of seeds 0-11 and their
+    duals: degree 0 and degree 1 modules, slabs and windows."""
+    omega = cd.canonical_module(ring).module
+    mods = [omega, normalization_module(ring), unit_ideal(ring),
+            maximal_ideal(ring), conductor_module(ring)]
+    ideals = [random_ideal(ring, seed) for seed in range(12)]
+    return mods + ideals + [omega.colon(m) for m in ideals]
+
+
+def assert_routes_agree(ring):
+    omega = cd.canonical_module(ring).module
+    for m in dual_inputs(ring):
+        assert cd.dual(m) == omega.colon(m), (ring.label, m)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7], ids=("Q", "F5", "F7"))
+def test_residue_dual_matches_colon_on_family(p):
+    field = cd.rationals() if p is None else cd.prime_field(p)
+    for ring in cd.family_rings(field, bound=8):
+        assert_routes_agree(ring)
+
+
+def test_residue_dual_matches_colon_over_extension_and_large(f5):
+    three_lines = cd.named_ring(f5, "three-lines")
+    bigger, _ = three_lines.base_change(2)
+    assert bigger.field.order == 25
+    assert_routes_agree(bigger)
+    assert_routes_agree(cd.build(cd.semigroup_spec(f5, (13, 17))))
+
+
+def dropping_dual(module):
+    """The residue route with the last condition row left out."""
+    ring = module.ring
+    unknowns = sorted(((i, j) for i in range(ring.nbranches)
+                       for j in range(-module.tail[i], -module.pole[i])),
+                      key=window_key)
+    rows = [{(i, -1 - k): c for (i, k), c in row.items()}
+            for row in module.ech.rows][:-1]
+    return FracIdeal(ring, 1 ^ module.degree, [-t for t in module.tail],
+                     [-p for p in module.pole],
+                     kernel(ring.field, rows, unknowns))
+
+
+def test_harness_catches_a_dual_missing_a_condition(monkeypatch):
+    monkeypatch.setattr(duality, "dual", dropping_dual)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", "tacnode", "--cases", "8",
+                         "--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert code == 1 and not err.getvalue()
+    # the dual of the branch tuple has no window row to drop, so
+    # conductor duality still holds and the first random case fails
+    assert doc["properties"]["conductor-duality"]["failures"] == 0
+    assert doc["counterexample"]["property"] == "biduality"
 
 
 # (name, colength_normalization, 2*colength_ring, delta, omega/regular, gorenstein)
@@ -318,3 +384,49 @@ def test_reporters_and_harness_read_the_table(monkeypatch, qq, broken):
             f"duality invariant {broken} fails")
     else:
         assert doc["counterexample"]["error"] is None
+
+
+@pytest.mark.parametrize("argv", [["check", "cusp", "--cases", "0"],
+                                  ["check", "smooth", "--cases", "0",
+                                   "--inject", "drop-residue-condition"]],
+                         ids=("verified", "injected"))
+def test_each_table_property_runs_once_per_module(monkeypatch, argv):
+    # omega-endomorphisms is the one colon of a module by itself; the
+    # verified module runs it at construction and the harness reads the
+    # kept verdict, the unverified one runs it from the table alone
+    calls = []
+    colon = FracIdeal.colon
+
+    def counting(self, other):
+        calls.append(self is other)
+        return colon(self, other)
+
+    monkeypatch.setattr(FracIdeal, "colon", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert code == 0
+    assert doc["properties"]["omega-endomorphisms"] == {"runs": 1,
+                                                         "failures": 0}
+    assert sum(calls) == 1
+
+
+def test_library_readers_reuse_kept_verdicts(qq, monkeypatch):
+    ring = cd.build(cd.semigroup_spec(qq, (3, 5)))
+    data = cd.canonical_module(ring)
+    assert set(data.verdicts) == {"delta-over-regular", "omega-endomorphisms"}
+    cd.serre_report(ring)
+    assert cd.conductor_duality(ring)
+    kept = dict(data.verdicts)
+    assert kept["conductor-duality"] is True
+
+    def refuse(*args):
+        raise AssertionError("a kept verdict was computed again")
+
+    monkeypatch.setattr(FracIdeal, "colon", refuse)
+    monkeypatch.setattr(FracIdeal, "len_quotient", refuse)
+    assert cd.conductor_duality(ring)
+    for name, holds in duality.invariant_checks(ring):
+        if name in kept:
+            assert holds() is True

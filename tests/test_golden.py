@@ -14,10 +14,14 @@ plane is not saturated, so its `omega` exits 2 with nothing on stdout.
 The two extra `check` files pin the failure path (an injected fault,
 exit 1, counterexample `delta-over-regular` with a null error) and the
 family path; they were written before the harness and the library's
-reporters came to share one invariant table.  The `omega` files of the
-three generator curves (one branch, two and three branches) were
-written before the ring closure, the module products and the class
-maps came to share one clipped product and one slab scan.
+reporters came to share one invariant table.  Two more `check` files pin
+the random cases (biduality, Herbrand, length duality) with their run
+counts, over F5 on three branches and on the semigroup ring <5,7>;
+they were written while every dual was still a general colon.  The
+`omega` files of the three generator curves (one branch, two and three
+branches) were written before the ring closure, the module products
+and the class maps came to share one clipped product and one slab
+scan.
 """
 
 import contextlib
@@ -49,6 +53,9 @@ CASES = {
         "check", "tacnode", "--inject", "drop-residue-condition"],
     "check-family-cases1-seed3.json": ["check", "--cases", "1",
                                        "--seed", "3"],
+    "check-three-lines-F5-cases8.json": ["check", "three-lines", "--field",
+                                         "F5", "--cases", "8"],
+    "check-5-7-cases6.json": ["check", "5,7", "--cases", "6"],
     "ext-lab-3-2.json": ["ext-lab", "--m", "3", "--p", "2"],
     "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
                                 "--claim4"],

@@ -31,7 +31,7 @@ TOUR_CLAIMS = {
     "ring.delta": 2,
     "ring.cond": (3,),
     "omega.is_principal()": None,
-    "cd.dual(cd.dual(m)) == m": True,
+    "omega.colon(cd.dual(m)) == m": True,
     'cd.herbrand(m, cd.parse_element(QQ, "t^3"))': (3, 3),
 }
 
