@@ -422,7 +422,11 @@ def cmd_toric(ns):
 
 # -- argument wiring -----------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: building it costs
+    about a millisecond, mostly terminal-size probes in `add_argument`,
+    and parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0, metavar="N")

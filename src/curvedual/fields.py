@@ -1,9 +1,16 @@
 """Exact coefficient fields: the rationals and small prime-power fields.
 
-Scalars are either `fractions.Fraction` (over Q) or `FFElement` (over a
-finite field).  Both support `+ - * /`, truthiness (zero is falsy),
-equality and hashing, which is all the linear algebra in this package
-needs.  No floating point is used anywhere.
+A scalar over Q is a plain `int` when it is integral and a
+`fractions.Fraction` otherwise; over a finite field it is an
+`FFElement`.  Every scalar supports `+ - *`, truthiness (zero is
+falsy), equality and hashing; an int and the equal Fraction compare and
+hash alike.  Division goes through `field.inverse`, never through `/`,
+because `int / int` is a float: `RationalField.inverse` returns ±1 as
+an int and otherwise `Fraction(1) / x`, as an int when it is integral.
+Python ints keep the common case of integral eliminations (±1 pivots,
+integral ring bases) off the `Fraction` machinery;
+`RationalField.scaled` turns the integral entries of a scaled row back
+into ints.  No floating point is used anywhere.
 
 Over a prime field (e = 1) an element also keeps its coefficient as a
 plain int.  When both operands belong to the same field instance,
@@ -38,39 +45,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _q(x):
+    """A rational, int or Fraction, as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The field Q; scalars are `Fraction` instances."""
+    """The field Q.  A scalar is an `int` when integral and a
+    `Fraction` otherwise; every constructor here returns that form."""
 
     char = 0
     order = None
+    zero = 0
+    one = 1
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    def of_int(self, n: int) -> int:
+        return int(n)
 
-    def of_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+    def coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return _q(x)  # a bool becomes the int 0 or 1
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str):
         try:
-            return Fraction(text)
+            return _q(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational coefficient {text!r}") from None
+
+    def inverse(self, x):
+        """1/x for a nonzero scalar: ±1 stays an int."""
+        if x == 1 or x == -1:
+            return int(x)
+        return _q(Fraction(1) / x)
+
+    def scaled(self, c, vec):
+        """The vector c*vec, with its integral entries as ints."""
+        return {k: _q(c * x) for k, x in vec.items()}
 
     def format(self, x) -> str:
         return str(x)
 
-    def random(self, rng) -> Fraction:
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    def random(self, rng):
+        return _q(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
-    def random_nonzero(self, rng) -> Fraction:
+    def random_nonzero(self, rng):
         while True:
             x = self.random(rng)
             if x:
@@ -301,6 +320,13 @@ class FiniteField:
         if isinstance(x, int):
             return self.of_int(x)
         raise TypeError(f"cannot coerce {x!r} into F_{self.order}")
+
+    def inverse(self, x: FFElement) -> FFElement:
+        return x.inv()
+
+    def scaled(self, c, vec):
+        """The vector c*vec."""
+        return {k: c * x for k, x in vec.items()}
 
     def embed(self, x: FFElement) -> FFElement:
         """Embed a prime field scalar into this extension."""

@@ -56,8 +56,7 @@ class FracIdeal:
         if any(t < p for p, t in zip(pole, tail)):
             raise InvariantViolation("window tail below window start")
         ech = Echelon(ring.field, sort_key=window_key)
-        for row in rows:
-            ech.insert(clip_window(row, tail))
+        ech.extend(clip_window(row, tail) for row in rows)
         tail = shed_slab(ech, pole, tail)
         # poles become the true minimal valuations
         for i in range(r):

@@ -329,3 +329,20 @@ def test_semigroup_past_the_conductor_cap_exits_2_at_once(capsys, argv):
     assert code == 2 and not out
     assert err.startswith("error: ") and "bound 4096" in err
     assert "Traceback" not in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """A bad argv (exit 2) leaves the one cached parser as it was: a good
+    argv after it prints the bytes it prints alone."""
+    good = ["report", "7,9", "--field", "F5", "--format", "json"]
+    cli._build_parser.cache_clear()
+    assert cli.main(good) == 0
+    alone = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "7,9", "--cases", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(good) == 0
+    assert capsys.readouterr().out == alone
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses == 1

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -109,6 +110,20 @@ def test_residue_dual_matches_colon_on_family(p):
     field = cd.rationals() if p is None else cd.prime_field(p)
     for ring in cd.family_rings(field, bound=8):
         assert_routes_agree(ring)
+
+
+def test_no_float_arises_over_q(qq):
+    """Scalars over Q stay int or Fraction: no float in the ring basis,
+    ω, the duals or the colons over the family rings."""
+    for ring in cd.family_rings(qq, bound=8):
+        omega = cd.canonical_module(ring).module
+        m = maximal_ideal(ring)
+        ideal = random_ideal(ring, 1)
+        mods = [omega, cd.dual(m), cd.dual(ideal), omega.colon(m),
+                m.colon(m), unit_ideal(ring).colon(ideal)]
+        vecs = [b.coeffs for b in ring.basis]
+        vecs += [row for mod in mods for row in mod.ech.rows]
+        assert {type(x) for v in vecs for x in v.values()} <= {int, Fraction}
 
 
 def test_residue_dual_matches_colon_over_extension_and_large(f5):

@@ -113,6 +113,58 @@ def test_coerce_and_embed():
     assert cd.rationals().coerce(3) == Fraction(3)
 
 
+# -- the scalar form over Q: int when integral, Fraction otherwise -------------
+
+def test_rational_constructors_return_ints_for_integral_values():
+    qq = cd.rationals()
+    cases = [(qq.zero, 0), (qq.one, 1), (qq.of_int(-7), -7),
+             (qq.coerce(True), 1), (qq.coerce(False), 0), (qq.coerce(12), 12),
+             (qq.coerce(Fraction(6, 3)), 2), (qq.parse("4/2"), 2),
+             (qq.parse("-5"), -5), (qq.inverse(1), 1), (qq.inverse(-1), -1),
+             (qq.inverse(Fraction(-1, 3)), -3)]
+    for got, want in cases:
+        assert type(got) is int and got == want
+    for got, want in [(qq.coerce(Fraction(1, 2)), Fraction(1, 2)),
+                      (qq.parse("-3/4"), Fraction(-3, 4)),
+                      (qq.inverse(2), Fraction(1, 2))]:
+        assert type(got) is Fraction and got == want
+    with pytest.raises(TypeError):
+        qq.coerce(0.5)
+
+
+def test_rational_random_keeps_its_draws():
+    """`random` draws what it drew when it returned Fractions only."""
+    qq = cd.rationals()
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(200):
+        x = qq.random(rng)
+        want = Fraction(ref.randint(-4, 4), ref.randint(1, 3))
+        assert x == want
+        assert type(x) is (int if want.denominator == 1 else Fraction)
+    assert rng.getstate() == ref.getstate()
+
+
+@given(st.one_of(st.integers(-50, 50),
+                 st.fractions(min_value=-50, max_value=50,
+                              max_denominator=50)).filter(bool))
+def test_rational_inverse(x):
+    qq = cd.rationals()
+    inv = qq.inverse(x)
+    assert inv * x == 1
+    assert type(inv) is (int if Fraction(inv).denominator == 1 else Fraction)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers())
+def test_finite_field_inverse_is_inv(p, n):
+    fp = cd.prime_field(p)
+    x = fp.of_int(n)
+    if x:
+        assert fp.inverse(x) is x.inv()
+    f9 = cd.prime_field(3).extension(2)
+    y = f9.random_nonzero(random.Random(n))
+    assert f9.inverse(y) * y == f9.one
+
+
 # -- the int fast path of the prime fields -------------------------------------
 
 PRIMES = [2, 3, 5, 7, 11, 65537, 1000003]

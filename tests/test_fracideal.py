@@ -489,3 +489,57 @@ def test_large_semigroup_colons_match_the_reference():
     assert cd.dual(dual_m) == reference_colon(omega, dual_m) == m
     assert len(m.minimal_generators()) == 2
     assert len(omega.minimal_generators()) == 1
+
+
+# -- exact elimination over Q: no back-substitution swell ----------------------
+
+def test_module_construction_rewrites_no_row_over_q(qq, monkeypatch):
+    """`FracIdeal(...)` inserts its rows highest leading key first, so
+    building ω, m, Ō and random ideals on (13,17) over Q rewrites no row
+    already in the echelon: the back-substitution that swells Fractions
+    never runs.  The rows of ω and m arrive reduced, so they read 0 in
+    any order; a random ideal's products of basis rows with generators
+    do not, and in the given order they rewrite thousands of rows."""
+    from curvedual import linalg
+    ring = cd.build(cd.semigroup_spec(qq, (13, 17)))
+    depth, rewrites = [0], [0]
+    add = linalg.vec_addmul
+    init = FracIdeal.__init__
+
+    def counting_addmul(*args):
+        rewrites[0] += depth[0] > 0
+        return add(*args)
+
+    def nested_init(self, *args):
+        depth[0] += 1
+        try:
+            init(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(linalg, "vec_addmul", counting_addmul)
+    monkeypatch.setattr(FracIdeal, "__init__", nested_init)
+    omega = cd.canonical_module(ring).module
+    m = maximal_ideal(ring)
+    obar = normalization_module(ring)
+    assert omega.window_dim and m.window_dim and obar == slab_module(ring, (0,))
+    ideals = [random_ideal(ring, seed) for seed in range(2)]
+    assert all(ideal.window_dim for ideal in ideals)
+    assert rewrites == [0]
+    # the counter sees a rewrite when one happens
+    depth[0] += 1
+    ech = linalg.Echelon(qq)
+    ech.insert({0: 1, 1: 1})
+    ech.insert({1: 1})
+    assert rewrites == [1]
+
+
+def test_ring_bases_over_q_have_unit_entries(qq):
+    """Every entry of the reduced ring basis over Q is ±1 (an int), on
+    the family rings and on (13,17); a swell in the ring closure or in
+    the scalar form would show here first."""
+    rings = cd.family_rings(qq) + [cd.build(cd.semigroup_spec(qq, (13, 17)))]
+    for ring in rings:
+        for b in ring.basis:
+            for c in b.coeffs.values():
+                assert type(c) is int and c in (1, -1), (ring, b)

@@ -21,7 +21,12 @@ they were written while every dual was still a general colon.  The
 `omega` files of the three generator curves (one branch, two and three
 branches) were written before the ring closure, the module products
 and the class maps came to share one clipped product and one slab
-scan.
+scan.  Two files pin answers at scale over Q: `check 13,17 --cases 5`
+and `report 17,19`.  They were written while every elimination over Q
+still ran in `Fraction`s and inserted module rows in the given order,
+which took about 12 s for the check; they now take under a second.  A
+changed byte at scale fails here; a swell that comes back fails the
+row-rewrite count in test_fracideal.py and shows here as a slow run.
 """
 
 import contextlib
@@ -56,6 +61,9 @@ CASES = {
     "check-three-lines-F5-cases8.json": ["check", "three-lines", "--field",
                                          "F5", "--cases", "8"],
     "check-5-7-cases6.json": ["check", "5,7", "--cases", "6"],
+    "check-13-17-Q-cases5.json": ["check", "13,17", "--cases", "5",
+                                  "--field", "Q"],
+    "report-17-19-Q.json": ["report", "17,19", "--field", "Q"],
     "ext-lab-3-2.json": ["ext-lab", "--m", "3", "--p", "2"],
     "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
                                 "--claim4"],

@@ -257,3 +257,93 @@ def test_pivot_index_matches_textbook_elimination(field_name, n, dense, seed):
         outside = draw()
         assert (tracked.express(outside) is None) == (
             not span(field, fresh, sort_key=order).contains(outside))
+
+
+# -- the scalar form over Q: ints when integral, Fractions otherwise ------------
+
+def fraction_echelon(vecs, sort_key):
+    """Reference: the fully reduced echelon of vecs, computed entirely in
+    `Fraction`s by textbook elimination; (pivots, rows) in pivot order."""
+    rows = {}
+    for v in vecs:
+        out = {k: Fraction(x) for k, x in v.items() if x}
+        for p in sorted(rows, key=sort_key):
+            c = out.get(p)
+            if c:
+                out = vec_addmul(out, -c, rows[p])
+        if not out:
+            continue
+        p = min(out, key=sort_key)
+        inv = Fraction(1) / out[p]
+        out = {k: inv * x for k, x in out.items()}
+        for q, row in rows.items():
+            c = row.get(p)
+            if c:
+                rows[q] = vec_addmul(row, -c, out)
+        rows[p] = out
+    pivots = sorted(rows, key=sort_key)
+    return pivots, [rows[p] for p in pivots]
+
+
+def assert_rational_scalars(vecs):
+    for v in vecs:
+        for x in v.values():
+            assert type(x) in (int, Fraction), x
+            assert type(x) is not bool
+
+
+mixed_scalars = st.one_of(st.integers(-6, 6), scalars)
+mixed_vectors = st.dictionaries(st.integers(0, 7), mixed_scalars,
+                                max_size=6).map(
+    lambda d: {k: v for k, v in d.items() if v})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(mixed_vectors, max_size=9), st.booleans())
+def test_mixed_int_fraction_rows_match_fraction_reference(vecs, reverse):
+    qq = cd.rationals()
+    order = (lambda k: -k) if reverse else (lambda k: k)
+    pivots, rows = fraction_echelon(vecs, order)
+    one_by_one = Echelon(qq, sort_key=order)
+    for v in vecs:
+        one_by_one.insert(v)
+    batch = Echelon(qq, sort_key=order)
+    batch.extend(vecs)
+    for ech in (one_by_one, batch):
+        assert ech.pivots == pivots
+        assert ech.rows == rows
+        assert_rational_scalars(ech.rows)
+    assert_rational_scalars(kernel(qq, vecs, range(8)))
+
+
+def test_scaled_rows_store_integral_entries_as_ints():
+    qq = cd.rationals()
+    ech = Echelon(qq)
+    ech.insert({0: 2, 1: 4, 2: 3})
+    assert ech.rows == [{0: 1, 1: 2, 2: Fraction(3, 2)}]
+    assert [type(x) for x in ech.rows[0].values()] == [int, int, Fraction]
+    ech.insert({0: Fraction(1, 3), 1: 1})
+    for row in ech.rows:
+        for x in row.values():
+            assert type(x) is int or x.denominator != 1
+
+
+def test_extend_inserts_highest_leading_key_first(monkeypatch):
+    """A batch whose leading keys are distinct rewrites no row: each new
+    row is pivoted below every existing one.  Inserted lowest first, the
+    same batch rewrites a row at every step."""
+    from curvedual import linalg
+    qq = cd.rationals()
+    vecs = [{k: 1, k + 1: 1} for k in range(6)]
+    rewrites = []
+    original = linalg.vec_addmul
+    monkeypatch.setattr(linalg, "vec_addmul",
+                        lambda *a: rewrites.append(1) or original(*a))
+    batch = Echelon(qq)
+    batch.extend(vecs)
+    assert rewrites == []
+    one_by_one = Echelon(qq)
+    for v in vecs:
+        one_by_one.insert(v)
+    assert len(rewrites) == 5 + 4 + 3 + 2 + 1
+    assert batch.rows == one_by_one.rows and batch.pivots == one_by_one.pivots
