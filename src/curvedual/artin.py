@@ -1,18 +1,21 @@
 """Finite-dimensional commutative local algebras and their modules.
 
 Everything here is exact linear algebra over the coefficient field.
-Algebras are stored by structure constants on a basis whose first
-element is the unit and whose remaining elements span the radical.
-Algebra elements stay dense coefficient tuples over that basis: the
-structure constants, the classes of `ArtinQuotient.class_of` and the
-argument of `ArtinModule.action_matrix`.  Module vectors are sparse,
-as in `linalg`: dicts from module coordinates to nonzero scalars.  A
-module stores the action of each algebra basis element as sparse
-columns, the images of the module basis vectors, and a map between
-modules (a hom-space element, an isomorphism) is a tuple of sparse
-columns in the same way.  Both types verify their defining identities
-at construction, so a malformed quotient fails loudly instead of
-corrupting downstream counts.
+Every vector is sparse, as in `linalg`: a dict from coordinates to
+nonzero scalars.  Algebras are stored by structure constants on a
+basis whose first element is the unit and whose remaining elements
+span the radical; an algebra element is a sparse vector over that
+basis, and so are the classes of `ArtinQuotient.class_of` and the
+argument of `ArtinModule.action_matrix`.  A module stores the action
+of each algebra basis element as sparse columns, the images of the
+module basis vectors, and a map between modules (a hom-space element,
+an isomorphism) is a tuple of sparse columns in the same way.  The
+structure constants `mult[i][j]`, the product of basis[i] and basis[j],
+are then exactly the action columns of the algebra as a module over
+itself, so one routine, `_action_fault`, checks both the module
+identities and associativity.  Both types verify their defining
+identities at construction, so a malformed quotient fails loudly
+instead of corrupting downstream counts.
 
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one class map, `_WindowClasses`:
@@ -47,6 +50,42 @@ def _apply(cols, vec):
     return out
 
 
+def _sparse_lines(lines):
+    """Lines of sparse vectors as tuples, zero entries dropped."""
+    return tuple(tuple({k: c for k, c in vec.items() if c} for vec in line)
+                 for line in lines)
+
+
+def _ragged(lines, d):
+    """Whether some line does not hold d vectors over range(d)."""
+    coords = set(range(d))
+    return any(len(line) != d or any(not vec.keys() <= coords
+                                     for vec in line) for line in lines)
+
+
+def _not_identity(cols, one):
+    """Whether the sparse columns are not those of the identity."""
+    return any(col != {v: one} for v, col in enumerate(cols))
+
+
+def _action_fault(mult, cols, d):
+    """Whether cols[i] applied to cols[j][v] differs from
+    sum_k mult[i][j][k] * cols[k][v] for some v in range(d) and some
+    ordered radical pair (i, j); with i <= j alone, basis[j] applied
+    after basis[i] could disagree.  For cols = mult, associativity."""
+    n = len(mult)
+    for i in range(1, n):
+        for j in range(1, n):
+            terms = mult[i][j].items()
+            for v in range(d):
+                expect = {}
+                for k, c in terms:
+                    vec_iaddmul(expect, c, cols[k][v])
+                if _apply(cols[i], cols[j][v]) != expect:
+                    return True
+    return False
+
+
 def _rows(cols, d):
     """The rows of a map with d-dimensional target, given by columns:
     row p maps each column index to its entry at p (the transpose)."""
@@ -62,84 +101,48 @@ def _rows(cols, d):
 class ArtinAlgebra:
     """Structure constants of a commutative local algebra.
 
-    `mult[i][j]` is the coefficient tuple of basis[i] * basis[j].  The
-    basis is unit-adapted: index 0 is the unit and indices 1.. span
-    the unique maximal ideal, whose nilpotency is checked.
+    `mult[i][j]` is basis[i] * basis[j] as a sparse dict over
+    range(dim), so `mult[i]` is the action of basis[i] on the algebra
+    by sparse columns.  The basis is unit-adapted: index 0 is the unit
+    and indices 1.. span the unique maximal ideal, whose nilpotency is
+    checked.
     """
 
     __slots__ = ("field", "dim", "mult", "labels")
 
     def __init__(self, field, mult, labels=None):
         self.field = field
-        self.mult = tuple(tuple(tuple(row) for row in line) for line in mult)
+        self.mult = _sparse_lines(mult)
         self.dim = len(self.mult)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"b{i}" for i in range(self.dim))
         self._validate()
 
     def _validate(self):
-        n, field = self.dim, self.field
+        n, field, mult = self.dim, self.field, self.mult
         if n < 1:
             raise InvariantViolation("algebra needs a unit")
-        for i in range(n):
-            for j in range(n):
-                if len(self.mult[i][j]) != n:
-                    raise InvariantViolation("ragged structure constants")
-        for j in range(n):
-            expect = tuple(field.one if k == j else field.zero
-                           for k in range(n))
-            if self.mult[0][j] != expect:
-                raise InvariantViolation("basis[0] is not the unit")
+        if _ragged(mult, n):
+            raise InvariantViolation("ragged structure constants")
+        if _not_identity(mult[0], field.one):
+            raise InvariantViolation("basis[0] is not the unit")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.mult[i][j] != self.mult[j][i]:
+                if mult[i][j] != mult[j][i]:
                     raise InvariantViolation("multiplication not commutative")
-        # all triples: ordered triples alone do not imply associativity
-        for i in range(1, n):
-            for j in range(1, n):
-                ij = self.mult[i][j]
-                for k in range(1, n):
-                    left = self.multiply(ij, self._basis_vec(k))
-                    right = self.multiply(self._basis_vec(i),
-                                          self.mult[j][k])
-                    if left != right:
-                        raise InvariantViolation("multiplication not associative")
+        # the regular module's identities, over every ordered pair
+        if _action_fault(mult, mult, n):
+            raise InvariantViolation("multiplication not associative")
         # radical nilpotency: powers of span(basis[1:]) must vanish
-        current = [self._basis_vec(i) for i in range(1, n)]
+        current = [{i: field.one} for i in range(1, n)]
         seen_dims = set()
         while current:
-            ech = Echelon(field)
-            for v in current:
-                for i in range(1, n):
-                    w = self.multiply(self._basis_vec(i), v)
-                    ech.insert({k: c for k, c in enumerate(w) if c})
+            ech = span(field, (_apply(mult[i], v) for v in current
+                               for i in range(1, n)))
             if ech.dim in seen_dims:
                 raise InvariantViolation("radical is not nilpotent")
             seen_dims.add(ech.dim)
-            current = [tuple(row.get(k, field.zero) for k in range(n))
-                       for row in ech.rows]
-
-    def _basis_vec(self, i):
-        return tuple(self.field.one if k == i else self.field.zero
-                     for k in range(self.dim))
-
-    @property
-    def unit(self):
-        return self._basis_vec(0)
-
-    def multiply(self, u, v):
-        out = [self.field.zero] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, s in enumerate(self.mult[i][j]):
-                    if s:
-                        out[k] = out[k] + c * s
-        return tuple(out)
+            current = ech.rows
 
     def __repr__(self):
         return f"<algebra of dimension {self.dim}>"
@@ -151,16 +154,15 @@ class ArtinModule:
     `cols[i][j]` is algebra basis[i] applied to module basis vector j,
     a sparse dict over range(dim) (zero entries are dropped).  The
     unit must act as the identity, and basis[i] applied to cols[j][v]
-    must equal sum_k mult[i][j][k] * cols[k][v] for every i and j;
-    both are checked.
+    must equal sum_k mult[i][j][k] * cols[k][v] for every i and j
+    (`_action_fault`); both are checked.
     """
 
     __slots__ = ("algebra", "dim", "cols", "labels")
 
     def __init__(self, algebra, cols, labels=None):
         self.algebra = algebra
-        self.cols = tuple(tuple({k: c for k, c in col.items() if c}
-                                for col in line) for line in cols)
+        self.cols = _sparse_lines(cols)
         self.dim = len(self.cols[0]) if self.cols else 0
         self.labels = tuple(labels) if labels is not None else tuple(
             f"v{i}" for i in range(self.dim))
@@ -170,36 +172,21 @@ class ArtinModule:
         algebra, d = self.algebra, self.dim
         if len(self.cols) != algebra.dim:
             raise InvariantViolation("one action per algebra basis element")
-        coords = set(range(d))
-        for line in self.cols:
-            if len(line) != d or any(not col.keys() <= coords
-                                     for col in line):
-                raise InvariantViolation("ragged action column")
-        one = algebra.field.one
-        if any(col != {v: one} for v, col in enumerate(self.cols[0])):
+        if _ragged(self.cols, d):
+            raise InvariantViolation("ragged action column")
+        if _not_identity(self.cols[0], algebra.field.one):
             raise InvariantViolation("unit does not act as identity")
-        # every ordered pair: with i <= j alone, basis[j] applied after
-        # basis[i] could disagree with the structure constants
-        for i in range(1, algebra.dim):
-            for j in range(1, algebra.dim):
-                terms = [(k, c) for k, c in enumerate(algebra.mult[i][j])
-                         if c]
-                for v in range(d):
-                    expect = {}
-                    for k, c in terms:
-                        vec_iaddmul(expect, c, self.cols[k][v])
-                    if _apply(self.cols[i], self.cols[j][v]) != expect:
-                        raise InvariantViolation(
-                            "action disagrees with the structure constants")
+        if _action_fault(algebra.mult, self.cols, d):
+            raise InvariantViolation(
+                "action disagrees with the structure constants")
 
     def action_matrix(self, avec):
-        """The action of the algebra element with coefficient tuple
-        avec, as a tuple of sparse columns."""
+        """The action of the algebra element avec, a sparse vector over
+        the algebra basis, as a tuple of sparse columns."""
         cols = [{} for _ in range(self.dim)]
-        for k, c in enumerate(avec):
-            if c:
-                for col, image in zip(cols, self.cols[k]):
-                    vec_iaddmul(col, c, image)
+        for k, c in avec.items():
+            for col, image in zip(cols, self.cols[k]):
+                vec_iaddmul(col, c, image)
         return tuple(cols)
 
     def __repr__(self):
@@ -216,9 +203,7 @@ def trivial_module(algebra) -> ArtinModule:
 
 def free_module(algebra) -> ArtinModule:
     """The algebra as a module over itself (the regular action)."""
-    cols = [[{k: c for k, c in enumerate(prod) if c} for prod in line]
-            for line in algebra.mult]
-    return ArtinModule(algebra, cols, labels=algebra.labels)
+    return ArtinModule(algebra, algebra.mult, labels=algebra.labels)
 
 
 def matlis_dual(module: ArtinModule) -> ArtinModule:
@@ -267,7 +252,7 @@ def _free_left_apply(algebra, i, vec):
     out = {}
     for (slot, a), c in vec.items():
         vec_iaddmul(out, c, {(slot, k): s
-                             for k, s in enumerate(algebra.mult[i][a]) if s})
+                             for k, s in algebra.mult[i][a].items()})
     return out
 
 
@@ -358,11 +343,16 @@ def _hom_differential(nmodule: ArtinModule, gens):
     return cols
 
 
-def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
-    """dim Ext^i over the algebra, from a minimal free resolution."""
+def _same_algebra(mmodule: ArtinModule, nmodule: ArtinModule):
+    """Refuse a pair of modules over different algebras."""
     if mmodule.algebra is not nmodule.algebra \
             and mmodule.algebra.mult != nmodule.algebra.mult:
         raise InvariantViolation("modules live over different algebras")
+
+
+def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
+    """dim Ext^i over the algebra, from a minimal free resolution."""
+    _same_algebra(mmodule, nmodule)
     if i < 0:
         raise ValueError("negative homological degree")
     field = mmodule.algebra.field
@@ -393,6 +383,7 @@ def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
     basis vector q.  A map X is equivariant when X applied to
     M.cols[i][q] equals N's basis[i] applied to X's column q.
     """
+    _same_algebra(mmodule, nmodule)
     field = mmodule.algebra.field
     dm, dn = mmodule.dim, nmodule.dim
     minus = -field.one
@@ -476,6 +467,7 @@ def _search_hom(mmodule, nmodule, m_top, n_top):
 def module_iso(mmodule: ArtinModule, nmodule: ArtinModule):
     """An equivariant isomorphism M -> N as a tuple of sparse columns,
     or None (a proof of absence)."""
+    _same_algebra(mmodule, nmodule)
     if mmodule.dim != nmodule.dim:
         return None
     if mmodule.dim == 0:
@@ -493,6 +485,7 @@ def module_iso(mmodule: ArtinModule, nmodule: ArtinModule):
 
 def surjection_exists(mmodule: ArtinModule, nmodule: ArtinModule) -> bool:
     """Whether some equivariant map M -> N is onto."""
+    _same_algebra(mmodule, nmodule)
     if nmodule.dim == 0:
         return True
     x = _search_hom(mmodule, nmodule, top_data(mmodule), top_data(nmodule))
@@ -549,15 +542,9 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
                        [(mdx, p) for mdx in range(len(kvecs))
                         for p in range(dn)])
 
-    # the coboundaries: restrictions to K of the maps sending slot j
-    # of F to N's basis vector v
-    cobs = {(j, v): {} for j in range(b0) for v in range(dn)}
-    for mdx, kv in enumerate(kvecs):
-        for (j, a), c in kv.items():
-            for v, image in enumerate(nmodule.cols[a]):
-                vec_iaddmul(cobs[(j, v)], c,
-                            {(mdx, p): x for p, x in image.items()})
-    image_ech = span(field, cobs.values())
+    # the coboundaries: restrictions to K of the maps F -> N, which is
+    # the Hom differential of the inclusion K -> F
+    image_ech = span(field, _hom_differential(nmodule, kvecs).values())
     reps = [s for s in solutions if image_ech.insert(dict(s)) is not None]
     e = len(reps)
     if e > bound:
@@ -586,6 +573,7 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
     what makes exhaustive enumeration possible at all; infinite fields
     and dimensions above `bound` are refused.
     """
+    _same_algebra(mmodule, nmodule)
     algebra = mmodule.algebra
     field = algebra.field
     b0, kvecs, reps = _extension_classes(mmodule, nmodule, bound)
@@ -658,8 +646,7 @@ def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
         if k[0] == "n":
             return {("n", q): c for q, c in nmodule.cols[i][k[1]].items()}
         j, a = k[1]
-        return {("f", (j, b)): c for b, c in enumerate(algebra.mult[i][a])
-                if c}
+        return {("f", (j, b)): c for b, c in algebra.mult[i][a].items()}
 
     cols, basis = _induced_action(algebra, graph, keys, image)
     if len(basis) != dn + b0 * n - len(kvecs):
@@ -706,13 +693,10 @@ class _WindowClasses:
         return self.tracked.insert(self.sub.residual(rep), self.tracked.dim)
 
     def __call__(self, elem):
-        """Coefficient tuple of the class of elem, or None when elem is
-        not in the span of the representatives and the submodule."""
-        combo = self.tracked.express(self.sub.residual(elem))
-        if combo is None:
-            return None
-        zero = self.sub.ring.field.zero
-        return tuple(combo.get(i, zero) for i in range(self.tracked.dim))
+        """The class of elem as a sparse vector over the representative
+        indices, or None when elem is not in the span of the
+        representatives and the submodule."""
+        return self.tracked.express(self.sub.residual(elem))
 
 
 class ArtinQuotient:
@@ -733,15 +717,19 @@ class ArtinQuotient:
         return self.algebra.dim
 
     def class_of(self, elem: Element):
-        """Coefficient tuple of the class of a ring element."""
+        """The class of a ring element, a sparse vector over the
+        algebra basis."""
         vec = self._classes(elem)
         if vec is None:
             raise NotMember("element is not in the ring")
         return vec
 
     def lift(self, vec) -> Element:
+        """The combination of the representatives with the sparse
+        coefficients vec."""
         return linear_combination(self.algebra.field, self.ring.nbranches,
-                                  vec, [rep.coeffs for rep in self.reps])
+                                  vec.values(),
+                                  [self.reps[k].coeffs for k in vec])
 
     def __repr__(self):
         return f"<quotient algebra of dimension {self.dim}>"
@@ -815,7 +803,7 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
         line = [classes(lift * rep) for rep in reps]
         if None in line:
             raise InvariantViolation("action left the module window")
-        cols.append([{k: c for k, c in enumerate(vec) if c} for vec in line])
+        cols.append(line)
     return ArtinModule(quotient.algebra, cols,
                        labels=tuple(format_element(rep) for rep in reps))
 
@@ -857,7 +845,7 @@ def ext_lab_instance(m: int, p: int) -> ExtLabInstance:
     # basis vanish (their orders already clear the window)
     for i in range(1, linear.dim):
         for j in range(1, linear.dim):
-            if any(linear.algebra.mult[i][j]):
+            if linear.algebra.mult[i][j]:
                 raise InvariantViolation("O/x is not square-zero")
     if module.dim != m or target.dim != 2 * m:
         raise InvariantViolation("lab quotients have unexpected dimensions")

@@ -25,32 +25,34 @@ def elem(ring, text):
 
 
 def dual_numbers(field):
-    z, o = field.zero, field.one
-    return ArtinAlgebra(field, [[(o, z), (z, o)], [(z, o), (z, z)]])
+    o = field.one
+    return ArtinAlgebra(field, [[{0: o}, {1: o}], [{1: o}, {}]])
 
 
 def test_algebra_validation(qq, f5):
     dual_numbers(qq)  # fine over any field
-    z, o = f5.zero, f5.one
+    o = f5.one
     with pytest.raises(InvariantViolation, match="unit"):
-        ArtinAlgebra(f5, [[(o, z), (z, z)], [(z, z), (z, z)]])
+        ArtinAlgebra(f5, [[{0: o}, {}], [{}, {}]])
     with pytest.raises(InvariantViolation, match="ragged"):
-        ArtinAlgebra(f5, [[(o, z), (z,)], [(z, o), (z, z)]])
+        ArtinAlgebra(f5, [[{0: o}, {2: o}], [{1: o}, {}]])
+    with pytest.raises(InvariantViolation, match="ragged"):
+        ArtinAlgebra(f5, [[{0: o}, {1: o}], [{1: o}]])
     with pytest.raises(InvariantViolation, match="commutative"):
         ArtinAlgebra(f5, [
-            [(o, z, z), (z, o, z), (z, z, o)],
-            [(z, o, z), (z, z, z), (o, z, z)],
-            [(z, z, o), (z, z, z), (z, z, z)],
+            [{0: o}, {1: o}, {2: o}],
+            [{1: o}, {}, {0: o}],
+            [{2: o}, {}, {}],
         ])
     with pytest.raises(InvariantViolation, match="associative"):
         ArtinAlgebra(f5, [
-            [(o, z, z), (z, o, z), (z, z, o)],
-            [(z, o, z), (z, z, o), (z, z, z)],
-            [(z, z, o), (z, z, z), (z, z, o)],
+            [{0: o}, {1: o}, {2: o}],
+            [{1: o}, {2: o}, {}],
+            [{2: o}, {}, {2: o}],
         ])
     with pytest.raises(InvariantViolation, match="nilpotent"):
         # k[x]/(x^2 - 1) is not local
-        ArtinAlgebra(f5, [[(o, z), (z, o)], [(z, o), (o, z)]])
+        ArtinAlgebra(f5, [[{0: o}, {1: o}], [{1: o}, {0: o}]])
 
 
 def test_module_validation(qq):
@@ -102,14 +104,12 @@ def test_class_and_lift_roundtrip(name, field):
     x_text, outside = QUOTIENTS[name]
     x = elem(ring, x_text)
     q = curve_quotient(ring, x)
-    zero = q.class_of(Element.zero(field, ring.nbranches))
-    assert zero == (field.zero,) * q.dim
+    assert q.class_of(Element.zero(field, ring.nbranches)) == {}
     for i, rep in enumerate(q.reps):
         vec = q.class_of(rep)
-        assert vec == tuple(field.one if j == i else field.zero
-                            for j in range(q.dim))
+        assert vec == {i: field.one}
         assert q.class_of(q.lift(vec)) == vec
-    assert q.class_of(x * x) == zero
+    assert q.class_of(x * x) == {}
     with pytest.raises(NotMember):
         q.class_of(elem(ring, outside))
 
@@ -572,7 +572,7 @@ def _is_module(algebra, cols, d):
             prod = sum((mats[i][r][k] * mats[j][k][c] for k in range(d)),
                        zero)
             expect = sum((s * mats[k][r][c]
-                          for k, s in enumerate(algebra.mult[i][j])), zero)
+                          for k, s in algebra.mult[i][j].items()), zero)
             if prod != expect:
                 return False
     return True
@@ -602,3 +602,72 @@ def test_module_rejects_perturbed_actions(name, genuine):
     cols[1][0] = {**cols[1][0], d: one}
     with pytest.raises(InvariantViolation, match="ragged"):
         ArtinModule(algebra, cols)
+
+
+@pytest.mark.parametrize("fn", [
+    hom_space, module_iso, surjection_exists, enumerate_extensions,
+    lambda m, n: ext(m, n, 1)],
+    ids=("hom_space", "module_iso", "surjection_exists",
+         "enumerate_extensions", "ext"))
+def test_modules_over_different_algebras_are_refused(fn):
+    # O/x^2 has dimension 6 and O/x dimension 3 at (3, 2); zipping
+    # their action lists would answer anyway
+    lab = ext_lab_instance(3, 2)
+    square, linear = lab.square.algebra, lab.linear.algebra
+    for make in (trivial_module, free_module):
+        with pytest.raises(InvariantViolation, match="different algebras"):
+            fn(make(square), make(linear))
+
+
+def _algebra_fault(field, mult):
+    """The first of unit, commutative, associative and nilpotent (the
+    radical span(basis[1:])) that the structure constants break,
+    checked on dense tables over every triple, or None."""
+    n, zero, one = len(mult), field.zero, field.one
+    m = [[[mult[i][j].get(k, zero) for k in range(n)] for j in range(n)]
+         for i in range(n)]
+    basis = [[one if k == i else zero for k in range(n)] for i in range(n)]
+    if any(m[0][j] != basis[j] for j in range(n)):
+        return "unit"
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
+        return "commutative"
+
+    def times(u, j):
+        return [sum((u[i] * m[i][j][k] for i in range(n)), zero)
+                for k in range(n)]
+
+    if any(times(m[i][j], k) != times(m[j][k], i)
+           for i, j, k in itertools.product(range(n), repeat=3)):
+        return "associative"
+    # in a commutative associative algebra the radical is nilpotent iff
+    # every product of n radical basis elements vanishes
+    prods = {tuple(basis[i]) for i in range(1, n)}
+    for _ in range(n - 1):
+        prods = {tuple(times(u, i)) for u in prods for i in range(1, n)}
+    if any(any(u) for u in prods):
+        return "nilpotent"
+    return None
+
+
+def test_algebra_rejects_perturbed_structure_constants():
+    # adding one to a structure constant and to its mirror entry keeps
+    # the table commutative; the validator must accept exactly the
+    # perturbations that give an algebra again on dense tables, and
+    # name the first property that breaks otherwise
+    algebra = ext_lab_instance(3, 2).square.algebra
+    field, n, one = algebra.field, algebra.dim, algebra.field.one
+    assert _algebra_fault(field, algebra.mult) is None
+    verdicts = {}
+    for i, j, k in itertools.product(range(n), range(n), range(n)):
+        if i > j:
+            continue
+        mult = [list(line) for line in algebra.mult]
+        mult[i][j] = mult[j][i] = vec_addmul(mult[i][j], one, {k: one})
+        fault = _algebra_fault(field, mult)
+        verdicts[fault] = verdicts.get(fault, 0) + 1
+        if fault is None:
+            ArtinAlgebra(field, mult)
+        else:
+            with pytest.raises(InvariantViolation, match=fault):
+                ArtinAlgebra(field, mult)
+    assert verdicts == {None: 13, "unit": 36, "associative": 77}

@@ -5,6 +5,11 @@ elimination kernel was pivot-indexed; every later change to the
 linear algebra must leave these bytes alone.  The ext-lab files were
 written while the lab still built one middle per extension class, so
 they pin the counts and the witness of the one-middle-per-line walk.
+Three more ext-lab files pin the lab at m = 4, where O/x^2 has
+dimension 8: the two Ext routes at p = 2 and Claim 4 at p = 2 and
+p = 3.  They were written while algebra elements were still dense
+coefficient tuples and the algebra checked associativity by its own
+loop.
 The toric files were written while `s2_hull` still filtered a full
 grid of edge coordinates and minimalized every hull point of its
 window; the lattice walk must give the same bytes.  They cover
@@ -68,6 +73,12 @@ CASES = {
     "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
                                 "--claim4"],
     "ext-lab-3-3-cor3.json": ["ext-lab", "--m", "3", "--p", "3", "--cor3"],
+    "ext-lab-4-2-claim2.json": ["ext-lab", "--m", "4", "--p", "2",
+                                "--claim2"],
+    "ext-lab-4-2-claim4.json": ["ext-lab", "--m", "4", "--p", "2",
+                                "--claim4"],
+    "ext-lab-4-3-claim4.json": ["ext-lab", "--m", "4", "--p", "3",
+                                "--claim4"],
     "toric-hull-gens-17-32-72-77.json": ["toric", "hull", "--gens",
                                          "1,7 3,2 7,2 7,7", "--module",
                                          "0,0"],
