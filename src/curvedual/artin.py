@@ -29,7 +29,6 @@ the non-pivot keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
                      NotContained, NotKilled, NotMember, TooLarge,
@@ -39,6 +38,7 @@ from .fracideal import FracIdeal, maximal_ideal, unit_ideal
 from .laurent import (INF, Element, format_element, linear_combination,
                       window_key)
 from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
+from .record import Record
 
 # -- sparse columns -------------------------------------------------------------
 
@@ -213,12 +213,10 @@ def matlis_dual(module: ArtinModule) -> ArtinModule:
                        labels=tuple(f"{l}*" for l in module.labels))
 
 
-@dataclass(frozen=True)
-class SocleData:
+class SocleData(Record):
     """The socle's dimension and a basis of sparse module vectors."""
 
-    dimension: int
-    basis: tuple
+    __slots__ = _fields = ("dimension", "basis")
 
 
 def socle(module: ArtinModule) -> SocleData:
@@ -810,20 +808,15 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
 
 # -- the square-zero extension laboratory -------------------------------------
 
-@dataclass(frozen=True)
-class ExtLabInstance:
+class ExtLabInstance(Record):
     """The one-branch monomial testbed: O generated by t^m..t^{2m-1},
-    x = t^m, and the two quotient stages of the canonical module."""
+    x = t^m, and the two quotient stages of the canonical module:
+    `square` is O/x^2 and `linear` is O/x (ArtinQuotient), `module` is
+    omega/x omega and `target` omega/x^2 omega (ArtinModule over
+    `square`)."""
 
-    m: int
-    p: int
-    ring: object
-    x: Element
-    omega: FracIdeal
-    square: ArtinQuotient      # O / x^2
-    linear: ArtinQuotient      # O / x
-    module: ArtinModule        # omega / x omega, over square
-    target: ArtinModule        # omega / x^2 omega, over square
+    __slots__ = _fields = ("m", "p", "ring", "x", "omega", "square",
+                           "linear", "module", "target")
 
 
 def ext_lab_instance(m: int, p: int) -> ExtLabInstance:
@@ -869,15 +862,11 @@ def _check_lab_action(module, square, m):
                     "lab module action differs from the pinned constants")
 
 
-@dataclass(frozen=True)
-class ExtRouteReport:
+class ExtRouteReport(Record):
     """dim Ext^1(M, k) computed two ways, next to the closed form."""
 
-    m: int
-    p: int
-    via_resolution: int
-    via_enumeration: int
-    closed_form: int
+    __slots__ = _fields = ("m", "p", "via_resolution", "via_enumeration",
+                           "closed_form")
 
     @property
     def routes_agree(self) -> bool:
@@ -901,18 +890,14 @@ def ext_routes(m: int, p: int, bound: int = 12) -> ExtRouteReport:
     """
     lab = ext_lab_instance(m, p)
     k = trivial_module(lab.square.algebra)
-    via_res = ext(lab.module, k, 1)
+    # the bounded route first: the resolution has no bound of its own
     _, _, reps = _extension_classes(lab.module, k, bound)
+    via_res = ext(lab.module, k, 1)
     return ExtRouteReport(m, p, via_res, len(reps), m * m - m - 1)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    ok: bool
-    checked: int
-    total: int
-    m: int
-    p: int
+class ClaimReport(Record):
+    __slots__ = _fields = ("ok", "checked", "total", "m", "p")
 
     def __bool__(self):
         return self.ok
@@ -944,14 +929,10 @@ def verify_claim4(m: int, p: int, bound: int = 12) -> ClaimReport:
     return ClaimReport(True, checked, total, m, p)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    witness: ArtinModule
-    total_classes: int
-    passing_quotient_test: int
-    covered_by_target: int
-    m: int
-    p: int
+class WitnessReport(Record):
+    __slots__ = _fields = ("witness", "total_classes",
+                           "passing_quotient_test", "covered_by_target",
+                           "m", "p")
 
 
 def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
@@ -988,11 +969,8 @@ def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
 
 # -- torsion pairing check -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReesReport:
-    ok: bool
-    length_via_duals: int
-    hom_dimension: int
+class ReesReport(Record):
+    __slots__ = _fields = ("ok", "length_via_duals", "hom_dimension")
 
     def __bool__(self):
         return self.ok

@@ -14,7 +14,6 @@ input and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import operator
@@ -25,7 +24,8 @@ import sys
 
 from . import duality, family, toric2
 from .artin import ext_routes, verify_claim4, witness_cor3
-from .curvering import build, format_curve_file, parse_curve_file
+from .curvering import (CurveSpec, build, format_curve_file,
+                        parse_curve_file)
 from .errors import AlgebraError, ParseError
 from .fields import format_field, parse_field
 from .fracideal import herbrand, random_ideal, random_ring_element
@@ -108,7 +108,8 @@ def _curve_spec(ns):
         spec = family.semigroup_spec(field, exponents)
     else:
         spec = family.named_spec(field, target)
-    return dataclasses.replace(spec, window_bound=ns.window_bound)
+    return CurveSpec(spec.field, spec.generators, spec.semigroup,
+                     ns.window_bound, spec.label)
 
 
 def _inline_text(spec):

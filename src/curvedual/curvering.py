@@ -20,7 +20,6 @@ that certificate and gives up at `window_bound` with NotFiniteColength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NotARing,
                      NotCoprime, NotFiniteColength, NotPrimeField, ParseError,
@@ -29,33 +28,32 @@ from .fields import FiniteField, format_field, parse_field
 from .laurent import (Element, clip_product, clip_window, format_element,
                       parse_element, shed_slab, window_key)
 from .linalg import Echelon
+from .record import Record
 
 INF = math.inf
 
 
 # -- presentation -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """Input data for a ring build.
 
     `semigroup`, for one-branch monomial rings only, lists exponent
     generators; it both supplies the generators (as monomials) and
     presizes the window from the exact conductor, which is how large
     monomial rings get past the default window bound honestly.
+    `generators` is stored as a tuple and `semigroup` as a tuple of ints.
     """
 
-    field: object
-    generators: tuple = ()
-    semigroup: tuple = None
-    window_bound: int = 200
-    label: str = None
+    __slots__ = _fields = ("field", "generators", "semigroup",
+                           "window_bound", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if self.semigroup is not None:
-            object.__setattr__(self, "semigroup",
-                               tuple(int(a) for a in self.semigroup))
+    def __init__(self, field, generators=(), semigroup=None,
+                 window_bound=200, label=None):
+        if semigroup is not None:
+            semigroup = tuple(int(a) for a in semigroup)
+        super().__init__(field, tuple(generators), semigroup, window_bound,
+                         label)
 
 
 def _normalize_generators(gens):
@@ -157,19 +155,17 @@ def build(spec: CurveSpec) -> "CurveRing":
 
 # -- the ring object ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConductorData:
-    exponents: tuple
-    colength_ring: int          # dim O / conductor
-    colength_normalization: int  # dim (branch tuple) / conductor
-    delta: int                  # dim (branch tuple) / O
+class ConductorData(Record):
+    """Conductor exponents and the colengths dim O/conductor,
+    dim (branch tuple)/conductor and delta = dim (branch tuple)/O."""
+
+    __slots__ = _fields = ("exponents", "colength_ring",
+                           "colength_normalization", "delta")
 
 
-@dataclass(frozen=True)
-class GorensteinCertificate:
-    gorenstein: bool
-    colength_normalization: int
-    twice_colength_ring: int
+class GorensteinCertificate(Record):
+    __slots__ = _fields = ("gorenstein", "colength_normalization",
+                           "twice_colength_ring")
 
     def __bool__(self):
         return self.gorenstein
@@ -292,13 +288,11 @@ class CurveRing:
 
 # -- numerical semigroups ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemigroupData:
-    generators: tuple
-    conductor: int
-    delta: int          # number of gaps
-    symmetric: bool
-    gaps: tuple
+class SemigroupData(Record):
+    """A numerical semigroup's data; `delta` is the number of gaps."""
+
+    __slots__ = _fields = ("generators", "conductor", "delta", "symmetric",
+                           "gaps")
 
 
 # Largest semigroup conductor the oracle sieves for.  `report 2,4097`,

@@ -39,7 +39,6 @@ socle test that recognizes dualizing candidates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 
 from .artin import curve_quotient, present_quotient, socle
 from .errors import (DifferentialDegreeError, FieldTooSmall,
@@ -50,6 +49,7 @@ from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
                         normalization_module, slab_module, unit_ideal)
 from .laurent import INF, Element, linear_combination, window_key
 from .linalg import kernel
+from .record import Record
 
 
 def _regular_forms(ring):
@@ -62,8 +62,7 @@ def _max_pole_forms(ring):
 
 # -- construction --------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CanonicalModule:
+class CanonicalModule(Record):
     """The dualizing module together with its construction data.
 
     `conditions` holds the rows of the residue matrix, one per basis
@@ -71,14 +70,20 @@ class CanonicalModule:
     the (branch, exponent) labels of the admissible pole terms.  The
     matrix rank equals the colength of the conductor in the ring.
     `verdicts` keeps each invariant-table verdict computed for this
-    module, by property name.
+    module, by property name; it is not a field, so the repr leaves it
+    out.  Two instances are equal only when they are the same object.
     """
 
-    module: FracIdeal
-    conditions: tuple
-    pole_monomials: tuple
-    rank: int
-    verdicts: dict = dataclass_field(default_factory=dict, repr=False)
+    _fields = ("module", "conditions", "pole_monomials", "rank")
+    __slots__ = _fields + ("verdicts",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, module, conditions, pole_monomials, rank,
+                 verdicts=None):
+        super().__init__(module, conditions, pole_monomials, rank)
+        object.__setattr__(self, "verdicts",
+                           {} if verdicts is None else verdicts)
 
 
 def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
@@ -272,13 +277,9 @@ def shriek(module: FracIdeal, overring: FracIdeal) -> FracIdeal:
 
 # -- colength reports ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SerreReport:
-    colength_normalization: int
-    twice_colength_ring: int
-    delta: int
-    dualizing_over_regular: int
-    gorenstein: bool
+class SerreReport(Record):
+    __slots__ = _fields = ("colength_normalization", "twice_colength_ring",
+                           "delta", "dualizing_over_regular", "gorenstein")
 
 
 def serre_report(ring) -> SerreReport:
@@ -307,12 +308,9 @@ def seminormal_via_omega(ring) -> bool:
     return ring.is_seminormal()
 
 
-@dataclass(frozen=True)
-class BoundaryLengths:
-    over_dualizing: int
-    colength_ring: int
-    dualizing_over_regular: int
-    delta: int
+class BoundaryLengths(Record):
+    __slots__ = _fields = ("over_dualizing", "colength_ring",
+                           "dualizing_over_regular", "delta")
 
 
 def exact_seq_lengths(ring) -> BoundaryLengths:

@@ -118,8 +118,8 @@ class AffineSemigroup2:
         self._dp_gens = list(raw)
         minimal = []
         for g in sorted(raw, key=self._sort_key):
-            if not any(self.contains(_sub(g, h)) and _sub(g, h) != (0, 0)
-                       for h in raw):
+            diffs = (_sub(g, h) for h in raw)
+            if not any(z != (0, 0) and self.contains(z) for z in diffs):
                 minimal.append(g)
         self.generators = tuple(minimal)
         self._dp_gens = minimal
@@ -318,10 +318,12 @@ class MonomialModule2:
 
     def in_ray_localization(self, point, ray):
         """Exact ray-localization membership (docstring at module top)."""
-        S = self.semigroup
         pt = (int(point[0]), int(point[1]))
-        if not S.in_group(pt):
-            return False
+        return self.semigroup.in_group(pt) and self._ray_local(pt, ray)
+
+    def _ray_local(self, pt, ray):
+        """`in_ray_localization` for an int point already in the group."""
+        S = self.semigroup
         d = S.ray_directions[ray]
         ga = S._ray_gcds[ray]
         det = S._det
@@ -347,9 +349,9 @@ class MonomialModule2:
         return False
 
     def hull_contains(self, point):
-        return (self.semigroup.in_group(point)
-                and self.in_ray_localization(point, 0)
-                and self.in_ray_localization(point, 1))
+        pt = (int(point[0]), int(point[1]))
+        return (self.semigroup.in_group(pt)
+                and self._ray_local(pt, 0) and self._ray_local(pt, 1))
 
     def translate(self, vec):
         return MonomialModule2(

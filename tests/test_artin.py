@@ -360,6 +360,19 @@ def test_ext_routes_builds_no_middle(monkeypatch):
     with pytest.raises(TooLarge):
         ext_routes(5, 3)
 
+
+def test_ext_routes_refuses_before_the_unbounded_resolution(monkeypatch):
+    """The resolution route has no bound of its own (at m = 16 it runs
+    for minutes), so the bounded enumeration must refuse first."""
+    def refuse(*args):
+        raise AssertionError("ext_routes resolved an oversized lab")
+
+    monkeypatch.setattr(artin, "ext", refuse)
+    with pytest.raises(TooLarge, match="dimension 239 > bound 12"):
+        ext_routes(16, 2)
+    with pytest.raises(TooLarge, match="dimension 131 > bound 12"):
+        ext_routes(12, 2)
+
 # Lab numbers that no golden file covers, written by the code before
 # ArtinModule stored sparse action columns.  Per module: the Betti
 # numbers b_0..b_4 and the socle dimension.  Per pair (M, N): dim
