@@ -40,6 +40,21 @@ from .laurent import (INF, Element, format_element, linear_combination,
 from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
 from .record import Record
 
+# Largest free module, rank times algebra dimension, that a resolution
+# step may start from.  The step's kernel runs over the next free
+# module, whose rank is at most the dimension of the current kernel.
+# The lab at (10, 2) starts its second step from 89 x 20 = 1780 and
+# takes 1.1 s; at (11, 2), from 109 x 22 = 2398, 2.3 s (2-vCPU VM,
+# Python 3.11).  Past the cap `_resolution` raises TooLarge.
+MAX_RESOLUTION_SIZE = 2048
+
+# Most coefficient tuples `_search_hom` may walk: q^k over F_q and
+# (dim + 1)^k over Q, for k independent tops.  At the cap, the search
+# for a surjection from k^8 onto k^2 + A over the dual numbers over F2,
+# which has none, walks all 65,536 tuples in 2.3 s (2-vCPU VM,
+# Python 3.11).  Past the cap the search raises TooLarge.
+MAX_HOM_GRID = 65536
+
 # -- sparse columns -------------------------------------------------------------
 
 def _apply(cols, vec):
@@ -306,12 +321,17 @@ def _syzygy_step(algebra, rank, kvecs):
 def _resolution(module: ArtinModule, length: int):
     """Betti numbers b_0..b_length of a minimal free resolution, and
     for each differential d_1..d_length the images of its source basis
-    vectors, sparse over (target slot, algebra index)."""
+    vectors, sparse over (target slot, algebra index).  A step from a
+    free module larger than MAX_RESOLUTION_SIZE raises TooLarge."""
     algebra = module.algebra
     rank, kv = _module_presentation(module)
     betti = [rank]
     diffs = []
     for _ in range(length):
+        if kv and rank * algebra.dim > MAX_RESOLUTION_SIZE:
+            raise TooLarge(f"resolution step from a free module of size "
+                           f"{rank * algebra.dim} exceeds the bound "
+                           f"{MAX_RESOLUTION_SIZE}")
         gens, kv = _syzygy_step(algebra, rank, kv) if kv else ([], [])
         betti.append(len(gens))
         diffs.append(gens)
@@ -406,11 +426,16 @@ def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
 def _coeff_grid(field, nvars, degree_bound):
     """Deterministic search tuples: the whole space over a finite field,
     an integer grid large enough for polynomial identity testing over
-    the rationals (per-variable degree at most degree_bound)."""
+    the rationals (per-variable degree at most degree_bound); at most
+    MAX_HOM_GRID tuples."""
     if isinstance(field, FiniteField):
-        values = field.elements()
+        size, values = field.order, field.elements()
     else:
-        values = [field.of_int(v) for v in range(degree_bound + 1)]
+        size = degree_bound + 1
+        values = [field.of_int(v) for v in range(size)]
+    if size ** nvars > MAX_HOM_GRID:
+        raise TooLarge(f"coefficient grid of {size}^{nvars} tuples exceeds "
+                       f"the bound {MAX_HOM_GRID}")
     return itertools.product(values, repeat=nvars)
 
 
@@ -890,7 +915,8 @@ def ext_routes(m: int, p: int, bound: int = 12) -> ExtRouteReport:
     """
     lab = ext_lab_instance(m, p)
     k = trivial_module(lab.square.algebra)
-    # the bounded route first: the resolution has no bound of its own
+    # the route bounded by the Ext dimension first, so a lab past that
+    # bound is refused by it rather than by the resolution's size cap
     _, _, reps = _extension_classes(lab.module, k, bound)
     via_res = ext(lab.module, k, 1)
     return ExtRouteReport(m, p, via_res, len(reps), m * m - m - 1)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -362,8 +363,8 @@ def test_ext_routes_builds_no_middle(monkeypatch):
 
 
 def test_ext_routes_refuses_before_the_unbounded_resolution(monkeypatch):
-    """The resolution route has no bound of its own (at m = 16 it runs
-    for minutes), so the bounded enumeration must refuse first."""
+    """The enumeration's bound on the Ext dimension refuses first, so
+    the message names that dimension and no resolution runs."""
     def refuse(*args):
         raise AssertionError("ext_routes resolved an oversized lab")
 
@@ -372,6 +373,43 @@ def test_ext_routes_refuses_before_the_unbounded_resolution(monkeypatch):
         ext_routes(16, 2)
     with pytest.raises(TooLarge, match="dimension 131 > bound 12"):
         ext_routes(12, 2)
+
+
+def test_resolution_is_capped_by_free_module_size():
+    # the second step of the lab at m = 12 starts from 131 x 24 = 3144;
+    # at m = 8 it starts from 55 x 16 = 880, below the cap
+    lab = ext_lab_instance(12, 2)
+    k = trivial_module(lab.square.algebra)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="size 3144 exceeds the bound 2048"):
+        ext(lab.module, k, 1)
+    assert time.perf_counter() - start < 1.0
+    assert minimal_resolution(ext_lab_instance(8, 2).module, 2) == (7, 55,
+                                                                    391)
+
+
+def dual_number_sum(field, nk, na):
+    """k^nk + A^na over the dual numbers A = k[e]/e^2: nk copies of k,
+    then na copies of A, each with basis 1, e."""
+    o = field.one
+    d = nk + 2 * na
+    eps = [{} for _ in range(d)]
+    for j in range(nk, d, 2):
+        eps[j] = {j + 1: o}
+    unit = tuple({q: o} for q in range(d))
+    return ArtinModule(dual_numbers(field), [unit, tuple(eps)])
+
+
+def test_hom_search_grid_is_capped(f2):
+    # maps k^a -> k^2 + A have 2a independent tops and no surjection
+    # (the image is killed by e), so the search walks all 2^(2a) tuples
+    target = dual_number_sum(f2, 2, 1)
+    assert not surjection_exists(dual_number_sum(f2, 5, 0), target)
+    with pytest.raises(TooLarge, match="2\\^18 tuples"):
+        surjection_exists(dual_number_sum(f2, 9, 0), target)
+    # the trivial summands are matched, so an isomorphism exists
+    assert module_iso(dual_number_sum(f2, 2, 1), target) is not None
+
 
 # Lab numbers that no golden file covers, written by the code before
 # ArtinModule stored sparse action columns.  Per module: the Betti

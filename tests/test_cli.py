@@ -331,6 +331,26 @@ def test_semigroup_past_the_conductor_cap_exits_2_at_once(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    # the module's minimality test: (3, 99999999999) lies at level 1e11
+    (["toric", "hull", "--model", "plane", "--module", "0,0 3,99999999999"],
+     "bound 8192"),
+    # the semigroup's minimality test runs the same search
+    (["toric", "saturate", "--gens", "1,0 0,1 99999999999999999999,1"],
+     "bound 8192"),
+    # a walk over the square of width 6017
+    (["toric", "hull", "--model", "plane", "--module", "3000,0 0,3000"],
+     "bound 2048"),
+])
+def test_toric_past_a_search_cap_exits_2_at_once(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err.startswith("error: ") and bound in err
+    assert "Traceback" not in err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     """A bad argv (exit 2) leaves the one cached parser as it was: a good
     argv after it prints the bytes it prints alone."""

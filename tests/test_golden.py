@@ -14,8 +14,11 @@ The toric files were written while `s2_hull` still filtered a full
 grid of edge coordinates and minimalized every hull point of its
 window; the lattice walk must give the same bytes.  They cover
 `saturate`, `omega` and `hull` on the three named models, the hard
-semigroup 1,7 3,2 7,2 7,7 and a semigroup of det 40.  The pinched
-plane is not saturated, so its `omega` exits 2 with nothing on stdout.
+semigroup 1,7 3,2 7,2 7,7 and a semigroup of det 40.  Two more hull
+files, on 3,4 3,0 7,5 8,3 and 1,-2 1,8 6,-1 6,4, need the corner window
+to double; they were written while the rim was still certified point by
+point against the extracted module.  The pinched plane is not
+saturated, so its `omega` exits 2 with nothing on stdout.
 The two extra `check` files pin the failure path (an injected fault,
 exit 1, counterexample `delta-over-regular` with a null error) and the
 family path; they were written before the harness and the library's
@@ -84,6 +87,12 @@ CASES = {
                                          "0,0"],
     "toric-hull-gens-10-140.json": ["toric", "hull", "--gens", "1,0 1,40",
                                     "--module", "0,0"],
+    "toric-hull-gens-3-4-3-0-7-5-8-3.json": ["toric", "hull", "--gens",
+                                             "3,4 3,0 7,5 8,3", "--module",
+                                             "0,0"],
+    "toric-hull-gens-1-m2-1-8-6-m1-6-4.json": ["toric", "hull", "--gens",
+                                               "1,-2 1,8 6,-1 6,4",
+                                               "--module=-5,-6"],
 }
 for _model in ("plane", "diagonal-mod3", "pinched-plane"):
     for _sub in ("saturate", "omega", "hull"):

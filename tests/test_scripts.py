@@ -1,6 +1,7 @@
 """The sweep scripts under scripts/ run to the end without a traceback,
-the README's Python tour runs and prints what its comments claim, and
-the benchmark's span tracer still wraps the library.
+the benchmark jobs of seed 1 print the pinned digests, the README's
+Python tour runs and prints what its comments claim, and the
+benchmark's span tracer still wraps the library.
 
 Each runs in a subprocess with src/ and the repository root on
 PYTHONPATH, on a small input.
@@ -52,6 +53,17 @@ def run_python(argv):
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
 def test_script_runs(argv):
     assert run_python([str(ROOT / "scripts" / argv[0]), *argv[1:]])
+
+
+def test_job_digests_match_golden():
+    # One digest line per benchmark job of seed 1, every workload: a
+    # changed byte or exit code in any job fails here, not only in the
+    # jobs a golden file happens to cover.  A change that alters job
+    # output on purpose rewrites tests/golden/job-digests-seeds1.txt.
+    out = run_python([str(ROOT / "scripts" / "job_digests.py"),
+                      "--seeds", "1"])
+    golden = ROOT / "tests" / "golden" / "job-digests-seeds1.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_readme_tour_matches_its_comments():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import curvedual as cd
+from curvedual import toric2
 from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
-                              OwnerMismatch, ParseError)
-from curvedual.toric2 import (AffineSemigroup2, MonomialModule2,
+                              OwnerMismatch, ParseError, TooLarge)
+from curvedual.toric2 import (MAX_HULL_WIDTH, MAX_MEMBER_LEVEL,
+                              AffineSemigroup2, MonomialModule2,
                               _corner_points, _window_generators,
                               canonical_module_toric, model, monomial_iso,
                               s2_hull, saturation)
@@ -370,3 +372,129 @@ def test_window_keeps_only_points_without_a_hull_point_below(S, shift):
             and not any((u[0] - g[0], u[1] - g[1]) in found
                         for g in S.generators)]
     assert _window_generators(module, b1, b2, size) == want
+
+
+# -- the one-walk certificate ---------------------------------------------------
+
+def hull_window(module):
+    """(b1, b2, size, top) of `s2_hull`'s first walk: the lowest edge
+    coordinates of the module's generators, the window width and the
+    width of the square around it that the rim fills."""
+    S = module.semigroup
+    coords = [S.normal_values(h) for h in module.generators]
+    b1 = min(c[0] for c in coords)
+    b2 = min(c[1] for c in coords)
+    span = max(max(S.normal_values(g)) for g in S.generators)
+    mspan = max(c[0] - b1 + c[1] - b2 for c in coords)
+    reach = S._det * (S._ray_gcds[0] * max(S._ray_conductors[0], 1)
+                      + S._ray_gcds[1] * max(S._ray_conductors[1], 1))
+    size = 2 * (span + mspan + reach) + 8
+    return b1, b2, size, size + span + 2
+
+
+def beyond(S, u, b1, b2, size):
+    a, b = S.normal_values(u)
+    return a > b1 + size or b > b2 + size
+
+
+def test_window_growth_is_seen_by_the_square_walk():
+    # negative control: the hull generator (34, 15) has edge
+    # coordinates (15, 91), beyond the first window of width 86, so a
+    # certificate blind to the rim would return the window's answer
+    # without it; the square walk keeps it and the window must grow
+    S = AffineSemigroup2([(3, 4), (3, 0), (7, 5), (8, 3)])
+    module = MonomialModule2(S, [(0, 0)])
+    b1, b2, size, top = hull_window(module)
+    assert size == 86
+    assert _window_generators(module, b1, b2, size) == [(0, 0), (33, 18),
+                                                        (32, 21)]
+    kept = _window_generators(module, b1, b2, top)
+    assert [u for u in kept if beyond(S, u, b1, b2, size)] == [(34, 15)]
+    hull = s2_hull(module)
+    assert hull == reference_hull(module)
+    assert hull.generators == ((0, 0), (32, 21), (33, 18), (34, 15))
+
+
+@settings(max_examples=40, deadline=None)
+@example(S=AffineSemigroup2([(3, 4), (3, 0), (7, 5), (8, 3)]), shift=False)
+@example(S=model("pinched-plane"), shift=True)
+@given(plane_semigroups(), st.booleans())
+def test_square_walk_keeps_the_window_walk(S, shift):
+    # a window point's u - g is never a rim point, so the window points
+    # kept by the walk over the whole square are the window walk's own
+    module = module_over(S, shift)
+    b1, b2, size, top = hull_window(module)
+    square = _window_generators(module, b1, b2, top)
+    inside = [u for u in square if not beyond(S, u, b1, b2, size)]
+    assert inside == _window_generators(module, b1, b2, size)
+
+
+def test_hull_runs_no_module_membership(monkeypatch):
+    # the certificate comes from the walk alone: no semigroup search
+    # for the extracted module's points
+    cases = [MonomialModule2(model("pinched-plane"), [(0, 0)]),
+             MonomialModule2(model("plane"), [(2, 5), (5, 2)]),
+             MonomialModule2(AffineSemigroup2([(3, 4), (3, 0), (7, 5),
+                                               (8, 3)]), [(0, 0)]),
+             MonomialModule2(AffineSemigroup2([(1, -2), (1, 8), (6, -1),
+                                               (6, 4)]), [(-5, -6)])]
+    want = [s2_hull(m) for m in cases]
+
+    def refuse(self, point):
+        raise AssertionError("s2_hull asked a module membership question")
+
+    monkeypatch.setattr(MonomialModule2, "contains", refuse)
+    assert [s2_hull(m) for m in cases] == want
+
+
+# -- the search caps ---------------------------------------------------------
+
+def test_member_search_is_capped_by_level():
+    S = model("pinched-plane")
+    assert S.contains((MAX_MEMBER_LEVEL - 1, 1))
+    with pytest.raises(TooLarge, match="bound 8192"):
+        S.contains((MAX_MEMBER_LEVEL, 1))
+    # points outside the cone or the group need no search at any level
+    assert not S.contains((-1, 10 ** 12))
+    assert not model("diagonal-mod3").contains((10 ** 12, 0))
+    # the module's minimality test runs the same search
+    with pytest.raises(TooLarge):
+        MonomialModule2(model("plane"), [(0, 0), (3, 10 ** 11)])
+
+
+def test_hull_walk_is_capped_by_width(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked past the cap")
+
+    S = model("plane")
+    # widths 2047 and 2051: (1015, 0) and (1017, 0) span 1015 and 1017
+    below = MonomialModule2(S, [(1015, 0), (0, 1015)])
+    above = MonomialModule2(S, [(1017, 0), (0, 1017)])
+    monkeypatch.setattr(toric2, "_window_generators", refuse)
+    with pytest.raises(TooLarge, match="bound 2048"):
+        s2_hull(above)
+    with pytest.raises(AssertionError, match="walked"):
+        s2_hull(below)
+    # minimalizing the points of a walk inside the cap never needs a
+    # search from above the member cap: their differences have level at
+    # most twice the width
+    assert 2 * MAX_HULL_WIDTH <= MAX_MEMBER_LEVEL
+
+
+def test_doubled_hull_walk_is_capped_too(monkeypatch):
+    # the first walk (width 111) keeps (34, 15) beyond the window; the
+    # doubled walk (width 197) is refused under a cap of 150
+    module = MonomialModule2(AffineSemigroup2([(3, 4), (3, 0), (7, 5),
+                                               (8, 3)]), [(0, 0)])
+    widths = []
+    walk = toric2._window_generators
+
+    def counted(module, b1, b2, top):
+        widths.append(top)
+        return walk(module, b1, b2, top)
+
+    monkeypatch.setattr(toric2, "_window_generators", counted)
+    monkeypatch.setattr(toric2, "MAX_HULL_WIDTH", 150)
+    with pytest.raises(TooLarge, match="width 197"):
+        s2_hull(module)
+    assert widths == [111]
