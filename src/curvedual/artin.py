@@ -17,6 +17,12 @@ identities and associativity.  Both types verify their defining
 identities at construction, so a malformed quotient fails loudly
 instead of corrupting downstream counts.
 
+Every space of maps that commute with the radical is the kernel of one
+routine, `_equivariant_maps`: `hom_space`, the socle read as Hom(k, M),
+and the Ext^1 cocycles on the kernel of the minimal cover.  The cover's
+kernel and every syzygy step of a resolution are one transposed kernel,
+`_cover_kernel`.
+
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one class map, `_WindowClasses`:
 the submodule's `FracIdeal.residual` of a Laurent vector is written
@@ -235,11 +241,12 @@ class SocleData(Record):
 
 
 def socle(module: ArtinModule) -> SocleData:
-    """The subspace killed by the radical."""
-    rows = []
-    for line in module.cols[1:]:
-        rows.extend(_rows(line, module.dim))
-    basis = tuple(kernel(module.algebra.field, rows, range(module.dim)))
+    """The subspace killed by the radical, read as Hom(k, M): the
+    images of k's one basis vector, which the radical kills."""
+    zero = (({},),) * (module.algebra.dim - 1)
+    maps = _equivariant_maps(module.algebra.field, zero, module,
+                             [(0, p) for p in range(module.dim)])
+    basis = tuple({p: c for (_, p), c in x.items()} for x in maps)
     return SocleData(len(basis), basis)
 
 
@@ -269,53 +276,41 @@ def _free_left_apply(algebra, i, vec):
     return out
 
 
-def _module_presentation(module: ArtinModule):
-    """First syzygy of the minimal cover.
+def _cover_kernel(field, images):
+    """Kernel of the map from a free module that sends each basis
+    vector (slot, algebra index), the keys of images in order, to its
+    image, a sparse vector."""
+    rows = {}
+    for u, img in images.items():
+        for key, c in img.items():
+            rows.setdefault(key, {})[u] = c
+    return kernel(field, rows.values(), list(images))
 
-    The cover sends slot j of the free module to the standard basis
-    vector at the j-th top coordinate.  Returns (b0, kernel basis): the
-    cover rank and the kernel inside the free module, with coordinates
-    keyed by (slot, algebra index).
-    """
+
+def _module_presentation(module: ArtinModule):
+    """First syzygy of the minimal cover, which sends slot j of the free
+    module to the basis vector at the j-th top coordinate.  Returns the
+    cover rank and the kernel basis, keyed (slot, algebra index)."""
     algebra = module.algebra
     _, coords, _ = top_data(module)
-    rows = [{} for _ in range(module.dim)]
-    for j, q in enumerate(coords):
-        for a in range(algebra.dim):
-            for p, x in module.cols[a][q].items():
-                rows[p][(j, a)] = x
-    unknowns = [(j, a) for j in range(len(coords)) for a in range(algebra.dim)]
-    return len(coords), kernel(algebra.field, rows, unknowns)
+    images = {(j, a): module.cols[a][q] for j, q in enumerate(coords)
+              for a in range(algebra.dim)}
+    return len(coords), _cover_kernel(algebra.field, images)
 
 
 def _syzygy_step(algebra, rank, kvecs):
     """Minimal generators of a submodule K of A^rank and the kernel of
     the induced cover A^(#gens) -> K."""
     field = algebra.field
-    flat = {}
-    for j in range(rank):
-        for a in range(algebra.dim):
-            flat[(j, a)] = len(flat)
-    sort_key = flat.__getitem__
-
-    rad = Echelon(field, sort_key=sort_key)
+    rad = Echelon(field)
     for v in kvecs:
         for i in range(1, algebra.dim):
             rad.insert(_free_left_apply(algebra, i, v))
     gens = [v for v in kvecs if rad.insert(v) is not None]
 
-    b = len(gens)
-    unknowns = [(s, a) for s in range(b) for a in range(algebra.dim)]
-    images = {}
-    for s, g in enumerate(gens):
-        for a in range(algebra.dim):
-            images[(s, a)] = _free_left_apply(algebra, a, g)
-    rows = {}
-    for u, img in images.items():
-        for key, c in img.items():
-            rows.setdefault(key, {})[u] = c
-    nextk = kernel(field, rows.values(), unknowns)
-    return gens, nextk
+    images = {(s, a): _free_left_apply(algebra, a, g)
+              for s, g in enumerate(gens) for a in range(algebra.dim)}
+    return gens, _cover_kernel(field, images)
 
 
 def _resolution(module: ArtinModule, length: int):
@@ -375,16 +370,13 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
         raise ValueError("negative homological degree")
     field = mmodule.algebra.field
     betti, diffs = _resolution(mmodule, i + 1)
-    dn = nmodule.dim
 
     def delta_rank(s):
         if betti[s] == 0 or betti[s + 1] == 0:
             return 0
-        cols = _hom_differential(nmodule, diffs[s])
-        return span(field, cols.values(),
-                    sort_key=lambda k: k[0] * dn + k[1]).dim
+        return span(field, _hom_differential(nmodule, diffs[s]).values()).dim
 
-    hom_dim = betti[i] * dn
+    hom_dim = betti[i] * nmodule.dim
     if i == 0:
         return hom_dim - delta_rank(0) if betti[1] else hom_dim
     rank_out = delta_rank(i) if betti[i + 1] else 0
@@ -394,30 +386,34 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
 
 # -- hom spaces, isomorphism, surjection --------------------------------------
 
-def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
-    """Basis of the space of equivariant maps M -> N, as a list.
-
-    Each map is a tuple of sparse columns, column q the image of M's
-    basis vector q.  A map X is equivariant when X applied to
-    M.cols[i][q] equals N's basis[i] applied to X's column q.
-    """
-    _same_algebra(mmodule, nmodule)
-    field = mmodule.algebra.field
-    dm, dn = mmodule.dim, nmodule.dim
+def _equivariant_maps(field, lines, nmodule: ArtinModule, unknowns):
+    """Kernel basis of the maps X into N with X(a v) = a X(v) for every
+    radical basis element a, keyed (source index q, coordinate p of N)
+    in the order of `unknowns`.  lines[i - 1][q] is basis[i] applied to
+    source vector q, sparse over the source; one row per (i, q, p)."""
     minus = -field.one
     rows = []
-    for mline, nline in zip(mmodule.cols[1:], nmodule.cols[1:]):
-        nrows = _rows(nline, dn)
-        for q, mcol in enumerate(mline):
+    for line, nline in zip(lines, nmodule.cols[1:]):
+        nrows = _rows(nline, nmodule.dim)
+        for q, col in enumerate(line):
             for p, nrow in enumerate(nrows):
-                row = {(p, r): c for r, c in mcol.items()}
-                vec_iaddmul(row, minus, {(r, q): c for r, c in nrow.items()})
+                row = {(r, p): c for r, c in col.items()}
+                vec_iaddmul(row, minus, {(q, r): c for r, c in nrow.items()})
                 rows.append(row)
+    return kernel(field, rows, unknowns)
+
+
+def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
+    """Basis of the equivariant maps M -> N, as a list of tuples of
+    sparse columns, column q the image of M's basis vector q."""
+    _same_algebra(mmodule, nmodule)
+    dm, dn = mmodule.dim, nmodule.dim
     maps = []
-    for sol in kernel(field, rows,
-                      [(p, q) for p in range(dn) for q in range(dm)]):
+    for sol in _equivariant_maps(mmodule.algebra.field, mmodule.cols[1:],
+                                 nmodule, [(q, p) for p in range(dn)
+                                           for q in range(dm)]):
         cols = [{} for _ in range(dm)]
-        for (p, q), c in sol.items():
+        for (q, p), c in sol.items():
             cols[q][p] = c
         maps.append(tuple(cols))
     return maps
@@ -536,34 +532,23 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
     field = algebra.field
     b0, kvecs = _module_presentation(mmodule)
     n = algebra.dim
-    dn = nmodule.dim
-
-    order = {}
-    for j in range(b0):
-        for a in range(n):
-            order[(j, a)] = len(order)
-    tracked = TrackedEchelon(field, sort_key=order.__getitem__)
+    tracked = TrackedEchelon(field)
     for mdx, v in enumerate(kvecs):
         if not tracked.insert(v, mdx):
             raise InvariantViolation("kernel basis is not independent")
 
-    # psi(basis[i] k) = basis[i] psi(k) for each radical basis[i] and
-    # each kernel basis vector k, one row per coordinate p of N
-    minus = -field.one
-    rows = []
+    # the cocycles: maps K -> N equivariant for K's action, read over
+    # the kernel basis
+    lines = []
     for i in range(1, n):
-        nrows = _rows(nmodule.cols[i], dn)
-        for mdx, v in enumerate(kvecs):
-            combo = tracked.express(_free_left_apply(algebra, i, v))
-            if combo is None:
-                raise InvariantViolation("kernel is not closed under the action")
-            for p, nrow in enumerate(nrows):
-                row = {(ldx, p): c for ldx, c in combo.items()}
-                vec_iaddmul(row, minus, {(mdx, r): c for r, c in nrow.items()})
-                rows.append(row)
-    solutions = kernel(field, rows,
-                       [(mdx, p) for mdx in range(len(kvecs))
-                        for p in range(dn)])
+        line = [tracked.express(_free_left_apply(algebra, i, v))
+                for v in kvecs]
+        if None in line:
+            raise InvariantViolation("kernel is not closed under the action")
+        lines.append(line)
+    solutions = _equivariant_maps(field, lines, nmodule,
+                                  [(mdx, p) for mdx in range(len(kvecs))
+                                   for p in range(nmodule.dim)])
 
     # the coboundaries: restrictions to K of the maps F -> N, which is
     # the Hom differential of the inclusion K -> F
@@ -929,10 +914,21 @@ class ClaimReport(Record):
         return self.ok
 
 
-def _reduces_to(mid: ArtinModule, xvec, module: ArtinModule) -> bool:
-    """Whether E/xE is isomorphic to the given module."""
-    q = quotient_module(mid, mid.action_matrix(xvec))
-    return q.dim == module.dim and module_iso(q, module) is not None
+def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule, bound):
+    """The count q^e of extension classes of omega/x omega by N, and a
+    walk over (weight, E) for the lines of `_line_middles` whose middle
+    E has E/xE isomorphic to omega/x omega."""
+    module = lab.module
+    xvec = lab.square.class_of(lab.x)
+    classes = _extension_classes(module, nmodule, bound)
+
+    def passes(mid):
+        q = quotient_module(mid, mid.action_matrix(xvec))
+        return q.dim == module.dim and module_iso(q, module) is not None
+
+    walk = (line for line in _line_middles(nmodule, classes)
+            if passes(line[1]))
+    return lab.p ** len(classes[2]), walk
 
 
 def verify_claim4(m: int, p: int, bound: int = 12) -> ClaimReport:
@@ -942,13 +938,9 @@ def verify_claim4(m: int, p: int, bound: int = 12) -> ClaimReport:
     Both counts are of extension classes; one middle is built per line
     of classes and weighted by the classes on it."""
     lab = ext_lab_instance(m, p)
-    xvec = lab.square.class_of(lab.x)
-    classes = _extension_classes(lab.module, lab.module, bound)
-    total = p ** len(classes[2])
+    total, walk = _passing_middles(lab, lab.module, bound)
     checked = 0
-    for weight, mid in _line_middles(lab.module, classes):
-        if not _reduces_to(mid, xvec, lab.module):
-            continue
+    for weight, mid in walk:
         checked += weight
         if module_iso(mid, lab.target) is None:
             return ClaimReport(False, checked, total, m, p)
@@ -973,15 +965,12 @@ def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
     witness is the middle of the first uncovered class of the full walk.
     """
     lab = ext_lab_instance(m, p)
-    xvec = lab.square.class_of(lab.x)
-    k = trivial_module(lab.square.algebra)
-    classes = _extension_classes(lab.module, k, bound)
+    total, walk = _passing_middles(lab, trivial_module(lab.square.algebra),
+                                   bound)
     passing = 0
     covered = 0
     witness = None
-    for weight, mid in _line_middles(k, classes):
-        if not _reduces_to(mid, xvec, lab.module):
-            continue
+    for weight, mid in walk:
         passing += weight
         if surjection_exists(lab.target, mid):
             covered += weight
@@ -989,8 +978,7 @@ def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
             witness = mid
     if witness is None:
         raise NoWitness("every extension class is covered by the target")
-    return WitnessReport(witness, p ** len(classes[2]), passing, covered,
-                         m, p)
+    return WitnessReport(witness, total, passing, covered, m, p)
 
 
 # -- torsion pairing check -----------------------------------------------------

@@ -238,34 +238,10 @@ class Element:
             total = total + self.residue(i)
         return total
 
-    def branch_component(self, branch):
-        """The same element with all other branches zeroed."""
-        return Element(self.field, self.nbranches,
-                       {k: c for k, c in self.coeffs.items() if k[0] == branch},
-                       self.degree)
-
-    def truncate(self, bounds):
-        """Drop terms with exponent >= the bound (int, or one per branch)."""
-        if isinstance(bounds, int):
-            bounds = (bounds,) * self.nbranches
-        return Element(self.field, self.nbranches,
-                       clip_window(self.coeffs, bounds), self.degree)
-
-    def max_exponent(self):
-        return max((j for (_, j) in self.coeffs), default=None)
-
-    def min_exponent(self):
-        return min((j for (_, j) in self.coeffs), default=None)
-
     def as_form(self):
         if self.degree == 1:
             return self
         return Element(self.field, self.nbranches, self.coeffs, 1)
-
-    def as_function(self):
-        if self.degree == 0:
-            return self
-        return Element(self.field, self.nbranches, self.coeffs, 0)
 
     def map_coefficients(self, fn, new_field):
         """Push coefficients through fn into another field (base change)."""

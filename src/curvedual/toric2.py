@@ -47,6 +47,15 @@ MAX_MEMBER_LEVEL = 8192
 # TooLarge before it walks.
 MAX_HULL_WIDTH = 2048
 
+# Most points of the bounding box of the fundamental parallelogram that
+# `saturation` and `canonical_module_toric` may scan.  The saturation
+# then compares the parallelogram's points pairwise, so a thin one is
+# slowest: near the cap, `toric saturate --gens '1,0 1,1 1,681'` scans
+# 2,046 points and takes 1.0-1.3 s, 2.3 s on a busy host (2-vCPU VM,
+# Python 3.11).  The largest box of the benchmark jobs has 108 points.
+# Past the cap the scan raises TooLarge before it visits a point.
+MAX_PARALLELOGRAM_BOX = 2048
+
 
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
@@ -267,22 +276,22 @@ class AffineSemigroup2:
     @property
     def ray_group_primitives(self):
         """Smallest positive multiple of each ray direction inside the
-        group; these frame the fundamental parallelogram."""
+        group; these frame the fundamental parallelogram.
+
+        With Hermite rows (d, e), (0, m), k (x, y) lies in the group
+        exactly when d divides k x, that is k = k0 j for k0 =
+        d / gcd(d, x), and m divides j (k0 y - (k0 x / d) e) = j c; the
+        least j is m / gcd(m, c)."""
         cached = getattr(self, "_ray_prims", None)
-        if cached is not None:
-            return cached
-        d, _, m = self._hnf
-        index = d * m
-        out = []
-        for dirv in self.ray_directions:
-            for k in range(1, index + 1):
-                if self.in_group((k * dirv[0], k * dirv[1])):
-                    out.append((k * dirv[0], k * dirv[1]))
-                    break
-            else:
-                raise InvariantViolation("ray misses the group")
-        self._ray_prims = tuple(out)
-        return self._ray_prims
+        if cached is None:
+            d, e, m = self._hnf
+            out = []
+            for x, y in self.ray_directions:
+                k0 = d // math.gcd(d, x)
+                k = k0 * (m // math.gcd(m, k0 * y - (k0 * x // d) * e))
+                out.append((k * x, k * y))
+            cached = self._ray_prims = tuple(out)
+        return cached
 
     @property
     def edge_period(self):
@@ -436,6 +445,10 @@ def _parallelogram_scan(S):
     v1, v2 = S.ray_group_primitives
     xs = [0, v1[0], v2[0], v1[0] + v2[0]]
     ys = [0, v1[1], v2[1], v1[1] + v2[1]]
+    size = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+    if size > MAX_PARALLELOGRAM_BOX:
+        raise TooLarge(f"parallelogram box of {size} points exceeds the "
+                       f"bound {MAX_PARALLELOGRAM_BOX}")
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
             z = (x, y)

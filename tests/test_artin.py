@@ -362,6 +362,51 @@ def test_ext_routes_builds_no_middle(monkeypatch):
         ext_routes(5, 3)
 
 
+class Wired(Exception):
+    """Raised by a patched shared routine of the Artinian lab."""
+
+
+@pytest.mark.parametrize("routine, call", [
+    ("_equivariant_maps", lambda lab, k: hom_space(lab.module, k)),
+    ("_equivariant_maps", lambda lab, k: socle(lab.module)),
+    # the enumeration route runs first, and the resolution route never
+    # calls the solver
+    ("_equivariant_maps", lambda lab, k: ext_routes(3, 2)),
+    ("_cover_kernel", lambda lab, k: minimal_resolution(lab.module, 2)),
+    ("_cover_kernel", lambda lab, k: ext(lab.module, k, 1)),
+], ids=("hom_space", "socle", "ext_routes-enumeration",
+        "minimal_resolution", "ext"))
+def test_lab_shares_one_solver_and_one_cover_kernel(monkeypatch, routine,
+                                                    call):
+    """Every commutation space goes through `_equivariant_maps` and
+    every cover kernel through `_cover_kernel`: a caller with a loop of
+    its own would not raise the patched routine's error."""
+    def wired(*args):
+        raise Wired(routine)
+
+    lab = ext_lab_instance(3, 2)
+    k = trivial_module(lab.square.algebra)
+    monkeypatch.setattr(artin, routine, wired)
+    with pytest.raises(Wired):
+        call(lab, k)
+
+
+def test_presentation_and_every_syzygy_step_use_the_cover_kernel(
+        monkeypatch):
+    # one cover kernel per Betti number, over that many copies of A
+    lab = ext_lab_instance(3, 2)
+    sizes = []
+    cover = artin._cover_kernel
+
+    def counted(field, images):
+        sizes.append(len(images))
+        return cover(field, images)
+
+    monkeypatch.setattr(artin, "_cover_kernel", counted)
+    betti = minimal_resolution(lab.module, 3)
+    assert sizes == [b * lab.square.algebra.dim for b in betti]
+
+
 def test_ext_routes_refuses_before_the_unbounded_resolution(monkeypatch):
     """The enumeration's bound on the Ext dimension refuses first, so
     the message names that dimension and no resolution runs."""

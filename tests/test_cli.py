@@ -341,6 +341,9 @@ def test_semigroup_past_the_conductor_cap_exits_2_at_once(capsys, argv):
     # a walk over the square of width 6017
     (["toric", "hull", "--model", "plane", "--module", "3000,0 0,3000"],
      "bound 2048"),
+    # a group of index 10^9: the saturation's scan box holds 2 x (10^9 + 1)
+    (["toric", "saturate", "--gens", "1,0 0,1000000000"],
+     "box of 2000000002 points exceeds the bound 2048"),
 ])
 def test_toric_past_a_search_cap_exits_2_at_once(capsys, argv, bound):
     start = time.perf_counter()

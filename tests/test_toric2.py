@@ -9,9 +9,9 @@ from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
                               OwnerMismatch, ParseError, TooLarge)
 from curvedual.toric2 import (MAX_HULL_WIDTH, MAX_MEMBER_LEVEL,
                               AffineSemigroup2, MonomialModule2,
-                              _corner_points, _window_generators,
-                              canonical_module_toric, model, monomial_iso,
-                              s2_hull, saturation)
+                              _corner_points, _parallelogram_scan,
+                              _window_generators, canonical_module_toric,
+                              model, monomial_iso, s2_hull, saturation)
 
 
 def brute_members(gens, box=20):
@@ -318,6 +318,32 @@ def module_over(S, shift):
     return MonomialModule2(S, gens)
 
 
+def stepped_ray_primitives(S):
+    """The least k >= 1 with k * d in the group, for each ray direction
+    d, found by stepping k up to the group index."""
+    d, _, m = S._hnf
+    out = []
+    for dx, dy in S.ray_directions:
+        k = next(k for k in range(1, d * m + 1)
+                 if S.in_group((k * dx, k * dy)))
+        out.append((k * dx, k * dy))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@example(gens=[(1, 0), (0, 1)])
+@example(gens=[(12, 11), (11, 12)])
+@example(gens=[(3, 0), (2, 1), (1, 2), (0, 3)])
+@given(st.lists(st.tuples(st.integers(-6, 12), st.integers(-6, 12)),
+                min_size=2, max_size=4))
+def test_ray_primitives_closed_form_matches_stepping(gens):
+    try:
+        S = AffineSemigroup2(gens)
+    except InvariantViolation:
+        assume(False)
+    assert S.ray_group_primitives == stepped_ray_primitives(S)
+
+
 def test_edge_period():
     S = AffineSemigroup2([(1, 0), (1, 40)])
     assert S._det == 40 and S.edge_period == 40
@@ -498,3 +524,21 @@ def test_doubled_hull_walk_is_capped_too(monkeypatch):
     with pytest.raises(TooLarge, match="width 197"):
         s2_hull(module)
     assert widths == [111]
+
+
+def test_parallelogram_scan_is_capped():
+    # (1, 0), (1, 1), (1, k) over Z^2: primitives (1, 0) and (1, k), a
+    # box of 3 (k + 1) points; 2046 at k = 681, 2049 at k = 682
+    below = AffineSemigroup2([(1, 0), (1, 1), (1, 681)])
+    assert next(_parallelogram_scan(below))[0] == (0, 0)
+    above = AffineSemigroup2([(1, 0), (1, 1), (1, 682)])
+    with pytest.raises(TooLarge, match="box of 2049 points exceeds the "
+                                       "bound 2048"):
+        saturation(above)
+    # a group index of 10^9: the closed-form primitives come at once,
+    # and the scan refuses before it visits a point
+    tall = AffineSemigroup2([(1, 0), (0, 10 ** 9)])
+    assert tall.ray_group_primitives == ((1, 0), (0, 10 ** 9))
+    for fn in (saturation, canonical_module_toric):
+        with pytest.raises(TooLarge, match="bound 2048"):
+            fn(tall)
