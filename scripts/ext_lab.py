@@ -27,7 +27,8 @@ def main():
                     help="also run the middle-term classification and "
                          "the uncovered-witness search")
     ap.add_argument("--bound", type=int, default=12,
-                    help="give up when the class count exceeds field^bound")
+                    help="with --claims, give up when the class count "
+                         "exceeds field^bound")
     ns = ap.parse_args()
 
     print(f"{'m':>3} {'p':>3} {'resolution':>11} {'enumeration':>12} "
@@ -35,7 +36,7 @@ def main():
     for m in ns.m:
         for p in ns.p:
             try:
-                rep = cd.ext_routes(m, p, bound=ns.bound)
+                rep = cd.ext_routes(m, p)
             except TooLarge as err:
                 print(f"{m:>3} {p:>3}  skipped: {err}")
                 continue

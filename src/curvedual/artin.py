@@ -517,16 +517,13 @@ def surjection_exists(mmodule: ArtinModule, nmodule: ArtinModule) -> bool:
 
 # -- extension enumeration -----------------------------------------------------
 
-def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
-                       bound: int):
+def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule):
     """Ext^1(M, N) as cocycles modulo coboundaries.
 
     With F -> M the minimal cover and K its kernel, a class is a map
     K -> N modulo restrictions of maps F -> N.  Returns (b0, kvecs,
     reps): the rank of F, a basis of K, and cocycles whose classes form
-    a basis of Ext^1, so e = len(reps).  Dimensions above `bound` are
-    refused, and so is a nonzero dimension over an infinite field,
-    whose classes cannot be walked.
+    a basis of Ext^1, so e = len(reps).
     """
     algebra = mmodule.algebra
     field = algebra.field
@@ -554,13 +551,21 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule,
     # the Hom differential of the inclusion K -> F
     image_ech = span(field, _hom_differential(nmodule, kvecs).values())
     reps = [s for s in solutions if image_ech.insert(dict(s)) is not None]
-    e = len(reps)
+    return b0, kvecs, reps
+
+
+def _walkable_classes(mmodule: ArtinModule, nmodule: ArtinModule,
+                      bound: int):
+    """`_extension_classes` for a walk over the q^e classes: dimensions
+    above `bound` are refused, and so is a nonzero dimension over an
+    infinite field, whose classes cannot be walked."""
+    classes = _extension_classes(mmodule, nmodule)
+    e = len(classes[2])
     if e > bound:
         raise TooLarge(f"extension space has dimension {e} > bound {bound}")
-    if e and not isinstance(field, FiniteField):
+    if e and not isinstance(mmodule.algebra.field, FiniteField):
         raise TooLarge("enumeration needs a finite coefficient field")
-
-    return b0, kvecs, reps
+    return classes
 
 
 def _cocycle(lam, reps):
@@ -584,7 +589,7 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
     _same_algebra(mmodule, nmodule)
     algebra = mmodule.algebra
     field = algebra.field
-    b0, kvecs, reps = _extension_classes(mmodule, nmodule, bound)
+    b0, kvecs, reps = _walkable_classes(mmodule, nmodule, bound)
     e = len(reps)
     lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
     return [_pushout_middle(algebra, nmodule, b0, kvecs,
@@ -887,23 +892,24 @@ class ExtRouteReport(Record):
         return self.via_resolution == self.closed_form
 
 
-def ext_routes(m: int, p: int, bound: int = 12) -> ExtRouteReport:
+def ext_routes(m: int, p: int) -> ExtRouteReport:
     """Both computations of dim Ext^1(omega/x omega, k).
 
     `via_resolution` reads the dimension off a minimal free resolution;
     `via_enumeration` is the dimension of the cocycles modulo the
     coboundaries on the minimal cover, a separate computation that
-    builds no middle module.  Dimensions above `bound` raise TooLarge.
-    The closed form m^2 - m - 1 counts the raw residue-pairing
-    parameters m^2 - m minus one lifting normalisation; the report
-    carries all three numbers so disagreement is visible, not patched.
+    builds no middle module and walks no class, so it needs no bound
+    on the dimension.  The closed form m^2 - m - 1 counts the raw
+    residue-pairing parameters m^2 - m minus one lifting normalisation;
+    the report carries all three numbers so disagreement is visible,
+    not patched.
     """
     lab = ext_lab_instance(m, p)
     k = trivial_module(lab.square.algebra)
-    # the route bounded by the Ext dimension first, so a lab past that
-    # bound is refused by it rather than by the resolution's size cap
-    _, _, reps = _extension_classes(lab.module, k, bound)
+    # the resolution first: MAX_RESOLUTION_SIZE caps it, so a lab past
+    # that cap is refused before the enumeration, which has no cap
     via_res = ext(lab.module, k, 1)
+    _, _, reps = _extension_classes(lab.module, k)
     return ExtRouteReport(m, p, via_res, len(reps), m * m - m - 1)
 
 
@@ -920,7 +926,7 @@ def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule, bound):
     E has E/xE isomorphic to omega/x omega."""
     module = lab.module
     xvec = lab.square.class_of(lab.x)
-    classes = _extension_classes(module, nmodule, bound)
+    classes = _walkable_classes(module, nmodule, bound)
 
     def passes(mid):
         q = quotient_module(mid, mid.action_matrix(xvec))

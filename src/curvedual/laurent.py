@@ -230,19 +230,6 @@ class Element:
                 f"branch {branch} out of range for {self.nbranches} branches")
         return self.coeffs.get((branch, -1), self.field.zero)
 
-    def residue_sum(self):
-        if self.degree != 1:
-            raise DifferentialDegreeError("residue of a non-form")
-        total = self.field.zero
-        for i in range(self.nbranches):
-            total = total + self.residue(i)
-        return total
-
-    def as_form(self):
-        if self.degree == 1:
-            return self
-        return Element(self.field, self.nbranches, self.coeffs, 1)
-
     def map_coefficients(self, fn, new_field):
         """Push coefficients through fn into another field (base change)."""
         return Element(new_field, self.nbranches,

@@ -20,6 +20,14 @@ generators always repairs any such remainder.)  The hull off the
 origin is the intersection of the two ray localizations with the
 group; its new generators are collected in an explicit corner window,
 certified by the same walk carried on over a rim around it.
+
+Every walk runs over edge coordinates, where the group has the Hermite
+form (g, c, t): its points are the pairs (a, b) with g | a and
+b = c a/g (mod t).  The hull walks a square of them.  The saturation
+is the set of group points with a, b >= 0 and the canonical module of
+a saturated semigroup the set with a, b >= 1 (Oda, Convex Bodies and
+Algebraic Geometry, 1.6); the generators of both are the minimal
+points, one per step of a staircase over the columns a.
 """
 
 from __future__ import annotations
@@ -38,23 +46,18 @@ from .errors import (InvariantViolation, NotMember, NotSaturated,
 # Python 3.11).  Past it `contains` raises TooLarge.
 MAX_MEMBER_LEVEL = 8192
 
-# Widest square of edge coordinates the hull walk may cover, the rim
-# included.  The walk visits every group point of the square, about
-# (top + 1)^2 / det of them, and keeps each one it finds.  At the cap,
-# the hull of (1015, 0), (0, 1015) over the plane walks 4.2 million
-# points in 4.5 s and 625 MB (2-vCPU VM, Python 3.11).  The widest
-# walk of the benchmark jobs is 250.  Past the cap `s2_hull` raises
-# TooLarge before it walks.
-MAX_HULL_WIDTH = 2048
-
-# Most points of the bounding box of the fundamental parallelogram that
-# `saturation` and `canonical_module_toric` may scan.  The saturation
-# then compares the parallelogram's points pairwise, so a thin one is
-# slowest: near the cap, `toric saturate --gens '1,0 1,1 1,681'` scans
-# 2,046 points and takes 1.0-1.3 s, 2.3 s on a busy host (2-vCPU VM,
-# Python 3.11).  The largest box of the benchmark jobs has 108 points.
-# Past the cap the scan raises TooLarge before it visits a point.
-MAX_PARALLELOGRAM_BOX = 2048
+# Widest walk over edge coordinates: the side of the hull's square, the
+# rim included, and the column count of the staircase of `saturation`
+# and `canonical_module_toric`.  The hull walk visits every group point
+# of its square, about (top + 1)^2 / det of them, and keeps each one it
+# finds: at the cap, the hull of (1015, 0), (0, 1015) over the plane
+# walks 4.2 million points in 4.5 s and 625 MB.  The staircase visits
+# one point per column, but the semigroup built on it compares its
+# points pairwise: at the cap, `toric saturate --gens '1,0 1,1 1,2047'`
+# keeps 2,048 points and takes 0.8-1.0 s (both on a 2-vCPU VM, Python
+# 3.11).  The widest walk of the benchmark jobs is 250.  Past the cap
+# both raise TooLarge before they walk.
+MAX_WALK_WIDTH = 2048
 
 
 def _cross(a, b):
@@ -101,14 +104,22 @@ def _lattice_basis(vectors):
 
 
 def _extremal_pair(gens):
-    for a in gens:
-        for b in gens:
-            if _cross(a, b) <= 0:
-                continue
-            if all(_cross(a, g) >= 0 and _cross(g, b) >= 0 for g in gens):
-                return a, b
-    raise InvariantViolation(
-        "generators do not span a pointed two-dimensional cone")
+    """Generators a, b on the two rays of the cone, b counterclockwise
+    from a.  On a pointed cone, "clockwise of" orders the generators by
+    angle, so one pass finds the extremes; the check after it is the
+    definition: cross(a, b) > 0 and every g = x a + y b with x, y >= 0,
+    that is cross(a, g) >= 0 and cross(g, b) >= 0."""
+    a = b = gens[0]
+    for g in gens:
+        if _cross(a, g) < 0:
+            a = g
+        if _cross(g, b) < 0:
+            b = g
+    if _cross(a, b) <= 0 or any(_cross(a, g) < 0 or _cross(g, b) < 0
+                                for g in gens):
+        raise InvariantViolation(
+            "generators do not span a pointed two-dimensional cone")
+    return a, b
 
 
 def _primitive(v):
@@ -121,8 +132,10 @@ class AffineSemigroup2:
 
     Stores the canonical minimal generator list, the two primitive ray
     directions (counterclockwise), and the Hermite form of the group
-    generated.  Membership is an exact level-descent search, memoised
-    per instance, from a level of at most MAX_MEMBER_LEVEL.
+    generated, once in the plane's coordinates (`_hnf`) and once in edge
+    coordinates (`_edge_form`, see `_corner_points`).  Membership is an
+    exact level-descent search, memoised per instance, from a level of
+    at most MAX_MEMBER_LEVEL.
     """
 
     def __init__(self, generators):
@@ -139,12 +152,19 @@ class AffineSemigroup2:
         self._hnf = _lattice_basis(raw)
         if self._hnf[0] == 0 or self._hnf[2] == 0:
             raise InvariantViolation("group of the semigroup has rank < 2")
+        d, e, m = self._hnf
+        self._edge_form = _lattice_basis([self.normal_values((d, e)),
+                                          self.normal_values((0, m))])
         self._memo = {}
         self._dp_gens = list(raw)
+        # g - h lies in the cone exactly when both edge coordinates of g
+        # are at least those of h, so only those pairs need a search
+        edges = [(h, *self.normal_values(h)) for h in raw]
         minimal = []
         for g in sorted(raw, key=self._sort_key):
-            diffs = (_sub(g, h) for h in raw)
-            if not any(z != (0, 0) and self.contains(z) for z in diffs):
+            ga, gb = self.normal_values(g)
+            if not any(ga >= ha and gb >= hb and h != g
+                       and self.contains(_sub(g, h)) for h, ha, hb in edges):
                 minimal.append(g)
         self.generators = tuple(minimal)
         self._dp_gens = minimal
@@ -194,15 +214,18 @@ class AffineSemigroup2:
         x, y = pt
         return (d1x * y - d1y * x, x * d2y - y * d2x)
 
-    def level(self, pt):
-        a, b = self.normal_values(pt)
-        return a + b
-
     def in_group(self, pt):
         d, e, m = self._hnf
         if pt[0] % d:
             return False
         return (pt[1] - (pt[0] // d) * e) % m == 0
+
+    def _edge_point(self, a, b):
+        """The point u with edge coordinates (a, b): u = (a d2 + b d1) /
+        det, for a pair of the group's edge form."""
+        (d1x, d1y), (d2x, d2y) = self.ray_directions
+        det = self._det
+        return ((a * d2x + b * d1x) // det, (a * d2y + b * d1y) // det)
 
     def in_cone(self, pt):
         a, b = self.normal_values(pt)
@@ -273,41 +296,6 @@ class AffineSemigroup2:
             lv.append(frozenset(cur))
         return lv[t]
 
-    @property
-    def ray_group_primitives(self):
-        """Smallest positive multiple of each ray direction inside the
-        group; these frame the fundamental parallelogram.
-
-        With Hermite rows (d, e), (0, m), k (x, y) lies in the group
-        exactly when d divides k x, that is k = k0 j for k0 =
-        d / gcd(d, x), and m divides j (k0 y - (k0 x / d) e) = j c; the
-        least j is m / gcd(m, c)."""
-        cached = getattr(self, "_ray_prims", None)
-        if cached is None:
-            d, e, m = self._hnf
-            out = []
-            for x, y in self.ray_directions:
-                k0 = d // math.gcd(d, x)
-                k = k0 * (m // math.gcd(m, k0 * y - (k0 * x // d) * e))
-                out.append((k * x, k * y))
-            cached = self._ray_prims = tuple(out)
-        return cached
-
-    @property
-    def edge_period(self):
-        """Smallest t > 0 with t*d1/det in the group, d1 the first ray
-        direction: the step of the second edge coordinate n2 between
-        group points with the same n1.  As d1 is primitive, det divides
-        t, so t is det times the multiple of d1 that is the first ray's
-        group primitive."""
-        cached = getattr(self, "_edge_period", None)
-        if cached is None:
-            d1 = self.ray_directions[0]
-            v1 = self.ray_group_primitives[0]
-            k = v1[0] // d1[0] if d1[0] else v1[1] // d1[1]
-            cached = self._edge_period = self._det * k
-        return cached
-
     def __eq__(self, other):
         if not isinstance(other, AffineSemigroup2):
             return NotImplemented
@@ -336,9 +324,12 @@ class MonomialModule2:
             raise InvariantViolation("a module needs at least one generator")
         keep = []
         for g in sorted(pts, key=semigroup._sort_key):
-            if not any(semigroup.contains(_sub(g, h)) for h in keep):
-                keep.append(g)
-        self.generators = tuple(keep)
+            ga, gb = semigroup.normal_values(g)
+            if not any(ga >= ha and gb >= hb
+                       and semigroup.contains(_sub(g, h))
+                       for h, ha, hb in keep):
+                keep.append((g, ga, gb))
+        self.generators = tuple(h for h, _, _ in keep)
 
     def contains(self, point):
         pt = (int(point[0]), int(point[1]))
@@ -382,11 +373,6 @@ class MonomialModule2:
         return (self.semigroup.in_group(pt)
                 and self._ray_local(pt, 0) and self._ray_local(pt, 1))
 
-    def translate(self, vec):
-        return MonomialModule2(
-            self.semigroup,
-            [(g[0] + vec[0], g[1] + vec[1]) for g in self.generators])
-
     def __eq__(self, other):
         if not isinstance(other, MonomialModule2):
             return NotImplemented
@@ -406,75 +392,67 @@ def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
     """Group points u with edge coordinates a = n1(u) in [a_lo, a_hi]
     and b = n2(u) in [b_lo, b_hi], in order of a, then b.
 
-    u = (a*d2 + b*d1)/det, so two group points with the same a differ by
-    a multiple of t*d1/det for t = S.edge_period, and each a has either
-    no group point or one per period of b.  For each a the walk finds
-    the first b of one period that gives a group point (exact Cramer
-    division, then the group test) and steps b by t from there; it
-    never looks at the pairs in between.
+    The edge form (g, c, t) is the Hermite form of the group in edge
+    coordinates, rows (g, c) and (0, t), so (a, b) is a group point
+    exactly when g divides a and b = c a/g (mod t).  The walk takes the
+    columns a that g divides, starts each at its first such b >= b_lo
+    and steps u by the point with edge coordinates (0, t); it never
+    looks at the pairs in between.
     """
-    (d1x, d1y), (d2x, d2y) = S.ray_directions
-    det = S._det
-    t = S.edge_period
-    sx, sy = t * d1x // det, t * d1y // det
-    in_group = S.in_group
-    for a in range(a_lo, a_hi + 1):
-        ax, ay = a * d2x, a * d2y
-        for b in range(b_lo, min(b_lo + t, b_hi + 1)):
-            px = ax + b * d1x
-            py = ay + b * d1y
-            if px % det or py % det:
-                continue
-            u = (px // det, py // det)
-            if in_group(u):
-                break
-        else:
-            continue
-        x, y = u
+    g, c, t = S._edge_form
+    sx, sy = S._edge_point(0, t)
+    for a in range(a_lo + (-a_lo) % g, a_hi + 1, g):
+        b = b_lo + (c * (a // g) - b_lo) % t
+        x, y = S._edge_point(a, b)
         for _ in range(b, b_hi + 1, t):
             yield (x, y)
             x += sx
             y += sy
 
 
-def _parallelogram_scan(S):
-    """Group points z of the bounding box of the fundamental
-    parallelogram spanned by the in-group ray primitives v1, v2, in
-    order of x, then y, each with its cross coordinates z x v2 and
-    v1 x z; the parallelogram is where both lie in [0, v1 x v2]."""
-    v1, v2 = S.ray_group_primitives
-    xs = [0, v1[0], v2[0], v1[0] + v2[0]]
-    ys = [0, v1[1], v2[1], v1[1] + v2[1]]
-    size = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-    if size > MAX_PARALLELOGRAM_BOX:
-        raise TooLarge(f"parallelogram box of {size} points exceeds the "
-                       f"bound {MAX_PARALLELOGRAM_BOX}")
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            z = (x, y)
-            if S.in_group(z):
-                yield z, _cross(z, v2), _cross(v1, z)
+def _staircase(S, lo):
+    """Nonzero group points z with n1(z), n2(z) >= lo that are minimal
+    for the order of edge coordinates, in order of n1: for lo = 0 the
+    Hilbert basis of the saturation, for lo = 1 the generators of its
+    module of interior points.
+
+    The saturation is the set of group points with both edge
+    coordinates >= 0, the interior points those with both >= 1.  A
+    point z of either set is a sum z = h + s, with h nonzero (interior,
+    for lo = 1), h != z and s in the saturation, exactly when some such
+    h has n1(h) <= n1(z) and n2(h) <= n2(z): then s = z - h has both
+    edge coordinates >= 0, and it lies in the group as a difference of
+    group points.  So the generators are the minimal points.  Column a
+    holds group points only when g divides a; of these only its lowest
+    b >= lo (the origin skipped) can be minimal, and it is minimal
+    exactly when it lies below the lowest b of every earlier column,
+    that is below every b kept so far.  The ray point with edge
+    coordinates (A, 0), A = g t / gcd(c, t), is the first group point
+    of the second ray.  A point z of a column past A lies above (A, 0)
+    and above z - (A, 0), which is interior when z is; so the walk stops
+    at A, after A/g + 1 columns at most.
+    """
+    g, c, t = S._edge_form
+    top = g * t // math.gcd(c, t)
+    if top // g + 1 > MAX_WALK_WIDTH:
+        raise TooLarge(f"staircase of {top // g + 1} columns exceeds the "
+                       f"bound {MAX_WALK_WIDTH}")
+    out = []
+    low = math.inf
+    for a in range(lo + (-lo) % g, top + 1, g):
+        b = lo + (c * (a // g) - lo) % t
+        if a == b == 0:
+            b = t
+        if b < low:
+            low = b
+            out.append(S._edge_point(a, b))
+    return out
 
 
 def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
-    """Hilbert basis of cone(S) intersected with group(S).
-
-    Every irreducible lies in the fundamental parallelogram spanned by
-    the two in-group ray primitives (anything beyond an edge can shed
-    that primitive and stay in the saturation), so the candidate list
-    is finite and exact.
-    """
-    dv = _cross(*S.ray_group_primitives)
-    pts = [z for z, a, b in _parallelogram_scan(S)
-           if z != (0, 0) and 0 <= a <= dv and 0 <= b <= dv]
-
-    def in_saturation(w):
-        return S.in_cone(w) and S.in_group(w)
-
-    keep = [z for z in pts
-            if not any(c != z and _sub(z, c) != (0, 0)
-                       and in_saturation(_sub(z, c)) for c in pts)]
-    out = AffineSemigroup2(keep)
+    """Hilbert basis of cone(S) intersected with group(S), read off the
+    staircase of edge coordinates (`_staircase`)."""
+    out = AffineSemigroup2(_staircase(S, 0))
     if out._hnf != S._hnf:
         raise InvariantViolation("saturation changed the group")
     return out
@@ -553,9 +531,9 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     size = 2 * (span + mspan + reach) + 8
     for _ in range(3):
         top = size + span + 2
-        if top > MAX_HULL_WIDTH:
+        if top > MAX_WALK_WIDTH:
             raise TooLarge(f"hull walk of width {top} exceeds the bound "
-                           f"{MAX_HULL_WIDTH}")
+                           f"{MAX_WALK_WIDTH}")
         kept = _window_generators(module, b1, b2, top)
         if all(a <= b1 + size and b <= b2 + size
                for a, b in map(S.normal_values, kept)):
@@ -565,17 +543,11 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
 
 
 def canonical_module_toric(S: AffineSemigroup2) -> MonomialModule2:
-    """Module of interior lattice points of a saturated semigroup.
-
-    Its minimal generators lie in the fundamental parallelogram: an
-    interior point beyond an edge coordinate 1 sheds that in-group ray
-    primitive and stays interior, hence is reducible.
-    """
+    """Module of interior lattice points of a saturated semigroup, on
+    the staircase of edge coordinates >= 1 (`_staircase`)."""
     if saturation(S) != S:
         raise NotSaturated("interior-point recipe needs a saturated input")
-    dv = _cross(*S.ray_group_primitives)
-    return MonomialModule2(S, [z for z, a, b in _parallelogram_scan(S)
-                               if 0 < a <= dv and 0 < b <= dv])
+    return MonomialModule2(S, _staircase(S, 1))
 
 
 def monomial_iso(mod_a: MonomialModule2, mod_b: MonomialModule2):

@@ -227,8 +227,19 @@ def test_ext_routes_frozen():
     rep = ext_routes(3, 2)
     assert rep.via_resolution == rep.via_enumeration == rep.closed_form == 5
     assert rep.routes_agree and rep.matches_closed_form
-    with pytest.raises(TooLarge):
-        ext_routes(5, 3)  # closed form 19 exceeds the default bound
+    # Claim 2 walks no class, so e = 19 is past the walkers' bound of 12
+    # but not refused
+    rep = ext_routes(5, 3)
+    assert rep.via_resolution == rep.via_enumeration == rep.closed_form == 19
+
+
+def test_ext_routes_at_m5():
+    rep = ext_routes(5, 2)
+    assert (rep.m, rep.p) == (5, 2)
+    assert rep.via_resolution == rep.via_enumeration == rep.closed_form == 19
+    # a class walker over the same classes still refuses that dimension
+    with pytest.raises(TooLarge, match="dimension 19 > bound 12"):
+        witness_cor3(5, 2)
 
 
 def test_claim4_smallest_case():
@@ -319,7 +330,7 @@ def test_line_walk_is_the_full_walk_at_first_appearances():
     # each line, in full-walk order, weighted by the classes on the line
     lab = ext_lab_instance(3, 3)
     field = lab.square.algebra.field
-    classes = artin._extension_classes(lab.module, lab.module, 12)
+    classes = artin._extension_classes(lab.module, lab.module)
     e = len(classes[2])
     middles = enumerate_extensions(lab.module, lab.module)
     lines = {}
@@ -340,7 +351,7 @@ def test_middles_are_constant_on_lines():
     lab = ext_lab_instance(3, 3)
     field = lab.square.algebra.field
     middles = enumerate_extensions(lab.module, lab.module)
-    e = len(artin._extension_classes(lab.module, lab.module, 12)[2])
+    e = len(artin._extension_classes(lab.module, lab.module)[2])
     lams = list(itertools.product(field.elements(), repeat=e))
     assert len(lams) == len(middles)
     index = {lam: i for i, lam in enumerate(lams)}
@@ -358,8 +369,8 @@ def test_ext_routes_builds_no_middle(monkeypatch):
     assert rep.via_enumeration == 5
     rep = ext_routes(4, 2)
     assert rep.via_resolution == rep.via_enumeration == 11
-    with pytest.raises(TooLarge):
-        ext_routes(5, 3)
+    rep = ext_routes(5, 2)
+    assert rep.via_resolution == rep.via_enumeration == 19
 
 
 class Wired(Exception):
@@ -369,8 +380,8 @@ class Wired(Exception):
 @pytest.mark.parametrize("routine, call", [
     ("_equivariant_maps", lambda lab, k: hom_space(lab.module, k)),
     ("_equivariant_maps", lambda lab, k: socle(lab.module)),
-    # the enumeration route runs first, and the resolution route never
-    # calls the solver
+    # the resolution route runs first and never calls the solver, so the
+    # enumeration route raises
     ("_equivariant_maps", lambda lab, k: ext_routes(3, 2)),
     ("_cover_kernel", lambda lab, k: minimal_resolution(lab.module, 2)),
     ("_cover_kernel", lambda lab, k: ext(lab.module, k, 1)),
@@ -408,16 +419,19 @@ def test_presentation_and_every_syzygy_step_use_the_cover_kernel(
 
 
 def test_ext_routes_refuses_before_the_unbounded_resolution(monkeypatch):
-    """The enumeration's bound on the Ext dimension refuses first, so
-    the message names that dimension and no resolution runs."""
+    """The resolution runs first, under MAX_RESOLUTION_SIZE, so a lab
+    past that cap is refused by it, at once, and the enumeration, which
+    has no bound of its own, never runs."""
     def refuse(*args):
-        raise AssertionError("ext_routes resolved an oversized lab")
+        raise AssertionError("ext_routes enumerated an oversized lab")
 
-    monkeypatch.setattr(artin, "ext", refuse)
-    with pytest.raises(TooLarge, match="dimension 239 > bound 12"):
-        ext_routes(16, 2)
-    with pytest.raises(TooLarge, match="dimension 131 > bound 12"):
+    monkeypatch.setattr(artin, "_extension_classes", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="size 3144 exceeds the bound 2048"):
         ext_routes(12, 2)
+    with pytest.raises(TooLarge, match="size 7648 exceeds the bound 2048"):
+        ext_routes(16, 2)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_resolution_is_capped_by_free_module_size():

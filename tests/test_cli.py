@@ -175,10 +175,11 @@ def test_ext_lab_rejects_m2(capsys):
 
 
 def test_ext_lab_too_large(capsys):
-    code, out, err = run(capsys, "ext-lab", "--m", "5", "--p", "3",
+    # refused by the resolution's size cap
+    code, out, err = run(capsys, "ext-lab", "--m", "12", "--p", "2",
                          "--claim2")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "bound 2048" in err
     assert "Traceback" not in err
 
 
@@ -341,9 +342,8 @@ def test_semigroup_past_the_conductor_cap_exits_2_at_once(capsys, argv):
     # a walk over the square of width 6017
     (["toric", "hull", "--model", "plane", "--module", "3000,0 0,3000"],
      "bound 2048"),
-    # a group of index 10^9: the saturation's scan box holds 2 x (10^9 + 1)
-    (["toric", "saturate", "--gens", "1,0 0,1000000000"],
-     "box of 2000000002 points exceeds the bound 2048"),
+    # a staircase of 5001 columns
+    (["toric", "saturate", "--gens", "1,0 1,1 1,5000"], "bound 2048"),
 ])
 def test_toric_past_a_search_cap_exits_2_at_once(capsys, argv, bound):
     start = time.perf_counter()
@@ -352,6 +352,22 @@ def test_toric_past_a_search_cap_exits_2_at_once(capsys, argv, bound):
     assert code == 2 and not out
     assert err.startswith("error: ") and bound in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gens, kept", [
+    # a group of index 10^9, but a staircase of two columns
+    ("1,0 0,1000000000", 2),
+    # a fat parallelogram, 2,024 group points in a box of 2,209: a
+    # staircase of 2,025 columns that keeps 89 points
+    ("45,1 2,1 1,1 1,45", 89),
+])
+def test_toric_saturate_within_the_staircase_cap(capsys, gens, kept):
+    start = time.perf_counter()
+    code, doc, _ = run_json(capsys, "toric", "saturate", "--gens", gens)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(doc["saturation_generators"]) == kept
+    assert doc["idempotent"] is True
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,9 +8,9 @@ import curvedual as cd
 from curvedual import toric2
 from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
                               OwnerMismatch, ParseError, TooLarge)
-from curvedual.toric2 import (MAX_HULL_WIDTH, MAX_MEMBER_LEVEL,
+from curvedual.toric2 import (MAX_MEMBER_LEVEL, MAX_WALK_WIDTH,
                               AffineSemigroup2, MonomialModule2,
-                              _corner_points, _parallelogram_scan,
+                              _corner_points, _staircase,
                               _window_generators, canonical_module_toric,
                               model, monomial_iso, s2_hull, saturation)
 
@@ -51,6 +52,17 @@ def test_minimal_generators():
     assert set(model("plane").generators) == {(1, 0), (0, 1)}
     redundant = AffineSemigroup2([(1, 0), (0, 1), (4, 7)])
     assert set(redundant.generators) == {(1, 0), (0, 1)}
+    # a difference on a ray, where one edge coordinate is equal
+    on_ray = AffineSemigroup2([(2, 0), (1, 0), (0, 1), (0, 3)])
+    assert set(on_ray.generators) == {(1, 0), (0, 1)}
+
+
+def edge_ray_points(S):
+    """The first group point of each ray, read off the edge form (g, c,
+    t): edge coordinates (0, t) on the first ray and (A, 0) on the
+    second, A = g t / gcd(c, t)."""
+    g, c, t = S._edge_form
+    return S._edge_point(0, t), S._edge_point(g * t // math.gcd(c, t), 0)
 
 
 def test_group_and_cone():
@@ -58,8 +70,8 @@ def test_group_and_cone():
     assert S.in_group((1, 2)) and S.in_group((-1, 1)) and S.in_group((3, 0))
     assert not S.in_group((1, 0))
     assert S.in_cone((5, 0)) and not S.in_cone((-1, 2))
-    assert S.ray_group_primitives == ((3, 0), (0, 3))
-    assert model("plane").ray_group_primitives == ((1, 0), (0, 1))
+    assert edge_ray_points(S) == ((3, 0), (0, 3))
+    assert edge_ray_points(model("plane")) == ((1, 0), (0, 1))
 
 
 def test_degenerate_generators_rejected():
@@ -173,7 +185,7 @@ def test_monomial_iso():
     b = MonomialModule2(S, [(2, 6), (5, 3)])
     assert monomial_iso(a, b) == (2, 3)
     assert monomial_iso(a, a) == (0, 0)
-    assert b.translate((-2, -3)) == a
+    assert MonomialModule2(S, [(x - 2, y - 3) for x, y in b.generators]) == a
     c = MonomialModule2(S, [(0, 3), (4, 0)])
     assert monomial_iso(a, c) is None
     assert monomial_iso(a, MonomialModule2(S, [(0, 0)])) is None
@@ -337,23 +349,28 @@ def stepped_ray_primitives(S):
 @given(st.lists(st.tuples(st.integers(-6, 12), st.integers(-6, 12)),
                 min_size=2, max_size=4))
 def test_ray_primitives_closed_form_matches_stepping(gens):
+    # the edge form's two ray points are the rays' first group points
     try:
         S = AffineSemigroup2(gens)
     except InvariantViolation:
         assume(False)
-    assert S.ray_group_primitives == stepped_ray_primitives(S)
+    assert edge_ray_points(S) == stepped_ray_primitives(S)
 
 
 def test_edge_period():
+    # t of the edge form (g, c, t): group points with the same first
+    # edge coordinate n1 step by t in the second, n2
     S = AffineSemigroup2([(1, 0), (1, 40)])
-    assert S._det == 40 and S.edge_period == 40
+    assert S._det == 40 and S._edge_form[2] == 40
     # group of index 3: the first ray's group primitive is 3 * d1
     S3 = model("diagonal-mod3")
-    assert S3.ray_directions[0] == (1, 0) and S3.edge_period == 3
+    assert S3.ray_directions[0] == (1, 0) and S3._edge_form[2] == 3
     for S in (S, S3, AffineSemigroup2([(1, 7), (3, 2), (7, 2), (7, 7)])):
-        (d1x, d1y), t, det = S.ray_directions[0], S.edge_period, S._det
+        (d1x, d1y), t, det = S.ray_directions[0], S._edge_form[2], S._det
         step = (t * d1x // det, t * d1y // det)
         assert t % det == 0 and S.in_group(step)
+        assert edge_ray_points(S)[0] == step
+        assert S.normal_values(edge_ray_points(S)[1])[1] == 0
         assert not any(k * d1x % det == 0 and k * d1y % det == 0
                        and S.in_group((k * d1x // det, k * d1y // det))
                        for k in range(1, t))
@@ -504,7 +521,7 @@ def test_hull_walk_is_capped_by_width(monkeypatch):
     # minimalizing the points of a walk inside the cap never needs a
     # search from above the member cap: their differences have level at
     # most twice the width
-    assert 2 * MAX_HULL_WIDTH <= MAX_MEMBER_LEVEL
+    assert 2 * MAX_WALK_WIDTH <= MAX_MEMBER_LEVEL
 
 
 def test_doubled_hull_walk_is_capped_too(monkeypatch):
@@ -520,25 +537,88 @@ def test_doubled_hull_walk_is_capped_too(monkeypatch):
         return walk(module, b1, b2, top)
 
     monkeypatch.setattr(toric2, "_window_generators", counted)
-    monkeypatch.setattr(toric2, "MAX_HULL_WIDTH", 150)
+    monkeypatch.setattr(toric2, "MAX_WALK_WIDTH", 150)
     with pytest.raises(TooLarge, match="width 197"):
         s2_hull(module)
     assert widths == [111]
 
 
-def test_parallelogram_scan_is_capped():
-    # (1, 0), (1, 1), (1, k) over Z^2: primitives (1, 0) and (1, k), a
-    # box of 3 (k + 1) points; 2046 at k = 681, 2049 at k = 682
-    below = AffineSemigroup2([(1, 0), (1, 1), (1, 681)])
-    assert next(_parallelogram_scan(below))[0] == (0, 0)
-    above = AffineSemigroup2([(1, 0), (1, 1), (1, 682)])
-    with pytest.raises(TooLarge, match="box of 2049 points exceeds the "
-                                       "bound 2048"):
-        saturation(above)
-    # a group index of 10^9: the closed-form primitives come at once,
-    # and the scan refuses before it visits a point
+def test_staircase_is_capped(monkeypatch):
+    # (1, 0), (1, 1), (1, k) over Z^2: edge form (1, k - 1, k), so the
+    # staircase walks the k + 1 columns 0, ..., k and keeps every one
+    S = AffineSemigroup2([(1, 0), (1, 1), (1, 2047)])
+    assert len(_staircase(S, 0)) == MAX_WALK_WIDTH
+    # a group index of 10^9 in the plane's coordinates, but an edge form
+    # (10^9, 0, 1): two columns, answered at once
     tall = AffineSemigroup2([(1, 0), (0, 10 ** 9)])
-    assert tall.ray_group_primitives == ((1, 0), (0, 10 ** 9))
+    assert saturation(tall) == tall
+    assert canonical_module_toric(tall).generators == ((1, 10 ** 9),)
+    # edge form (5000, 0, 5000): the second ray's first group point has
+    # edge coordinates (5000, 0), so two columns, not g t / g + 1
+    square = AffineSemigroup2([(5000, 0), (0, 5000)])
+    assert square._edge_form == (5000, 0, 5000)
+    assert _staircase(square, 0) == [(5000, 0), (0, 5000)]
+
+    def refuse(*args):
+        raise AssertionError("walked past the cap")
+
+    above = AffineSemigroup2([(1, 0), (1, 1), (1, 2048)])
+    monkeypatch.setattr(AffineSemigroup2, "_edge_point", refuse)
     for fn in (saturation, canonical_module_toric):
-        with pytest.raises(TooLarge, match="bound 2048"):
-            fn(tall)
+        with pytest.raises(TooLarge, match="staircase of 2049 columns "
+                                           "exceeds the bound 2048"):
+            fn(above)
+
+
+# -- saturation and the canonical module against the parallelogram scan ------
+
+def parallelogram_points(S):
+    """Group points z of the bounding box of the fundamental
+    parallelogram spanned by the rays' first group points v1, v2, each
+    with its cross coordinates z x v2 and v1 x z; the parallelogram is
+    where both lie in [0, v1 x v2]."""
+    v1, v2 = stepped_ray_primitives(S)
+    dv = v1[0] * v2[1] - v1[1] * v2[0]
+    xs = [0, v1[0], v2[0], v1[0] + v2[0]]
+    ys = [0, v1[1], v2[1], v1[1] + v2[1]]
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if S.in_group((x, y)):
+                a = x * v2[1] - y * v2[0]
+                b = v1[0] * y - v1[1] * x
+                if 0 <= a <= dv and 0 <= b <= dv:
+                    yield (x, y), a, b
+
+
+def reference_saturation(S):
+    """`saturation` as it was before the staircase: every irreducible
+    lies in the fundamental parallelogram, and a nonzero point of it is
+    kept when no other one lies below it in the saturation."""
+    pts = [z for z, _, _ in parallelogram_points(S) if z != (0, 0)]
+
+    def in_saturation(w):
+        return S.in_cone(w) and S.in_group(w)
+
+    return AffineSemigroup2(
+        [z for z in pts
+         if not any(c != z and in_saturation((z[0] - c[0], z[1] - c[1]))
+                    for c in pts)])
+
+
+def reference_canonical(S):
+    """`canonical_module_toric` as it was before the staircase: the
+    parallelogram's points off both of its lower edges."""
+    return MonomialModule2(S, [z for z, a, b in parallelogram_points(S)
+                               if a > 0 and b > 0])
+
+
+@settings(max_examples=150, deadline=None)
+@example(S=AffineSemigroup2([(1, 0), (1, 1), (1, 3)]))
+@example(S=AffineSemigroup2([(2, 0), (0, 3), (1, 1)]))
+@example(S=AffineSemigroup2([(1, 0), (1, 2)]))
+@example(S=model("diagonal-mod3"))
+@given(plane_semigroups())
+def test_staircase_matches_the_parallelogram_scan(S):
+    sat = saturation(S)
+    assert sat == reference_saturation(S)
+    assert canonical_module_toric(sat) == reference_canonical(sat)
