@@ -26,9 +26,6 @@ def main():
     ap.add_argument("--claims", action="store_true",
                     help="also run the middle-term classification and "
                          "the uncovered-witness search")
-    ap.add_argument("--bound", type=int, default=12,
-                    help="with --claims, give up when the class count "
-                         "exceeds field^bound")
     ns = ap.parse_args()
 
     print(f"{'m':>3} {'p':>3} {'resolution':>11} {'enumeration':>12} "
@@ -51,14 +48,18 @@ def main():
     for m in ns.m:
         for p in ns.p:
             try:
-                claim = cd.verify_claim4(m, p, bound=ns.bound)
+                claim = cd.verify_claim4(m, p)
             except TooLarge as err:
                 print(f"claim sweep (m={m}, p={p}) skipped: {err}")
                 continue
             print(f"classes (m={m}, p={p}): {claim.checked} of "
                   f"{claim.total} pass the quotient test; classification "
                   f"{'holds' if claim.ok else 'FAILS'}")
-            witness = cd.witness_cor3(m, p, bound=ns.bound)
+            try:
+                witness = cd.witness_cor3(m, p)
+            except TooLarge as err:
+                print(f"  uncovered witness skipped: {err}")
+                continue
             print(f"  uncovered witness: {witness.passing_quotient_test} "
                   f"candidates, {witness.covered_by_target} covered, "
                   f"witness of dimension {witness.witness.dim} found")

@@ -61,6 +61,16 @@ MAX_RESOLUTION_SIZE = 2048
 # Python 3.11).  Past the cap the search raises TooLarge.
 MAX_HOM_GRID = 65536
 
+# Most middle modules one walk over extension classes may build: q^e
+# for `enumerate_extensions`, and 1 + (q^e - 1)/(q - 1), one per line,
+# for the Claim 4 and Corollary 3 walks of `_line_middles`.  Over F2 a
+# line is one class, so the cap is e <= 12 there.  Corollary 3 walks
+# 2,048 lines at (4, 2) in 3.5 s; Claim 4 walks 4,096 at (12, 2), the
+# cap, in 154 s, most of it in the isomorphism search of each passing
+# middle (2-vCPU VM, Python 3.11).  Past the cap the walk raises
+# TooLarge before it builds a middle.
+MAX_LAB_LINES = 4096
+
 # -- sparse columns -------------------------------------------------------------
 
 def _apply(cols, vec):
@@ -555,16 +565,24 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule):
 
 
 def _walkable_classes(mmodule: ArtinModule, nmodule: ArtinModule,
-                      bound: int):
-    """`_extension_classes` for a walk over the q^e classes: dimensions
-    above `bound` are refused, and so is a nonzero dimension over an
-    infinite field, whose classes cannot be walked."""
+                      per_line: bool):
+    """`_extension_classes` for a walk over the q^e classes, one middle
+    per class or, with `per_line`, one per line of classes.  A nonzero
+    dimension over an infinite field is refused, since its classes
+    cannot be walked, and so is a walk of more than MAX_LAB_LINES
+    middles."""
     classes = _extension_classes(mmodule, nmodule)
     e = len(classes[2])
-    if e > bound:
-        raise TooLarge(f"extension space has dimension {e} > bound {bound}")
-    if e and not isinstance(mmodule.algebra.field, FiniteField):
+    if not e:
+        return classes
+    field = mmodule.algebra.field
+    if not isinstance(field, FiniteField):
         raise TooLarge("enumeration needs a finite coefficient field")
+    q = field.order
+    built = 1 + (q ** e - 1) // (q - 1) if per_line else q ** e
+    if built > MAX_LAB_LINES:
+        raise TooLarge(f"extension walk over {built} middles exceeds the "
+                       f"bound {MAX_LAB_LINES}")
     return classes
 
 
@@ -576,20 +594,19 @@ def _cocycle(lam, reps):
     return psi
 
 
-def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule,
-                         bound: int = 12):
+def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule):
     """One middle module per extension class of M by N, as a list.
 
     The middle for a cocycle psi is the pushout (N + F)/graph(psi) of
     the minimal cover F -> M.  The split class is the zero cocycle and
     comes first.  The class count is |k|^e with e = dim Ext^1, which is
     what makes exhaustive enumeration possible at all; infinite fields
-    and dimensions above `bound` are refused.
+    and more than MAX_LAB_LINES classes are refused.
     """
     _same_algebra(mmodule, nmodule)
     algebra = mmodule.algebra
     field = algebra.field
-    b0, kvecs, reps = _walkable_classes(mmodule, nmodule, bound)
+    b0, kvecs, reps = _walkable_classes(mmodule, nmodule, False)
     e = len(reps)
     lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
     return [_pushout_middle(algebra, nmodule, b0, kvecs,
@@ -920,31 +937,35 @@ class ClaimReport(Record):
         return self.ok
 
 
-def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule, bound):
-    """The count q^e of extension classes of omega/x omega by N, and a
-    walk over (weight, E) for the lines of `_line_middles` whose middle
-    E has E/xE isomorphic to omega/x omega."""
-    module = lab.module
+def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule):
+    """The count q^e of extension classes of M = omega/x omega by N, and
+    a walk over (weight, E) for the lines of `_line_middles` whose
+    middle E has E/xE isomorphic to M.
+
+    That quotient test is one rank: E/xE = M up to isomorphism exactly
+    when xE has the dimension of N.  Here N is k or M.  The element x
+    kills k, since the radical acts by zero on k, and it kills M, as
+    `_check_lab_action` pins: t^m acts by zero on omega/x omega.  In
+    0 -> N -> E -> M -> 0, x kills M, so xE maps to zero in M and
+    xE lies in N.  If E/xE = M, then dim xE = dim E - dim M = dim N, so
+    xE = N.  If xE = N, then E/xE = E/N, which is M.
+    """
     xvec = lab.square.class_of(lab.x)
-    classes = _walkable_classes(module, nmodule, bound)
-
-    def passes(mid):
-        q = quotient_module(mid, mid.action_matrix(xvec))
-        return q.dim == module.dim and module_iso(q, module) is not None
-
+    field = lab.square.algebra.field
+    classes = _walkable_classes(lab.module, nmodule, True)
     walk = (line for line in _line_middles(nmodule, classes)
-            if passes(line[1]))
+            if span(field, line[1].action_matrix(xvec)).dim == nmodule.dim)
     return lab.p ** len(classes[2]), walk
 
 
-def verify_claim4(m: int, p: int, bound: int = 12) -> ClaimReport:
+def verify_claim4(m: int, p: int) -> ClaimReport:
     """Every self-extension middle E of omega/x omega with
     E/xE isomorphic to omega/x omega is isomorphic to omega/x^2 omega.
 
     Both counts are of extension classes; one middle is built per line
     of classes and weighted by the classes on it."""
     lab = ext_lab_instance(m, p)
-    total, walk = _passing_middles(lab, lab.module, bound)
+    total, walk = _passing_middles(lab, lab.module)
     checked = 0
     for weight, mid in walk:
         checked += weight
@@ -959,7 +980,7 @@ class WitnessReport(Record):
                            "m", "p")
 
 
-def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
+def witness_cor3(m: int, p: int) -> WitnessReport:
     """A middle E of (omega/x omega by k) with E/xE isomorphic to
     omega/x omega that no equivariant map from omega/x^2 omega covers.
 
@@ -971,8 +992,7 @@ def witness_cor3(m: int, p: int, bound: int = 12) -> WitnessReport:
     witness is the middle of the first uncovered class of the full walk.
     """
     lab = ext_lab_instance(m, p)
-    total, walk = _passing_middles(lab, trivial_module(lab.square.algebra),
-                                   bound)
+    total, walk = _passing_middles(lab, trivial_module(lab.square.algebra))
     passing = 0
     covered = 0
     witness = None

@@ -52,11 +52,11 @@ MAX_MEMBER_LEVEL = 8192
 # of its square, about (top + 1)^2 / det of them, and keeps each one it
 # finds: at the cap, the hull of (1015, 0), (0, 1015) over the plane
 # walks 4.2 million points in 4.5 s and 625 MB.  The staircase visits
-# one point per column, but the semigroup built on it compares its
-# points pairwise: at the cap, `toric saturate --gens '1,0 1,1 1,2047'`
-# keeps 2,048 points and takes 0.8-1.0 s (both on a 2-vCPU VM, Python
-# 3.11).  The widest walk of the benchmark jobs is 250.  Past the cap
-# both raise TooLarge before they walk.
+# one point per column, but the semigroup built on it compares each
+# point with the kept points before it: at the cap, `toric saturate
+# --gens '1,0 1,1 1,2047'` keeps 2,048 points and takes 0.55-0.65 s
+# (both on a 2-vCPU VM, Python 3.11).  The widest walk of the benchmark
+# jobs is 250.  Past the cap both raise TooLarge before they walk.
 MAX_WALK_WIDTH = 2048
 
 
@@ -127,6 +127,25 @@ def _primitive(v):
     return (v[0] // g, v[1] // g)
 
 
+def _minimal_points(S, points):
+    """The points, given without repeats, that no other one of them
+    reaches by adding an element of S, in `_sort_key` order.
+
+    g - h lies in the cone exactly when both edge coordinates of g are
+    at least those of h, and then h has the lower level, so each point
+    is compared only with the kept points before it: a point h that
+    reaches g and is not kept is reached from an earlier kept one,
+    which then reaches g too.
+    """
+    keep = []
+    for g in sorted(points, key=S._sort_key):
+        ga, gb = S.normal_values(g)
+        if not any(ga >= ha and gb >= hb and S.contains(_sub(g, h))
+                   for h, ha, hb in keep):
+            keep.append((g, ga, gb))
+    return tuple(h for h, _, _ in keep)
+
+
 class AffineSemigroup2:
     """Finitely generated subsemigroup of Z^2 with a pointed 2d cone.
 
@@ -156,18 +175,8 @@ class AffineSemigroup2:
         self._edge_form = _lattice_basis([self.normal_values((d, e)),
                                           self.normal_values((0, m))])
         self._memo = {}
-        self._dp_gens = list(raw)
-        # g - h lies in the cone exactly when both edge coordinates of g
-        # are at least those of h, so only those pairs need a search
-        edges = [(h, *self.normal_values(h)) for h in raw]
-        minimal = []
-        for g in sorted(raw, key=self._sort_key):
-            ga, gb = self.normal_values(g)
-            if not any(ga >= ha and gb >= hb and h != g
-                       and self.contains(_sub(g, h)) for h, ha, hb in edges):
-                minimal.append(g)
-        self.generators = tuple(minimal)
-        self._dp_gens = minimal
+        self._dp_gens = raw  # the minimality test searches over them all
+        self.generators = self._dp_gens = _minimal_points(self, raw)
         self._init_ray_data()
 
     def _sort_key(self, pt):
@@ -322,14 +331,7 @@ class MonomialModule2:
             pts[pt] = None
         if not pts:
             raise InvariantViolation("a module needs at least one generator")
-        keep = []
-        for g in sorted(pts, key=semigroup._sort_key):
-            ga, gb = semigroup.normal_values(g)
-            if not any(ga >= ha and gb >= hb
-                       and semigroup.contains(_sub(g, h))
-                       for h, ha, hb in keep):
-                keep.append((g, ga, gb))
-        self.generators = tuple(h for h, _, _ in keep)
+        self.generators = _minimal_points(semigroup, pts)
 
     def contains(self, point):
         pt = (int(point[0]), int(point[1]))

@@ -211,7 +211,7 @@ def test_enumeration_counts_classes():
     lab = ext_lab_instance(3, 2)
     k = trivial_module(lab.square.algebra)
     e = ext(lab.module, k, 1)
-    middles = enumerate_extensions(lab.module, k, bound=12)
+    middles = enumerate_extensions(lab.module, k)
     assert len(middles) == 2 ** e
     assert all(mid.dim == lab.module.dim + 1 for mid in middles)
 
@@ -238,7 +238,7 @@ def test_ext_routes_at_m5():
     assert (rep.m, rep.p) == (5, 2)
     assert rep.via_resolution == rep.via_enumeration == rep.closed_form == 19
     # a class walker over the same classes still refuses that dimension
-    with pytest.raises(TooLarge, match="dimension 19 > bound 12"):
+    with pytest.raises(TooLarge, match="524288 middles exceeds the bound 4096"):
         witness_cor3(5, 2)
 
 
@@ -323,6 +323,84 @@ def test_line_walk_matches_full_enumeration(m, p):
     assert rep.covered_by_target == len(passing) - len(uncovered)
     assert rep.witness.cols == uncovered[0].cols
     assert rep.witness.labels == uncovered[0].labels
+
+
+@pytest.mark.parametrize("m, p, over", [
+    (3, 2, "k"), (3, 2, "M"), (3, 3, "k"), (3, 3, "M"), (3, 5, "M"),
+    (4, 2, "M")])
+def test_rank_decides_every_line_as_the_quotient_test(monkeypatch, m, p,
+                                                      over):
+    # the library keeps a line when x E has the dimension of N; the
+    # oracle builds E/xE and searches an isomorphism onto M
+    lab = ext_lab_instance(m, p)
+    xvec = lab.square.class_of(lab.x)
+    nmodule = lab.module if over == "M" else \
+        trivial_module(lab.square.algebra)
+    lines = []
+    line_middles = artin._line_middles
+
+    def recorded(*args):
+        for line in line_middles(*args):
+            lines.append(line)
+            yield line
+
+    monkeypatch.setattr(artin, "_line_middles", recorded)
+    _, walk = artin._passing_middles(lab, nmodule)
+    kept = {id(line) for line in walk}
+    decided = [id(line) in kept for line in lines]
+    assert decided == [_passes_quotient_test(mid, xvec, lab.module)
+                       for _, mid in lines]
+    assert any(decided) and not all(decided)
+
+
+def test_lab_walks_build_no_quotient(monkeypatch):
+    # the quotient test is a rank, and the isomorphism search runs only
+    # for Claim 4, once per passing line, against the target
+    def refuse(*args):
+        raise AssertionError("a lab walk built a quotient module")
+
+    targets = []
+    iso = artin.module_iso
+
+    def counted(mmodule, nmodule):
+        targets.append(nmodule)
+        return iso(mmodule, nmodule)
+
+    monkeypatch.setattr(artin, "quotient_module", refuse)
+    monkeypatch.setattr(artin, "module_iso", counted)
+    claim = verify_claim4(3, 3)
+    assert (claim.ok, claim.checked, claim.total) == (True, 18, 27)
+    # the split class fails (x E = 0), so 18 classes pass on 9 lines
+    assert [t.dim for t in targets] == [6] * 9
+    targets.clear()
+    rep = witness_cor3(3, 2)
+    assert (rep.total_classes, rep.passing_quotient_test,
+            rep.covered_by_target) == (32, 24, 3)
+    assert targets == []
+
+
+def test_lab_walks_refuse_past_the_line_cap_before_any_middle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a middle was built past the line cap")
+
+    monkeypatch.setattr(artin, "_pushout_middle", refuse)
+    # e = 11 over F3: 1 + (3^11 - 1)/2 lines
+    with pytest.raises(TooLarge, match="88574 middles exceeds the bound 4096"):
+        witness_cor3(4, 3)
+    with pytest.raises(TooLarge, match="10304 middles exceeds the bound 4096"):
+        verify_claim4(3, 101)
+
+
+@pytest.mark.parametrize("per_line", [False, True])
+def test_line_cap_over_f2_is_dimension_12(f2, per_line):
+    # over F2 a line is one class, so both walks admit e = 12 and refuse
+    # e = 13; Ext^1(k^a, k) over the dual numbers has dimension a
+    k = trivial_module(dual_numbers(f2))
+    classes = artin._walkable_classes(dual_number_sum(f2, 12, 0), k,
+                                      per_line)
+    assert len(classes[2]) == 12
+    with pytest.raises(TooLarge, match="8192 middles exceeds the bound 4096"):
+        artin._walkable_classes(dual_number_sum(f2, 13, 0), k, per_line)
 
 
 def test_line_walk_is_the_full_walk_at_first_appearances():

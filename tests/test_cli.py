@@ -183,6 +183,32 @@ def test_ext_lab_too_large(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, built", [
+    (["--m", "4", "--p", "3", "--cor3"], 88574),
+    (["--m", "4", "--p", "5", "--cor3"], 12207032),
+    (["--m", "3", "--p", "101", "--claim4"], 10304),
+])
+def test_ext_lab_past_the_line_cap_exits_2_at_once(capsys, argv, built):
+    # one middle per line of extension classes, refused before the first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ext-lab", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "bound 4096" in err
+    assert f"{built} middles" in err
+    assert "Traceback" not in err
+
+
+def test_ext_lab_within_the_line_cap(capsys):
+    # e = 11 over F2: 2,048 lines, each one class
+    code, doc, _ = run_json(capsys, "ext-lab", "--m", "4", "--p", "2",
+                            "--cor3")
+    assert code == 0
+    cor3 = doc["cor3"]
+    assert (cor3["classes_total"], cor3["classes_passing_quotient_test"],
+            cor3["classes_covered_by_target"]) == (2048, 1792, 7)
+
+
 def test_toric_saturate(capsys):
     code, doc, _ = run_json(capsys, "toric", "saturate", "--model",
                             "pinched-plane")

@@ -21,6 +21,7 @@ RUNS = [
     *(["toric_demo.py", "--model", m, "--box", "6"]
       for m in ("plane", "diagonal-mod3", "pinched-plane")),
     ["ext_lab.py", "--m", "3", "--p", "2"],
+    ["ext_lab.py", "--m", "3", "5", "--p", "2", "--claims"],
     ["family_report.py", "--bound", "5"],
     ["family_report.py", "--bound", "5", "--field", "F5"],
     ["job_digests.py", "--workload", "finite-labs", "--seeds", "1"],

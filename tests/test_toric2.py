@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -55,6 +56,42 @@ def test_minimal_generators():
     # a difference on a ray, where one edge coordinate is equal
     on_ray = AffineSemigroup2([(2, 0), (1, 0), (0, 1), (0, 3)])
     assert set(on_ray.generators) == {(1, 0), (0, 1)}
+
+
+def all_pairs_minimal(S, raw, points):
+    """The minimality loop as it was: each point compared with every
+    other one, membership searched over all the raw generators."""
+    ref = copy.copy(S)
+    ref._memo, ref._dp_gens = {}, raw
+    out = []
+    for g in sorted(points, key=ref._sort_key):
+        ga, gb = ref.normal_values(g)
+        if not any(ga >= ha and gb >= hb and h != g
+                   and ref.contains((g[0] - h[0], g[1] - h[1]))
+                   for h in points for ha, hb in [ref.normal_values(h)]):
+            out.append(g)
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@example(gens=[(2, 0), (1, 0), (0, 1), (0, 3)], coeffs=[(1, 0), (2, 1)])
+@given(st.lists(st.tuples(st.integers(-6, 12), st.integers(-6, 12)),
+                min_size=2, max_size=6),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=1, max_size=5))
+def test_minimal_points_match_the_all_pairs_loop(gens, coeffs):
+    try:
+        S = AffineSemigroup2(gens)
+    except InvariantViolation:
+        assume(False)
+    raw = list(dict.fromkeys(g for g in gens if g != (0, 0)))
+    assert S.generators == all_pairs_minimal(S, raw, raw)
+    # combinations of two generators are group points
+    g, h = S.generators[0], S.generators[-1]
+    pts = list(dict.fromkeys((a * g[0] + b * h[0], a * g[1] + b * h[1])
+                             for a, b in coeffs))
+    assert MonomialModule2(S, pts).generators == all_pairs_minimal(S, raw,
+                                                                   pts)
 
 
 def edge_ray_points(S):
