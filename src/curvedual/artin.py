@@ -64,11 +64,13 @@ MAX_HOM_GRID = 65536
 # Most middle modules one walk over extension classes may build: q^e
 # for `enumerate_extensions`, and 1 + (q^e - 1)/(q - 1), one per line,
 # for the Claim 4 and Corollary 3 walks of `_line_middles`.  Over F2 a
-# line is one class, so the cap is e <= 12 there.  Corollary 3 walks
-# 2,048 lines at (4, 2) in 3.5 s; Claim 4 walks 4,096 at (12, 2), the
-# cap, in 154 s, most of it in the isomorphism search of each passing
-# middle (2-vCPU VM, Python 3.11).  Past the cap the walk raises
-# TooLarge before it builds a middle.
+# line is one class, so the cap is e <= 12 there.  Claim 4 walks 4,096
+# lines at (12, 2), the cap, in 154 s, most of it in the isomorphism
+# search of each passing middle (2-vCPU VM, Python 3.11).  Corollary 3
+# stops at its witness, the first uncovered passing line, and reads
+# its counts off dim Hom(M, k); the cap is its worst case, a scan that
+# finds no witness.  Past the cap the walk raises TooLarge before it
+# builds a middle.
 MAX_LAB_LINES = 4096
 
 # -- sparse columns -------------------------------------------------------------
@@ -856,6 +858,13 @@ def ext_lab_instance(m: int, p: int) -> ExtLabInstance:
     from .duality import canonical_module
     if m < 2:
         raise ValueError("the lab needs multiplicity at least 2")
+    # the minimal cover of omega/x omega has rank m - 1 over O/x^2, of
+    # dimension 2m (both pinned below), and every resolution of the lab
+    # starts from it: refuse past MAX_RESOLUTION_SIZE, before the build
+    cover = (m - 1) * 2 * m
+    if cover > MAX_RESOLUTION_SIZE:
+        raise TooLarge(f"lab at m = {m}: minimal cover of size {cover} "
+                       f"exceeds the bound {MAX_RESOLUTION_SIZE}")
     field = prime_field(p)
     ring = build(CurveSpec(field, semigroup=tuple(range(m, 2 * m)),
                            label=f"power-gap ring m={m}"))
@@ -982,29 +991,54 @@ class WitnessReport(Record):
 
 def witness_cor3(m: int, p: int) -> WitnessReport:
     """A middle E of (omega/x omega by k) with E/xE isomorphic to
-    omega/x omega that no equivariant map from omega/x^2 omega covers.
+    omega/x omega that no equivariant map from omega/x^2 omega covers,
+    and the class counts: q^e in total, q^e - q^(e-c) passing the
+    quotient test, q^c - 1 covered, for c = dim Hom(M, k).
 
-    Counting argument behind the search: extensions realised by
-    quotients of the target form a proper subspace, so witnesses are
-    plentiful; still, the search is exhaustive and NoWitness is raised
-    honestly if every class is covered.  The counts are of extension
-    classes, walked one line at a time as in `verify_claim4`; the
-    witness is the middle of the first uncovered class of the full walk.
+    Write M = omega/x omega and T = omega/x^2 omega, an extension
+    0 -> M -> T -> M -> 0 whose first map is x.  By the duality, M is
+    the canonical module of O/xO, so End(M) = O/x.
+
+    Passing.  As in `_passing_middles`, x maps E into k and kills k, so
+    it induces a map M -> k, linear in the class; E passes exactly when
+    that map is nonzero.  For f in Hom(M, k), the pushout f_*[T] induces
+    f, since x induces the identity M -> M on T.  So the map from the
+    classes to Hom(M, k) is onto, the failing classes are its kernel, of
+    codimension c, and q^e - q^(e-c) classes pass.
+
+    Covered.  T covers E if and only if [E] = f_*[T] for some f != 0.
+    If [E] = f_*[T], E is (k + T)/{(f(v), -xv)}; the image of T maps
+    onto M, and for f(v) != 0 it holds x v, which is f(v) in k, so it is
+    all of E.  Conversely, let g: T -> E be onto.  The composite
+    T -> E -> M kills xT, so it is an onto endomorphism u of M, an
+    automorphism, a unit of End(M) = O/x.  A lift of that unit to O/x^2
+    acts on T inducing u, and composing g with its inverse gives a map
+    of extensions T -> E over the identity of M; on the sub M it is a
+    map f: M -> k, and then [E] = f_*[T].  If f were 0, g would factor
+    through T/xT = M, of dimension less than E's.  Finally f -> f_*[T]
+    is injective: if f_*[T] splits, its retraction onto k composed with
+    T -> E is a map h: T -> k with h(xv) = f(v), and every map T -> k
+    kills xT, inside the radical times T, so f = 0.  Hence the covered
+    classes are the q^c - 1 nonzero images.
+
+    The walk of `_passing_middles` then stops at the first passing line
+    whose middle the target does not cover, the class the exhaustive
+    walk would name; NoWitness is raised if every passing line is
+    covered.  With no witness the scan would walk every line, so the
+    line cap of `_walkable_classes` still applies up front.
     """
     lab = ext_lab_instance(m, p)
-    total, walk = _passing_middles(lab, trivial_module(lab.square.algebra))
-    passing = 0
-    covered = 0
-    witness = None
-    for weight, mid in walk:
-        passing += weight
-        if surjection_exists(lab.target, mid):
-            covered += weight
-        elif witness is None:
-            witness = mid
+    k = trivial_module(lab.square.algebra)
+    c = len(hom_space(lab.module, k))
+    if c != top_data(lab.module)[0]:
+        raise InvariantViolation("dim Hom(M, k) differs from the top of M")
+    total, walk = _passing_middles(lab, k)
+    witness = next((mid for _, mid in walk
+                    if not surjection_exists(lab.target, mid)), None)
     if witness is None:
         raise NoWitness("every extension class is covered by the target")
-    return WitnessReport(witness, total, passing, covered, m, p)
+    return WitnessReport(witness, total, total - total // p ** c,
+                         p ** c - 1, m, p)
 
 
 # -- torsion pairing check -----------------------------------------------------

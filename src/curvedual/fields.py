@@ -34,14 +34,40 @@ from fractions import Fraction
 from .errors import NotPrimeField, ParseError
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# PRIME_TEST_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017).  The first twelve are
+# not enough there: 318665857834031151167461 = 399165290221 x
+# 798330580441 passes every base up to 37.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; n at or past
+    PRIME_TEST_BOUND raises NotPrimeField, since the test is not exact
+    there."""
+    if n >= PRIME_TEST_BOUND:
+        raise NotPrimeField(f"{n} is past the primality bound "
+                            f"{PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -14,8 +14,8 @@ from curvedual.artin import (ArtinAlgebra, ArtinModule, SocleData,
                              rees_check, socle, surjection_exists,
                              trivial_module, verify_claim4, witness_cor3)
 from curvedual.errors import (DifferentialDegreeError, InvariantViolation,
-                              NotContained, NotKilled, NotMember, TooLarge,
-                              ZeroDivisor)
+                              NoWitness, NotContained, NotKilled, NotMember,
+                              TooLarge, ZeroDivisor)
 from curvedual.fracideal import TorsionQuotient, unit_ideal
 from curvedual.laurent import Element
 from curvedual.linalg import vec_addmul
@@ -258,6 +258,84 @@ def test_witness_smallest_case():
     # the witness really passes the quotient test but is not covered
     lab = ext_lab_instance(3, 2)
     assert not surjection_exists(lab.target, rep.witness)
+
+
+def reference_witness_cor3(m, p):
+    """Corollary 3 by the exhaustive walk: one surjection search per
+    passing line of classes, each weighted by the classes on its line;
+    the witness is the middle of the first uncovered line."""
+    lab = ext_lab_instance(m, p)
+    total, walk = artin._passing_middles(lab,
+                                         trivial_module(lab.square.algebra))
+    passing = covered = 0
+    witness = None
+    for weight, mid in walk:
+        passing += weight
+        if surjection_exists(lab.target, mid):
+            covered += weight
+        elif witness is None:
+            witness = mid
+    if witness is None:
+        raise NoWitness("every extension class is covered by the target")
+    return artin.WitnessReport(witness, total, passing, covered, m, p)
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (3, 5), (4, 2)])
+def test_cor3_counts_and_witness_match_the_exhaustive_walk(m, p):
+    rep, ref = witness_cor3(m, p), reference_witness_cor3(m, p)
+    assert (rep.total_classes, rep.passing_quotient_test,
+            rep.covered_by_target) == (ref.total_classes,
+                                       ref.passing_quotient_test,
+                                       ref.covered_by_target)
+    assert rep.witness.cols == ref.witness.cols
+    assert rep.witness.labels == ref.witness.labels
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (3, 5), (3, 7), (4, 2)])
+def test_cor3_counts_have_closed_forms(m, p):
+    # e = dim Ext^1(M, k) and c = dim Hom(M, k) = m - 1: the failing
+    # classes have codimension c and the covered ones, with 0, dimension c
+    e = m * m - m - 1
+    rep = witness_cor3(m, p)
+    assert (rep.total_classes, rep.passing_quotient_test,
+            rep.covered_by_target) == (p ** e, p ** e - p ** (e - m + 1),
+                                       p ** (m - 1) - 1)
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3)])
+def test_cor3_runs_one_surjection_search(monkeypatch, m, p):
+    # the first passing line is already uncovered, so the scan stops there
+    calls = []
+    search = artin.surjection_exists
+
+    def counted(mmodule, nmodule):
+        calls.append(nmodule)
+        return search(mmodule, nmodule)
+
+    monkeypatch.setattr(artin, "surjection_exists", counted)
+    witness_cor3(m, p)
+    assert len(calls) == 1
+
+
+def test_cor3_refuses_a_hom_space_that_misses_the_top(monkeypatch):
+    # dim Hom(M, k) is checked against the top of M before it counts
+    homs = artin.hom_space
+    monkeypatch.setattr(artin, "hom_space", lambda a, b: homs(a, b)[1:])
+    with pytest.raises(InvariantViolation, match="Hom"):
+        witness_cor3(3, 2)
+
+
+def test_lab_past_the_resolution_cap_is_refused_before_the_build(
+        monkeypatch):
+    # the cover of omega/x omega at m = 33 is 32 x 66 = 2112 > 2048
+    from curvedual import curvering
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized lab built its ring")
+
+    monkeypatch.setattr(curvering, "build", refuse)
+    with pytest.raises(TooLarge, match="size 2112 exceeds the bound 2048"):
+        ext_lab_instance(33, 2)
 
 
 def test_present_quotient_guards(cusp):

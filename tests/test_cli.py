@@ -199,8 +199,30 @@ def test_ext_lab_past_the_line_cap_exits_2_at_once(capsys, argv, built):
     assert "Traceback" not in err
 
 
+def test_ext_lab_past_the_resolution_cap_exits_2_before_the_build(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ext-lab", "--m", "128", "--p", "2",
+                         "--claim2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "bound 2048" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label, code", [("F1000000000000000003", 0),
+                                         ("F1000000000000000001", 2)])
+def test_report_over_an_18_digit_prime_label(capsys, label, code):
+    start = time.perf_counter()
+    got, out, err = run(capsys, "report", "3,4", "--field", label)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert "Traceback" not in err
+    assert bool(out) == (code == 0)
+
+
 def test_ext_lab_within_the_line_cap(capsys):
-    # e = 11 over F2: 2,048 lines, each one class
+    # e = 11 over F2 and c = dim Hom(M, k) = 3: 2^11 classes, 2^11 - 2^8
+    # pass the quotient test and 2^3 - 1 are covered
     code, doc, _ = run_json(capsys, "ext-lab", "--m", "4", "--p", "2",
                             "--cor3")
     assert code == 0

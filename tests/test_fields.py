@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import curvedual as cd
 from curvedual.errors import NotPrimeField
-from curvedual.fields import _INTERN_MAX, FiniteField, format_field
+from curvedual.fields import (_INTERN_MAX, PRIME_TEST_BOUND, FiniteField,
+                              format_field, is_prime)
 
 
 def field_elems(field, size=40, seed=7):
@@ -79,6 +80,21 @@ def test_parse_field_labels():
 def test_prime_field_rejects_composite():
     with pytest.raises(NotPrimeField):
         cd.prime_field(6)
+
+
+def test_primality_is_exact_below_its_bound():
+    # against trial division, and at 18 digits, where trial division
+    # would run for minutes
+    small = [n for n in range(-3, 5000) if n >= 2 and
+             all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(-3, 5000) if is_prime(n)] == small
+    assert is_prime(10 ** 18 + 3) and not is_prime(10 ** 18 + 1)
+    assert FiniteField(10 ** 18 + 3).p == 10 ** 18 + 3
+    # a strong pseudoprime to every base up to 37
+    assert not is_prime(399165290221 * 798330580441)
+    assert not is_prime(PRIME_TEST_BOUND - 1)
+    with pytest.raises(NotPrimeField, match="primality bound"):
+        cd.prime_field(PRIME_TEST_BOUND)
 
 
 def test_extension_only_from_prime_field():

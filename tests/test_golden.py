@@ -9,7 +9,9 @@ Three more ext-lab files pin the lab at m = 4, where O/x^2 has
 dimension 8: the two Ext routes at p = 2 and Claim 4 at p = 2 and
 p = 3.  They were written while algebra elements were still dense
 coefficient tuples and the algebra checked associativity by its own
-loop.
+loop.  Two files pin Corollary 3, its counts and its witness, at (3, 5)
+and (4, 2); they were written while `witness_cor3` still ran a
+surjection search on every passing line of classes.
 The toric files were written while `s2_hull` still filtered a full
 grid of edge coordinates and minimalized every hull point of its
 window; the lattice walk must give the same bytes.  They cover
@@ -76,6 +78,8 @@ CASES = {
     "ext-lab-3-3-claim4.json": ["ext-lab", "--m", "3", "--p", "3",
                                 "--claim4"],
     "ext-lab-3-3-cor3.json": ["ext-lab", "--m", "3", "--p", "3", "--cor3"],
+    "ext-lab-3-5-cor3.json": ["ext-lab", "--m", "3", "--p", "5", "--cor3"],
+    "ext-lab-4-2-cor3.json": ["ext-lab", "--m", "4", "--p", "2", "--cor3"],
     "ext-lab-4-2-claim2.json": ["ext-lab", "--m", "4", "--p", "2",
                                 "--claim2"],
     "ext-lab-4-2-claim4.json": ["ext-lab", "--m", "4", "--p", "2",
