@@ -23,6 +23,10 @@ and the Ext^1 cocycles on the kernel of the minimal cover.  The cover's
 kernel and every syzygy step of a resolution are one transposed kernel,
 `_cover_kernel`.
 
+The Claim 4 and Corollary 3 walks decide each line of extension classes
+from its cocycle, as a rank on the image of x (`_x_image_dim`), and
+build a middle module only for a line that passes.
+
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one class map, `_WindowClasses`:
 the submodule's `FracIdeal.residual` of a Laurent vector is written
@@ -58,19 +62,25 @@ MAX_RESOLUTION_SIZE = 2048
 # (dim + 1)^k over Q, for k independent tops.  At the cap, the search
 # for a surjection from k^8 onto k^2 + A over the dual numbers over F2,
 # which has none, walks all 65,536 tuples in 2.3 s (2-vCPU VM,
-# Python 3.11).  Past the cap the search raises TooLarge.
+# Python 3.11).  Past the cap the search raises TooLarge.  No CLI path
+# runs `module_iso` (Claim 4 reads the socle); the one grid walk of the
+# lab is the surjection search of Corollary 3's witness.
 MAX_HOM_GRID = 65536
 
 # Most middle modules one walk over extension classes may build: q^e
 # for `enumerate_extensions`, and 1 + (q^e - 1)/(q - 1), one per line,
-# for the Claim 4 and Corollary 3 walks of `_line_middles`.  Over F2 a
-# line is one class, so the cap is e <= 12 there.  Claim 4 walks 4,096
-# lines at (12, 2), the cap, in 154 s, most of it in the isomorphism
-# search of each passing middle (2-vCPU VM, Python 3.11).  Corollary 3
-# stops at its witness, the first uncovered passing line, and reads
-# its counts off dim Hom(M, k); the cap is its worst case, a scan that
-# finds no witness.  Past the cap the walk raises TooLarge before it
-# builds a middle.
+# for the Claim 4 and Corollary 3 walks of `_line_cocycles`.  Over F2 a
+# line is one class, so the cap is e <= 12 there.  Those walks decide a
+# line from its cocycle and build a middle only when it passes, and
+# Claim 4 tests each middle by its socle: `verify_claim4(m, 2)` for
+# m = 8, 9, 10, 11 and 12 (256 to 4,096 lines, half of them passing)
+# takes 1.1, 3.0, 6.3, 13.6 and 36 s, most of it building the middles
+# (2-vCPU VM, Python 3.11; 3.6 to 154 s with an isomorphism search per
+# line).
+# Corollary 3 stops at its witness, the first uncovered passing line,
+# and reads its counts off dim Hom(M, k); the cap is its worst case, a
+# scan that finds no witness.  Past the cap the walk raises TooLarge
+# before it builds a middle.
 MAX_LAB_LINES = 4096
 
 # -- sparse columns -------------------------------------------------------------
@@ -534,8 +544,9 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule):
 
     With F -> M the minimal cover and K its kernel, a class is a map
     K -> N modulo restrictions of maps F -> N.  Returns (b0, kvecs,
-    reps): the rank of F, a basis of K, and cocycles whose classes form
-    a basis of Ext^1, so e = len(reps).
+    reps, tracked): the rank of F, a basis of K, cocycles whose classes
+    form a basis of Ext^1, so e = len(reps), and the echelon that writes
+    a vector of K over the basis indices.
     """
     algebra = mmodule.algebra
     field = algebra.field
@@ -563,7 +574,7 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule):
     # the Hom differential of the inclusion K -> F
     image_ech = span(field, _hom_differential(nmodule, kvecs).values())
     reps = [s for s in solutions if image_ech.insert(dict(s)) is not None]
-    return b0, kvecs, reps
+    return b0, kvecs, reps, tracked
 
 
 def _walkable_classes(mmodule: ArtinModule, nmodule: ArtinModule,
@@ -608,7 +619,7 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule):
     _same_algebra(mmodule, nmodule)
     algebra = mmodule.algebra
     field = algebra.field
-    b0, kvecs, reps = _walkable_classes(mmodule, nmodule, False)
+    b0, kvecs, reps, _ = _walkable_classes(mmodule, nmodule, False)
     e = len(reps)
     lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
     return [_pushout_middle(algebra, nmodule, b0, kvecs,
@@ -616,8 +627,8 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule):
             for lam in lam_space]
 
 
-def _line_middles(nmodule: ArtinModule, classes):
-    """(weight, middle) for one middle per line of extension classes.
+def _line_cocycles(field, reps):
+    """(weight, psi) for one cocycle psi per line of extension classes.
 
     Scaling N by c maps graph(psi) onto graph(c psi), so the middles of
     a class and of its nonzero multiples are isomorphic and every
@@ -628,17 +639,57 @@ def _line_middles(nmodule: ArtinModule, classes):
     `enumerate_extensions` over a prime field: leading index from e - 1
     down to 0, and the tail in `itertools.product` order.
     """
-    algebra = nmodule.algebra
-    field = algebra.field
-    b0, kvecs, reps = classes
     e = len(reps)
-    yield 1, _pushout_middle(algebra, nmodule, b0, kvecs, {})
+    yield 1, {}
     for lead in range(e - 1, -1, -1):
         head = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(field.elements(), repeat=e - 1 - lead):
-            psi = _cocycle(head + tail, reps)
-            yield (field.order - 1,
-                   _pushout_middle(algebra, nmodule, b0, kvecs, psi))
+            yield field.order - 1, _cocycle(head + tail, reps)
+
+
+def _line_middles(nmodule: ArtinModule, classes):
+    """(weight, middle) for every line of `_line_cocycles`."""
+    algebra = nmodule.algebra
+    b0, kvecs, reps, _ = classes
+    for weight, psi in _line_cocycles(algebra.field, reps):
+        yield weight, _pushout_middle(algebra, nmodule, b0, kvecs, psi)
+
+
+def _x_cover_rows(algebra, xvec, b0, tracked):
+    """A basis of xF inside the kernel K of the minimal cover F = A^b0,
+    each vector written over K's basis indices by `tracked`.  The
+    element x, the sparse vector xvec, must kill the covered module,
+    so that xF lies in K; a vector x (j, a) outside K raises
+    InvariantViolation."""
+    field = algebra.field
+    coords = []
+    for a in range(algebra.dim):
+        xa = _apply(algebra.mult[a], xvec)
+        if not xa:
+            continue
+        for j in range(b0):
+            coord = tracked.express({(j, k): c for k, c in xa.items()})
+            if coord is None:
+                raise InvariantViolation("x F leaves the kernel of the cover")
+            coords.append(coord)
+    return span(field, coords).rows
+
+
+def _x_image_dim(field, xrows, psi):
+    """dim psi(xF), for xF given by `_x_cover_rows` and a cocycle psi
+    keyed (kernel index, coordinate of N)."""
+    by_index = {}
+    for (mdx, p), c in psi.items():
+        by_index.setdefault(mdx, {})[p] = c
+    images = []
+    for row in xrows:
+        image = {}
+        for mdx, c in row.items():
+            values = by_index.get(mdx)
+            if values:
+                vec_iaddmul(image, c, values)
+        images.append(image)
+    return span(field, images).dim
 
 
 def _induced_action(algebra, ech, keys, image):
@@ -935,7 +986,7 @@ def ext_routes(m: int, p: int) -> ExtRouteReport:
     # the resolution first: MAX_RESOLUTION_SIZE caps it, so a lab past
     # that cap is refused before the enumeration, which has no cap
     via_res = ext(lab.module, k, 1)
-    _, _, reps = _extension_classes(lab.module, k)
+    reps = _extension_classes(lab.module, k)[2]
     return ExtRouteReport(m, p, via_res, len(reps), m * m - m - 1)
 
 
@@ -948,8 +999,9 @@ class ClaimReport(Record):
 
 def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule):
     """The count q^e of extension classes of M = omega/x omega by N, and
-    a walk over (weight, E) for the lines of `_line_middles` whose
-    middle E has E/xE isomorphic to M.
+    a walk over (weight, E) for the lines of `_line_cocycles` whose
+    middle E has E/xE isomorphic to M.  Each line is decided from its
+    cocycle, and only the middles of passing lines are built.
 
     That quotient test is one rank: E/xE = M up to isomorphism exactly
     when xE has the dimension of N.  Here N is k or M.  The element x
@@ -958,27 +1010,62 @@ def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule):
     0 -> N -> E -> M -> 0, x kills M, so xE maps to zero in M and
     xE lies in N.  If E/xE = M, then dim xE = dim E - dim M = dim N, so
     xE = N.  If xE = N, then E/xE = E/N, which is M.
+
+    The rank is read off the cocycle.  With F -> M the minimal cover and
+    K its kernel, E = (N + F)/graph(psi), where (0, v) = (psi(v), 0) for
+    v in K.  As x kills N, x (n, f) = (0, xf); as x kills M, xf lies in
+    K, so x (n, f) = (psi(xf), 0) and xE = psi(xF) inside N.  Every
+    middle built is checked against this: its x-action must have rank
+    dim N, or InvariantViolation is raised.
     """
+    algebra = lab.square.algebra
+    field = algebra.field
     xvec = lab.square.class_of(lab.x)
-    field = lab.square.algebra.field
-    classes = _walkable_classes(lab.module, nmodule, True)
-    walk = (line for line in _line_middles(nmodule, classes)
-            if span(field, line[1].action_matrix(xvec)).dim == nmodule.dim)
-    return lab.p ** len(classes[2]), walk
+    b0, kvecs, reps, tracked = _walkable_classes(lab.module, nmodule, True)
+    xrows = _x_cover_rows(algebra, xvec, b0, tracked)
+
+    def walk():
+        for weight, psi in _line_cocycles(field, reps):
+            if _x_image_dim(field, xrows, psi) != nmodule.dim:
+                continue
+            mid = _pushout_middle(algebra, nmodule, b0, kvecs, psi)
+            if span(field, mid.action_matrix(xvec)).dim != nmodule.dim:
+                raise InvariantViolation(
+                    "the cocycle and its middle disagree on dim xE")
+            yield weight, mid
+
+    return lab.p ** len(reps), walk()
 
 
 def verify_claim4(m: int, p: int) -> ClaimReport:
     """Every self-extension middle E of omega/x omega with
     E/xE isomorphic to omega/x omega is isomorphic to omega/x^2 omega.
 
-    Both counts are of extension classes; one middle is built per line
-    of classes and weighted by the classes on it."""
+    Both counts are of extension classes; one middle is built per
+    passing line of classes and weighted by the classes on it.
+
+    Isomorphism is decided by the socle.  Over A = O/x^2, whose residue
+    field is the coefficient field, length is dimension.  The injective
+    hull E(k) of the residue field has the length of A (Matlis duality).
+    A module X with a one-dimensional socle k is an essential extension
+    of k, so the inclusion k -> E(k) extends to an injective map
+    X -> E(k); if dim X = dim A as well, that map is onto.  So the
+    target T = omega/x^2 omega, certified once to have a simple socle
+    and dim T = dim A (InvariantViolation otherwise), is E(k), and a
+    middle E of that dimension is isomorphic to T exactly when its
+    socle is one-dimensional: an isomorphism keeps the socle, and a
+    simple socle makes E another copy of E(k).  No hom space is built.
+    """
     lab = ext_lab_instance(m, p)
+    target = lab.target
+    if socle(target).dimension != 1 or target.dim != lab.square.dim:
+        raise InvariantViolation("omega/x^2 omega is not the injective hull "
+                                 "of the residue field")
     total, walk = _passing_middles(lab, lab.module)
     checked = 0
     for weight, mid in walk:
         checked += weight
-        if module_iso(mid, lab.target) is None:
+        if mid.dim != target.dim or socle(mid).dimension != 1:
             return ClaimReport(False, checked, total, m, p)
     return ClaimReport(True, checked, total, m, p)
 

@@ -408,32 +408,40 @@ def test_line_walk_matches_full_enumeration(m, p):
     (4, 2, "M")])
 def test_rank_decides_every_line_as_the_quotient_test(monkeypatch, m, p,
                                                       over):
-    # the library keeps a line when x E has the dimension of N; the
-    # oracle builds E/xE and searches an isomorphism onto M
+    # the library decides each line from its cocycle, keeping it when
+    # psi(xF) has the dimension of N; the oracle builds the line's
+    # middle E, then E/xE, and searches an isomorphism onto M
     lab = ext_lab_instance(m, p)
+    algebra = lab.square.algebra
     xvec = lab.square.class_of(lab.x)
-    nmodule = lab.module if over == "M" else \
-        trivial_module(lab.square.algebra)
-    lines = []
-    line_middles = artin._line_middles
+    nmodule = lab.module if over == "M" else trivial_module(algebra)
+    seen = []
+    image_dim = artin._x_image_dim
 
-    def recorded(*args):
-        for line in line_middles(*args):
-            lines.append(line)
-            yield line
+    def recorded(field, xrows, psi):
+        dim = image_dim(field, xrows, psi)
+        seen.append((psi, dim == nmodule.dim))
+        return dim
 
-    monkeypatch.setattr(artin, "_line_middles", recorded)
+    monkeypatch.setattr(artin, "_x_image_dim", recorded)
     _, walk = artin._passing_middles(lab, nmodule)
-    kept = {id(line) for line in walk}
-    decided = [id(line) in kept for line in lines]
-    assert decided == [_passes_quotient_test(mid, xvec, lab.module)
-                       for _, mid in lines]
+    kept = list(walk)
+    b0, kvecs, reps, _ = artin._extension_classes(lab.module, nmodule)
+    # one decision per line, and a middle for each passing one only
+    assert [psi for psi, _ in seen] == [
+        psi for _, psi in artin._line_cocycles(algebra.field, reps)]
+    assert len(kept) == sum(decided for _, decided in seen)
+    decided = [d for _, d in seen]
+    assert decided == [
+        _passes_quotient_test(
+            artin._pushout_middle(algebra, nmodule, b0, kvecs, psi), xvec,
+            lab.module) for psi, _ in seen]
     assert any(decided) and not all(decided)
 
 
 def test_lab_walks_build_no_quotient(monkeypatch):
-    # the quotient test is a rank, and the isomorphism search runs only
-    # for Claim 4, once per passing line, against the target
+    # the quotient test is a rank, and neither walk searches an
+    # isomorphism: Claim 4 reads the socle, Corollary 3 the top
     def refuse(*args):
         raise AssertionError("a lab walk built a quotient module")
 
@@ -448,13 +456,122 @@ def test_lab_walks_build_no_quotient(monkeypatch):
     monkeypatch.setattr(artin, "module_iso", counted)
     claim = verify_claim4(3, 3)
     assert (claim.ok, claim.checked, claim.total) == (True, 18, 27)
-    # the split class fails (x E = 0), so 18 classes pass on 9 lines
-    assert [t.dim for t in targets] == [6] * 9
-    targets.clear()
+    assert targets == []
     rep = witness_cor3(3, 2)
     assert (rep.total_classes, rep.passing_quotient_test,
             rep.covered_by_target) == (32, 24, 3)
     assert targets == []
+
+
+@pytest.mark.parametrize("m, p, claim4, cor3", [
+    (3, 2, 4, 1), (3, 3, 9, 1), (4, 2, 8, 1)])
+def test_walks_build_only_passing_middles(monkeypatch, m, p, claim4, cor3):
+    # the split class and the failing lines are decided from their
+    # cocycles; Claim 4 builds one middle per passing line (the split
+    # class fails), Corollary 3 only its witness, the first passing line
+    built = []
+    pushout = artin._pushout_middle
+
+    def counted(*args):
+        built.append(args[-1])
+        return pushout(*args)
+
+    monkeypatch.setattr(artin, "_pushout_middle", counted)
+    rep = verify_claim4(m, p)
+    assert len(built) == claim4 == rep.checked // (p - 1)
+    assert {} not in built
+    built.clear()
+    witness_cor3(m, p)
+    assert len(built) == cor3
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (5, 2)])
+def test_claim4_builds_no_hom_space(monkeypatch, m, p):
+    def refuse(*args):
+        raise AssertionError("Claim 4 searched a hom space")
+
+    for name in ("hom_space", "module_iso", "_search_hom"):
+        monkeypatch.setattr(artin, name, refuse)
+    assert verify_claim4(m, p).ok
+
+
+def test_claim4_refuses_a_target_without_a_simple_socle(monkeypatch):
+    # the target is certified first, before any middle: its socle is
+    # read as two-dimensional here
+    real = artin.socle
+    calls = []
+
+    def doubled(module):
+        data = real(module)
+        calls.append(module)
+        if len(calls) == 1:
+            return SocleData(2, data.basis + data.basis)
+        return data
+
+    def refuse(*args):
+        raise AssertionError("a middle was built before the target check")
+
+    monkeypatch.setattr(artin, "socle", doubled)
+    monkeypatch.setattr(artin, "_pushout_middle", refuse)
+    with pytest.raises(InvariantViolation, match="injective hull"):
+        verify_claim4(3, 2)
+    assert calls[0].dim == 6
+
+
+def test_claim4_fails_at_a_middle_without_a_simple_socle(monkeypatch):
+    # the target's socle is read first and is simple; the first passing
+    # middle's is read as two-dimensional, so the claim fails there,
+    # after the classes of one line
+    real = artin.socle
+    calls = []
+
+    def doubled(module):
+        data = real(module)
+        calls.append(module)
+        if len(calls) == 2:
+            return SocleData(2, data.basis + data.basis)
+        return data
+
+    monkeypatch.setattr(artin, "socle", doubled)
+    rep = verify_claim4(3, 3)
+    assert (rep.ok, rep.checked, rep.total) == (False, 2, 27)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("claim, dim_n", [(verify_claim4, 3),
+                                          (witness_cor3, 1)])
+def test_cocycle_rank_that_disagrees_with_the_middle_is_refused(
+        monkeypatch, claim, dim_n):
+    # a cocycle rank that passes every line, the split class first,
+    # whose middle has x E = 0; N is M (dimension 3) or k
+    monkeypatch.setattr(artin, "_x_image_dim",
+                        lambda field, xrows, psi: dim_n)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        claim(3, 2)
+
+
+def test_cover_rows_refuse_an_element_that_does_not_kill_the_module():
+    # the unit does not kill M, so 1 (j, 0) leaves the kernel of the cover
+    lab = ext_lab_instance(3, 2)
+    algebra = lab.square.algebra
+    b0, _, _, tracked = artin._extension_classes(lab.module, lab.module)
+    assert artin._x_cover_rows(algebra, lab.square.class_of(lab.x), b0,
+                               tracked)
+    with pytest.raises(InvariantViolation, match="kernel of the cover"):
+        artin._x_cover_rows(algebra, {0: algebra.field.one}, b0, tracked)
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (3, 5), (4, 2), (5, 2)])
+def test_socle_decides_isomorphism_to_the_target(m, p):
+    # every line's middle, passing or not: a simple socle exactly when
+    # the isomorphism search finds T = omega/x^2 omega
+    lab = ext_lab_instance(m, p)
+    classes = artin._extension_classes(lab.module, lab.module)
+    simple = []
+    for _, mid in artin._line_middles(lab.module, classes):
+        simple.append(socle(mid).dimension == 1)
+        assert simple[-1] == (module_iso(mid, lab.target) is not None)
+    assert any(simple) and not all(simple)
 
 
 def test_lab_walks_refuse_past_the_line_cap_before_any_middle(monkeypatch):

@@ -11,7 +11,10 @@ p = 3.  They were written while algebra elements were still dense
 coefficient tuples and the algebra checked associativity by its own
 loop.  Two files pin Corollary 3, its counts and its witness, at (3, 5)
 and (4, 2); they were written while `witness_cor3` still ran a
-surjection search on every passing line of classes.
+surjection search on every passing line of classes.  Two more pin
+Claim 4 at (5, 2) and (3, 7); they were written while the walk still
+built a middle for every line and searched an isomorphism onto the
+target for each passing one.
 The toric files were written while `s2_hull` still filtered a full
 grid of edge coordinates and minimalized every hull point of its
 window; the lattice walk must give the same bytes.  They cover
@@ -85,6 +88,10 @@ CASES = {
     "ext-lab-4-2-claim4.json": ["ext-lab", "--m", "4", "--p", "2",
                                 "--claim4"],
     "ext-lab-4-3-claim4.json": ["ext-lab", "--m", "4", "--p", "3",
+                                "--claim4"],
+    "ext-lab-5-2-claim4.json": ["ext-lab", "--m", "5", "--p", "2",
+                                "--claim4"],
+    "ext-lab-3-7-claim4.json": ["ext-lab", "--m", "3", "--p", "7",
                                 "--claim4"],
     "toric-hull-gens-17-32-72-77.json": ["toric", "hull", "--gens",
                                          "1,7 3,2 7,2 7,7", "--module",

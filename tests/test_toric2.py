@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -92,6 +93,26 @@ def test_minimal_points_match_the_all_pairs_loop(gens, coeffs):
                              for a, b in coeffs))
     assert MonomialModule2(S, pts).generators == all_pairs_minimal(S, raw,
                                                                    pts)
+
+
+def test_an_antichain_is_kept_without_a_membership_search(monkeypatch):
+    # the staircase (1, k), k = 0..2047, of `toric saturate --gens
+    # '1,0 1,1 1,2047'`: no point bounds another in edge coordinates
+    def refuse(self, point):
+        raise AssertionError("an undominated point was searched")
+
+    stairs = [(1, k) for k in range(2048)]
+    monkeypatch.setattr(AffineSemigroup2, "contains", refuse)
+    assert set(AffineSemigroup2(stairs[::-1]).generators) == set(stairs)
+    S = AffineSemigroup2([(1, 0), (1, 2047)])
+    assert toric2._minimal_points(S, stairs) == tuple(
+        sorted(stairs, key=S._sort_key))
+    # and in near-linear time: a pass over every pair of 20,000 points,
+    # about 2 * 10^8 comparisons, takes far longer than the bound
+    start = time.perf_counter()
+    assert len(AffineSemigroup2([(1, k) for k in range(20000)]).generators) \
+        == 20000
+    assert time.perf_counter() - start < 2.0
 
 
 def edge_ray_points(S):
