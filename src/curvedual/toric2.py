@@ -2,11 +2,12 @@
 
 A semigroup S here is given by finitely many integer points spanning a
 pointed two-dimensional cone.  Writing d1, d2 for the primitive ray
-directions and n1(w) = cross(d1, w), n2(w) = cross(w, d2) for the two
-edge functionals (nonnegative exactly on the cone), every semigroup
-element splits into its on-ray and off-ray generator parts, which is
-what makes the localization at a ray decidable without any search
-window:
+directions, the edge coordinates of a point w are n1(w) = cross(d1, w)
+and n2(w) = cross(w, d2), nonnegative exactly on the cone.  All the
+work runs over these pairs; plane points appear only as input, in the
+public predicates and in the output.  Every semigroup element splits
+into its on-ray and off-ray generator parts, which is what makes the
+localization at a ray decidable without any search window:
 
   u lies in the localization M_ray of a monomial module M
   iff for some generator h of M and some combo s of off-ray
@@ -16,18 +17,19 @@ window:
 
 (The on-ray multipliers form a numerical semigroup whose differences
 are exactly the multiples of that gcd, and adding enough on-ray
-generators always repairs any such remainder.)  The hull off the
-origin is the intersection of the two ray localizations with the
-group; its new generators are collected in an explicit corner window,
-certified by the same walk carried on over a rim around it.
+generators always repairs any such remainder.)  That is one congruence
+on the other edge coordinate (`_ray_local`).  The hull off the origin
+is the intersection of the two ray localizations with the group; its
+new generators are collected in an explicit corner window, certified
+by the same walk carried on over a rim around it.
 
-Every walk runs over edge coordinates, where the group has the Hermite
-form (g, c, t): its points are the pairs (a, b) with g | a and
-b = c a/g (mod t).  The hull walks a square of them.  The saturation
-is the set of group points with a, b >= 0 and the canonical module of
-a saturated semigroup the set with a, b >= 1 (Oda, Convex Bodies and
-Algebraic Geometry, 1.6); the generators of both are the minimal
-points, one per step of a staircase over the columns a.
+In edge coordinates the group has the Hermite form (g, c, t): its
+points are the pairs (a, b) with g | a and b = c a/g (mod t).  The hull
+walks a square of them.  The saturation is the set of group points
+with a, b >= 0 and the canonical module of a saturated semigroup the
+set with a, b >= 1 (Oda, Convex Bodies and Algebraic Geometry, 1.6);
+the generators of both are the minimal points, one per step of a
+staircase over the columns a.
 """
 
 from __future__ import annotations
@@ -38,25 +40,27 @@ from .curvering import semigroup_oracle
 from .errors import (InvariantViolation, NotMember, NotSaturated,
                      OwnerMismatch, ParseError, TooLarge)
 
-# Highest level n1 + n2 a semigroup membership search may start from.
-# The search memoises every point it meets, all of them in the cone
-# below the start, so its time and memory grow with the level.  Near the
-# cap, the slowest of 600 searches on random semigroups with generators
-# in [-6, 12]^2 met 512,000 points in 0.8 s and 120 MB (2-vCPU VM,
-# Python 3.11).  Past it `contains` raises TooLarge.
+# Highest level n1 + n2 a semigroup membership search may start from,
+# and highest edge level a ray localization may build.  The search
+# memoises every point it meets, all of them in the cone below the
+# start, so its time and memory grow with the level.  Near the cap, the
+# slowest of 600 searches on random semigroups with generators in
+# [-6, 12]^2 met 512,000 points in 0.8 s and 120 MB (2-vCPU VM, Python
+# 3.11).  Past it `contains` and the localizations raise TooLarge; the
+# hull walk asks for levels up to its width only.
 MAX_MEMBER_LEVEL = 8192
 
 # Widest walk over edge coordinates: the side of the hull's square, the
 # rim included, and the column count of the staircase of `saturation`
 # and `canonical_module_toric`.  The hull walk visits every group point
-# of its square, about (top + 1)^2 / det of them, and keeps each one it
-# finds: at the cap, the hull of (1015, 0), (0, 1015) over the plane
-# walks 4.2 million points in 4.5 s and 625 MB.  The staircase visits
-# one point per column, and the semigroup built on it keeps them, an
-# antichain, without comparing them: at the cap, `toric saturate
-# --gens '1,0 1,1 1,2047'` keeps 2,048 points and takes 0.11-0.17 s
-# (both on a 2-vCPU VM, Python 3.11).  The widest walk of the benchmark
-# jobs is 250.  Past the cap both raise TooLarge before they walk.
+# of its square, about (top + 1)^2 / det of them, and keeps those of a
+# few columns: at the cap, the hull of (1015, 0), (0, 1015) over the
+# plane walks 4.2 million points in 4.6-5.0 s and 16 MB.  The staircase
+# keeps one point per column, an antichain, which the semigroup built on
+# it keeps without comparing them: at the cap, `toric saturate --gens
+# '1,0 1,1 1,2047'` takes 0.11-0.17 s (both on a 2-vCPU VM, Python
+# 3.11).  The widest walk of the benchmark jobs is 250.  Past the cap
+# both raise TooLarge before they walk.
 MAX_WALK_WIDTH = 2048
 
 
@@ -98,9 +102,7 @@ def _lattice_basis(vectors):
         leftover = (d // g) * b - (a // g) * e
         d, e = g, x * e + y * b
         m = math.gcd(m, leftover)
-    if m:
-        e %= m
-    return d, e, m
+    return d, e % m, m
 
 
 def _extremal_pair(gens):
@@ -165,11 +167,11 @@ class AffineSemigroup2:
     """Finitely generated subsemigroup of Z^2 with a pointed 2d cone.
 
     Stores the canonical minimal generator list, the two primitive ray
-    directions (counterclockwise), and the Hermite form of the group
-    generated, once in the plane's coordinates (`_hnf`) and once in edge
-    coordinates (`_edge_form`, see `_corner_points`).  Membership is an
-    exact level-descent search, memoised per instance, from a level of
-    at most MAX_MEMBER_LEVEL.
+    directions (counterclockwise), and in edge coordinates the
+    generators (`_steps`) and the Hermite form of the group
+    (`_edge_form`, see `_corner_points`).  Membership is an exact
+    level-descent search, memoised per instance, from a level of at
+    most MAX_MEMBER_LEVEL.
     """
 
     def __init__(self, generators):
@@ -178,18 +180,15 @@ class AffineSemigroup2:
                if pt != (0, 0)]
         if not raw:
             raise InvariantViolation("at least one nonzero generator needed")
-        lo, hi = _extremal_pair(raw)
+        lo, hi = _extremal_pair(raw)  # so the group has rank two
         self.ray_directions = (_primitive(lo), _primitive(hi))
         self._det = _cross(*self.ray_directions)
-        self._hnf = _lattice_basis(raw)
-        if self._hnf[0] == 0 or self._hnf[2] == 0:
-            raise InvariantViolation("group of the semigroup has rank < 2")
-        d, e, m = self._hnf
-        self._edge_form = _lattice_basis([self.normal_values((d, e)),
-                                          self.normal_values((0, m))])
+        # the minimality test searches over all of them
+        self._steps = [self.normal_values(g) for g in raw]
+        self._edge_form = _lattice_basis(self._steps)
         self._memo = {}
-        self._dp_gens = raw  # the minimality test searches over them all
-        self.generators = self._dp_gens = _minimal_points(self, raw)
+        self.generators = _minimal_points(self, raw)
+        self._steps = [self.normal_values(g) for g in self.generators]
         self._init_ray_data()
 
     def _sort_key(self, pt):
@@ -200,32 +199,17 @@ class AffineSemigroup2:
         self._ray_gcds = []
         self._ray_conductors = []
         self._offray = []
-        self._off_other_max = []
         self._levels = []
         for ray in (0, 1):
-            d = self.ray_directions[ray]
-            ks, off, omax = [], [], 0
-            for g in self.generators:
-                nv = self.normal_values(g)
-                if nv[ray] == 0:
-                    k = g[0] // d[0] if d[0] else g[1] // d[1]
-                    if k < 1 or (k * d[0], k * d[1]) != g:
-                        raise InvariantViolation("bad on-ray generator")
-                    ks.append(k)
-                else:
-                    off.append(g)
-                    omax = max(omax, nv[1 - ray])
-            if not ks:
-                # the extremal ray of the cone always carries a generator
-                raise InvariantViolation("extremal ray without a generator")
-            ga = math.gcd(*ks) if len(ks) > 1 else ks[0]
+            # k for each generator k d on the ray: n(k d) = k det
+            ks = [e[1 - ray] // self._det for e in self._steps if not e[ray]]
+            ga = math.gcd(*ks)
             self._ray_gcds.append(ga)
             scaled = sorted({k // ga for k in ks})
             self._ray_conductors.append(
                 ga * semigroup_oracle(scaled).conductor)
-            self._offray.append(off)
-            self._off_other_max.append(omax)
-            self._levels.append([frozenset({(0, 0)})])
+            self._offray.append([e for e in self._steps if e[ray]])
+            self._levels.append([frozenset({0})])
 
     # -- basic predicates ----------------------------------------------------
 
@@ -237,10 +221,12 @@ class AffineSemigroup2:
         return (d1x * y - d1y * x, x * d2y - y * d2x)
 
     def in_group(self, pt):
-        d, e, m = self._hnf
-        if pt[0] % d:
-            return False
-        return (pt[1] - (pt[0] // d) * e) % m == 0
+        return self._group_pair(self.normal_values(pt))
+
+    def _group_pair(self, e):
+        """Whether the edge pair e is that of a group point."""
+        g, c, t = self._edge_form
+        return e[0] % g == 0 and (e[1] - c * (e[0] // g)) % t == 0
 
     def _edge_point(self, a, b):
         """The point u with edge coordinates (a, b): u = (a d2 + b d1) /
@@ -254,45 +240,45 @@ class AffineSemigroup2:
         return a >= 0 and b >= 0
 
     def contains(self, point):
-        w = (int(point[0]), int(point[1]))
-        if w == (0, 0):
+        e = self.normal_values((int(point[0]), int(point[1])))
+        if e == (0, 0):
             return True
-        a, b = self.normal_values(w)
-        if a < 0 or b < 0 or not self.in_group(w):
+        a, b = e
+        if a < 0 or b < 0 or not self._group_pair(e):
             return False
         if a + b > MAX_MEMBER_LEVEL:
             raise TooLarge(f"membership search from level {a + b} exceeds "
                            f"the bound {MAX_MEMBER_LEVEL}")
-        return self._member(w)
+        return self._member(e)
 
     def _member(self, w):
-        """Depth-first search for w - g in the semigroup, generators in
-        order, every finished point memoised.  The stack is explicit, so
-        a point far from the origin does not hit the recursion limit."""
+        """Depth-first search for w - g in the semigroup over edge pairs,
+        generators in order, every finished pair memoised.  The stack is
+        explicit, so a point far from the origin does not hit the
+        recursion limit."""
         memo = self._memo
         hit = memo.get(w)
         if hit is not None:
             return hit
-        gens = self._dp_gens
-        stack = [(w, iter(gens))]
+        steps = self._steps
+        stack = [(w, iter(steps))]
         found = None  # answer of the frame popped last, None on descent
         while stack:
             v, rest = stack[-1]
             out, found = found, None
             if not out:
                 out = False
-                for g in rest:
-                    z = _sub(v, g)
-                    if z == (0, 0):
+                for sa, sb in rest:
+                    z = a, b = v[0] - sa, v[1] - sb
+                    if a == b == 0:
                         out = True
                         break
-                    a, b = self.normal_values(z)
                     if a < 0 or b < 0:
                         continue
                     known = memo.get(z)
                     if known is None:
                         out = None
-                        stack.append((z, iter(gens)))
+                        stack.append((z, iter(steps)))
                         break
                     if known:
                         out = True
@@ -304,18 +290,18 @@ class AffineSemigroup2:
         return found
 
     def _reachable(self, ray, t):
-        """Vectors reachable by off-ray generator combos at edge level
-        exactly t; computed level by level and cached."""
+        """Residues modulo det * ga (ga the ray's gcd) of the other edge
+        coordinate of the off-ray combos at edge level t; cached."""
+        if t > MAX_MEMBER_LEVEL:
+            raise TooLarge(f"localization at edge level {t} exceeds the "
+                           f"bound {MAX_MEMBER_LEVEL}")
         lv = self._levels[ray]
+        m = self._det * self._ray_gcds[ray]
         while len(lv) <= t:
             ell = len(lv)
-            cur = set()
-            for g in self._offray[ray]:
-                ng = self.normal_values(g)[ray]
-                if ng <= ell:
-                    for v in lv[ell - ng]:
-                        cur.add((v[0] + g[0], v[1] + g[1]))
-            lv.append(frozenset(cur))
+            lv.append(frozenset((r + e[1 - ray]) % m
+                                for e in self._offray[ray] if e[ray] <= ell
+                                for r in lv[ell - e[ray]]))
         return lv[t]
 
     def __eq__(self, other):
@@ -332,7 +318,8 @@ class AffineSemigroup2:
 
 class MonomialModule2:
     """Module of lattice points over a plane semigroup, stored by its
-    minimal generators (unique because the cone is pointed)."""
+    minimal generators (unique because the cone is pointed) and their
+    edge coordinates."""
 
     def __init__(self, semigroup, generators):
         self.semigroup = semigroup
@@ -345,6 +332,7 @@ class MonomialModule2:
         if not pts:
             raise InvariantViolation("a module needs at least one generator")
         self.generators = _minimal_points(semigroup, pts)
+        self._edges = [semigroup.normal_values(h) for h in self.generators]
 
     def contains(self, point):
         pt = (int(point[0]), int(point[1]))
@@ -353,40 +341,32 @@ class MonomialModule2:
 
     def in_ray_localization(self, point, ray):
         """Exact ray-localization membership (docstring at module top)."""
-        pt = (int(point[0]), int(point[1]))
-        return self.semigroup.in_group(pt) and self._ray_local(pt, ray)
-
-    def _ray_local(self, pt, ray):
-        """`in_ray_localization` for an int point already in the group."""
         S = self.semigroup
-        d = S.ray_directions[ray]
-        ga = S._ray_gcds[ray]
-        det = S._det
-        rmax = S._off_other_max[ray]
-        for h in self.generators:
-            z = _sub(pt, h)
-            nz = S.normal_values(z)
-            t = nz[ray]
-            if t < 0:
-                continue
-            reach = S._reachable(ray, t)
-            if not reach:
-                continue
-            other = nz[1 - ray]
-            hi = other // det
-            lo = -((t * rmax - other) // det)
-            mu = hi - (hi % ga)
-            while mu >= lo:
-                sigma = (z[0] - mu * d[0], z[1] - mu * d[1])
-                if sigma in reach:
-                    return True
-                mu -= ga
+        e = S.normal_values((int(point[0]), int(point[1])))
+        return S._group_pair(e) and self._ray_local(e, ray)
+
+    def _ray_local(self, e, ray):
+        """`in_ray_localization` for the edge pair e of a group point.
+
+        Let n be the other edge coordinate and ga the ray's gcd.  For z
+        = u - h, h a generator, and a combo s at z's edge level t, z - s
+        lies on the ray's line: z - s = mu d, mu = (n(z) - n(s)) / det.
+        The remainder test asks for ga | mu, that is n(s) = n(z) modulo
+        det * ga, one lookup in the residues of level t.  A walk over mu
+        between (n(z) - t rmax) / det and n(z) / det, rmax the largest n
+        of an off-ray generator, would find no more: 0 <= n(s) <= t rmax.
+        """
+        S = self.semigroup
+        m = S._det * S._ray_gcds[ray]
+        for h in self._edges:
+            t = e[ray] - h[ray]
+            r = (e[1 - ray] - h[1 - ray]) % m
+            if t >= 0 and r in S._reachable(ray, t):
+                return True
         return False
 
     def hull_contains(self, point):
-        pt = (int(point[0]), int(point[1]))
-        return (self.semigroup.in_group(pt)
-                and self._ray_local(pt, 0) and self._ray_local(pt, 1))
+        return all(self.in_ray_localization(point, ray) for ray in (0, 1))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialModule2):
@@ -404,25 +384,19 @@ class MonomialModule2:
 # -- operations -----------------------------------------------------------------
 
 def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
-    """Group points u with edge coordinates a = n1(u) in [a_lo, a_hi]
-    and b = n2(u) in [b_lo, b_hi], in order of a, then b.
+    """Edge pairs (a, b) of the group points with a in [a_lo, a_hi] and
+    b in [b_lo, b_hi], in order of a, then b.
 
     The edge form (g, c, t) is the Hermite form of the group in edge
     coordinates, rows (g, c) and (0, t), so (a, b) is a group point
     exactly when g divides a and b = c a/g (mod t).  The walk takes the
     columns a that g divides, starts each at its first such b >= b_lo
-    and steps u by the point with edge coordinates (0, t); it never
-    looks at the pairs in between.
+    and steps by t; it never looks at the pairs in between.
     """
     g, c, t = S._edge_form
-    sx, sy = S._edge_point(0, t)
     for a in range(a_lo + (-a_lo) % g, a_hi + 1, g):
-        b = b_lo + (c * (a // g) - b_lo) % t
-        x, y = S._edge_point(a, b)
-        for _ in range(b, b_hi + 1, t):
-            yield (x, y)
-            x += sx
-            y += sy
+        for b in range(b_lo + (c * (a // g) - b_lo) % t, b_hi + 1, t):
+            yield a, b
 
 
 def _staircase(S, lo):
@@ -467,8 +441,8 @@ def _staircase(S, lo):
 def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
     """Hilbert basis of cone(S) intersected with group(S), read off the
     staircase of edge coordinates (`_staircase`)."""
-    out = AffineSemigroup2(_staircase(S, 0))
-    if out._hnf != S._hnf:
+    out = AffineSemigroup2(_staircase(S, 0))  # same cone, same edges
+    if out._edge_form != S._edge_form:
         raise InvariantViolation("saturation changed the group")
     return out
 
@@ -480,18 +454,24 @@ def _window_generators(module, b1, b2, size):
 
     The walk meets u - g before u, and the hull is a module, so a point
     with u - g already found is a hull point without a pointwise test.
+    u - g lies at most `back` columns behind u, so only the hull points
+    found in those columns are kept.
     """
     S = module.semigroup
-    steps = S.generators
-    found = set()
+    steps = S._steps
+    back = max(sa for sa, _ in steps)
+    found = {}  # column a -> the b of its hull points
     kept = []
-    for u in _corner_points(S, b1, b1 + size, b2, b2 + size):
-        x, y = u
-        if any((x - g[0], y - g[1]) in found for g in steps):
-            found.add(u)
-        elif module.hull_contains(u):
-            found.add(u)
-            kept.append(u)
+    for a, b in _corner_points(S, b1, b1 + size, b2, b2 + size):
+        col = found.get(a)
+        if col is None:
+            found = {k: v for k, v in found.items() if k >= a - back}
+            col = found[a] = set()
+        if any(b - sb in found.get(a - sa, ()) for sa, sb in steps):
+            col.add(b)
+        elif module._ray_local((a, b), 0) and module._ray_local((a, b), 1):
+            col.add(b)
+            kept.append(S._edge_point(a, b))
     return kept
 
 
@@ -536,10 +516,10 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     """
     S = module.semigroup
     gens = module.generators
-    coords = [S.normal_values(h) for h in gens]
+    coords = module._edges
     b1 = min(c[0] for c in coords)
     b2 = min(c[1] for c in coords)
-    span = max(max(S.normal_values(g)) for g in S.generators)
+    span = max(map(max, S._steps))
     mspan = max(c[0] - b1 + c[1] - b2 for c in coords)
     reach = S._det * (S._ray_gcds[0] * max(S._ray_conductors[0], 1)
                       + S._ray_gcds[1] * max(S._ray_conductors[1], 1))

@@ -22,8 +22,12 @@ window; the lattice walk must give the same bytes.  They cover
 semigroup 1,7 3,2 7,2 7,7 and a semigroup of det 40.  Two more hull
 files, on 3,4 3,0 7,5 8,3 and 1,-2 1,8 6,-1 6,4, need the corner window
 to double; they were written while the rim was still certified point by
-point against the extracted module.  The pinched plane is not
-saturated, so its `omega` exits 2 with nothing on stdout.
+point against the extracted module.  One more hull file, on 10,2 9,-3
+11,12 with the module 0,0 2,15, was written while each ray
+localization still walked every multiple of the ray's gcd between two
+bounds, a long range on this semigroup, instead of one residue lookup.
+The pinched plane is not saturated, so its `omega` exits 2 with nothing
+on stdout.
 The two extra `check` files pin the failure path (an injected fault,
 exit 1, counterexample `delta-over-regular` with a null error) and the
 family path; they were written before the harness and the library's
@@ -104,6 +108,8 @@ CASES = {
     "toric-hull-gens-1-m2-1-8-6-m1-6-4.json": ["toric", "hull", "--gens",
                                                "1,-2 1,8 6,-1 6,4",
                                                "--module=-5,-6"],
+    "toric-hull-gens-10-2-9-m3-11-12-mod-0-0-2-15.json": [
+        "toric", "hull", "--gens", "10,2 9,-3 11,12", "--module", "0,0 2,15"],
 }
 for _model in ("plane", "diagonal-mod3", "pinched-plane"):
     for _sub in ("saturate", "omega", "hull"):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -63,7 +64,7 @@ def all_pairs_minimal(S, raw, points):
     """The minimality loop as it was: each point compared with every
     other one, membership searched over all the raw generators."""
     ref = copy.copy(S)
-    ref._memo, ref._dp_gens = {}, raw
+    ref._memo, ref._steps = {}, [ref.normal_values(g) for g in raw]
     out = []
     for g in sorted(points, key=ref._sort_key):
         ga, gb = ref.normal_values(g)
@@ -271,7 +272,7 @@ def recursive_member(S, w, memo):
     if hit is not None:
         return hit
     out = False
-    for g in S._dp_gens:
+    for g in S.generators:
         z = (w[0] - g[0], w[1] - g[1])
         if z == (0, 0):
             out = True
@@ -292,14 +293,15 @@ def test_member_search_matches_recursive_walk(name):
     # order, so the explicit stack visits exactly the points the
     # recursion did
     S = model(name)
-    memo = dict(S._memo)
+    memo = {S._edge_point(*e): v for e, v in S._memo.items()}
     # far points first, so each query searches deep before the memo fills
     points = [(x, y) for x in range(14, -3, -1) for y in range(14, -3, -1)]
     for pt in points:
         want = pt == (0, 0) or (S.in_cone(pt) and S.in_group(pt)
                                 and recursive_member(S, pt, memo))
         assert S.contains(pt) == want
-    assert list(S._memo.items()) == list(memo.items())
+    assert [(S._edge_point(*e), v) for e, v in S._memo.items()] == list(
+        memo.items())
 
 
 def test_member_search_is_not_recursive():
@@ -391,10 +393,10 @@ def module_over(S, shift):
 def stepped_ray_primitives(S):
     """The least k >= 1 with k * d in the group, for each ray direction
     d, found by stepping k up to the group index."""
-    d, _, m = S._hnf
+    g, _, t = S._edge_form
     out = []
     for dx, dy in S.ray_directions:
-        k = next(k for k in range(1, d * m + 1)
+        k = next(k for k in range(1, g * t // S._det + 1)
                  if S.in_group((k * dx, k * dy)))
         out.append((k * dx, k * dy))
     return tuple(out)
@@ -443,7 +445,8 @@ def test_edge_period():
 def test_corner_walk_matches_grid_filter(S, box):
     a_lo, a_len, b_lo, b_len = box
     a_hi, b_hi = a_lo + a_len, b_lo + b_len
-    walk = list(_corner_points(S, a_lo, a_hi, b_lo, b_hi))
+    walk = [S._edge_point(a, b)
+            for a, b in _corner_points(S, a_lo, a_hi, b_lo, b_hi)]
     assert walk == list(grid_corner_points(S, a_lo, a_hi, b_lo, b_hi))
 
 
@@ -455,6 +458,76 @@ def test_corner_walk_matches_grid_filter(S, box):
 def test_hull_matches_full_window_minimalization(S, shift):
     module = module_over(S, shift)
     assert s2_hull(module) == reference_hull(module)
+
+
+def plane_in_group(S, pt):
+    """Group membership from the Hermite form of the generators in the
+    plane's coordinates, without edge coordinates."""
+    d, e, m = toric2._lattice_basis(S.generators)
+    return pt[0] % d == 0 and (pt[1] - (pt[0] // d) * e) % m == 0
+
+
+def plane_reachable(S, ray, t):
+    """Vectors reachable by off-ray generator combos at edge level
+    exactly t, as plane points, level by level."""
+    off = [g for g in S.generators if S.normal_values(g)[ray]]
+    levels = [{(0, 0)}]
+    for ell in range(1, t + 1):
+        levels.append({(v[0] + g[0], v[1] + g[1]) for g in off
+                       for ng in [S.normal_values(g)[ray]] if ng <= ell
+                       for v in levels[ell - ng]})
+    return levels[t]
+
+
+def reference_ray_local(module, pt, ray):
+    """Ray localization of a group point as `_ray_local` decided it
+    before the residue lookup: walk every multiple mu of the ray's gcd
+    between two bounds and look z - mu d up among the reachable plane
+    vectors."""
+    S = module.semigroup
+    d = S.ray_directions[ray]
+    ga = S._ray_gcds[ray]
+    det = S._det
+    rmax = max([S.normal_values(g)[1 - ray] for g in S.generators
+                if S.normal_values(g)[ray]], default=0)
+    for h in module.generators:
+        z = (pt[0] - h[0], pt[1] - h[1])
+        nz = S.normal_values(z)
+        t = nz[ray]
+        if t < 0:
+            continue
+        reach = plane_reachable(S, ray, t)
+        if not reach:
+            continue
+        other = nz[1 - ray]
+        hi = other // det
+        lo = -((t * rmax - other) // det)
+        mu = hi - (hi % ga)
+        while mu >= lo:
+            sigma = (z[0] - mu * d[0], z[1] - mu * d[1])
+            if sigma in reach:
+                return True
+            mu -= ga
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@example(S=AffineSemigroup2([(10, 2), (9, -3), (11, 12)]), shift=True)
+@example(S=AffineSemigroup2([(0, -3), (7, 9), (11, -1)]), shift=True)
+@example(S=model("diagonal-mod3"), shift=True)
+@given(plane_semigroups(), st.booleans())
+def test_residue_lookup_matches_the_mu_loop(S, shift):
+    # off-group points of the box included: both sides must say no
+    module = module_over(S, shift)
+    for pt in itertools.product(range(-6, 10), repeat=2):
+        in_group = plane_in_group(S, pt)
+        assert S.in_group(pt) == in_group, pt
+        for ray in (0, 1):
+            want = in_group and reference_ray_local(module, pt, ray)
+            assert module.in_ray_localization(pt, ray) == want, (pt, ray)
+        assert module.hull_contains(pt) == (
+            in_group and reference_ray_local(module, pt, 0)
+            and reference_ray_local(module, pt, 1)), pt
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,6 +634,40 @@ def test_member_search_is_capped_by_level():
     # the module's minimality test runs the same search
     with pytest.raises(TooLarge):
         MonomialModule2(model("plane"), [(0, 0), (3, 10 ** 11)])
+
+
+def test_localization_is_capped_by_level():
+    # ray 1 at edge level 24,997: the levels below it are never built
+    S = AffineSemigroup2([(3, 4), (3, 0), (7, 5), (8, 3)])
+    module = MonomialModule2(S, [(0, 0)])
+    assert S.normal_values((10000, 5001)) == (5001, 24997)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="level 24997 exceeds the bound 8192"):
+        module.hull_contains((10000, 5001))
+    with pytest.raises(TooLarge, match="level 24997"):
+        module.in_ray_localization((10000, 5001), 1)
+    assert len(S._levels[1]) == 1
+    assert time.perf_counter() - start < 2.0
+    # the plane's first ray is the x-axis, at edge level y
+    plane = MonomialModule2(model("plane"), [(0, 0)])
+    assert plane.in_ray_localization((-5, MAX_MEMBER_LEVEL), 0)
+    with pytest.raises(TooLarge):
+        plane.in_ray_localization((-5, MAX_MEMBER_LEVEL + 1), 0)
+    with pytest.raises(TooLarge):
+        plane.hull_contains((0, MAX_MEMBER_LEVEL + 1))
+
+
+def test_hull_walk_memory_is_bounded():
+    # the square has about 170,000 points; the plane's generators reach
+    # back one column, so the walk keeps the hull points of two columns
+    module = MonomialModule2(model("plane"), [(100, 0), (0, 100)])
+    tracemalloc.start()
+    try:
+        assert s2_hull(module).generators == ((0, 0),)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_hull_walk_is_capped_by_width(monkeypatch):
