@@ -647,14 +647,6 @@ def _line_cocycles(field, reps):
             yield field.order - 1, _cocycle(head + tail, reps)
 
 
-def _line_middles(nmodule: ArtinModule, classes):
-    """(weight, middle) for every line of `_line_cocycles`."""
-    algebra = nmodule.algebra
-    b0, kvecs, reps, _ = classes
-    for weight, psi in _line_cocycles(algebra.field, reps):
-        yield weight, _pushout_middle(algebra, nmodule, b0, kvecs, psi)
-
-
 def _x_cover_rows(algebra, xvec, b0, tracked):
     """A basis of xF inside the kernel K of the minimal cover F = A^b0,
     each vector written over K's basis indices by `tracked`.  The

@@ -2,8 +2,8 @@
 printer, the property harness with fault injection, the finite-algebra
 extension lab, and the plane-semigroup driver.
 
-`check` reads the duality invariants from `duality.invariant_checks`
-and adds seeded random cases (biduality, Herbrand, length duality).
+`check` runs the properties `duality.harness` lists, counts them and
+renders the first failure as a counterexample with a rerun line.
 
 Exit codes: 0 success, 1 property violation, 2 input or feasibility
 error.  With --format json the output is a schema-versioned document
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import os
-import random
 import re
 import sys
 
@@ -28,11 +26,9 @@ from .curvering import (CurveSpec, build, format_curve_file,
                         parse_curve_file)
 from .errors import AlgebraError, ParseError
 from .fields import format_field, parse_field
-from .fracideal import herbrand, random_ideal, random_ring_element
-from .laurent import INF, Element, format_element
+from .laurent import format_element
 
 SCHEMA = "curvedual-report/1"
-INJECTIONS = ("drop-residue-condition",)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -195,32 +191,6 @@ def cmd_omega(ns):
 
 # -- check -------------------------------------------------------------------
 
-def _regular_multiplier(ring, rng):
-    """A ring element with finite order on every branch."""
-    for _ in range(8):
-        x = random_ring_element(ring, rng)
-        if x and INF not in x.valuations():
-            return x
-    c = max(max(ring.cond), 1)
-    return Element.diag_monomial(ring.field, ring.nbranches, c)
-
-
-def _random_checks(ring, omega, case_seed):
-    """Seeded cases on one random ideal I.  Duals are read by residues
-    (`duality.dual`, once per case) and checked against the general
-    colon by `omega`, or against a colength."""
-    rng = random.Random(case_seed)
-    ideal = random_ideal(ring, case_seed)
-    dual_ideal = functools.cache(lambda: duality.dual(ideal))
-    yield ("biduality", lambda: omega.colon(dual_ideal()) == ideal)
-    x = _regular_multiplier(ring, rng)
-    yield ("herbrand", lambda: operator.eq(*herbrand(ideal, x)))
-    sub = ideal.scale(x)
-    yield ("length-duality",
-           lambda: ideal.len_quotient(sub)
-           == duality.dual(sub).len_quotient(dual_ideal()))
-
-
 def _rerun_hint(ns, spec):
     parts = ["curvedual", "check", "--inline", repr(_inline_text(spec)),
              "--seed", str(ns.seed), "--cases", str(ns.cases)]
@@ -234,66 +204,29 @@ def cmd_check(ns):
     if spec is not None:
         rings = [build(spec)]
     else:
-        field = parse_field(ns.field)
-        rings = family.family_rings(field, bound=8)
-    drop = 1 if ns.inject == "drop-residue-condition" else 0
+        rings = family.family_rings(parse_field(ns.field), bound=8)
     properties = {}
     counterexample = None
-
-    def tally(name, ok, error, ring, case_seed=None):
-        nonlocal counterexample
+    for name, predicate, ring, case_seed in duality.harness(
+            rings, ns.cases, ns.seed, ns.inject):
+        # a corrupted computation that raises fails with its message
+        try:
+            ok, error = bool(predicate()), None
+        except AlgebraError as err:
+            ok, error = False, str(err)
         slot = properties.setdefault(name, {"runs": 0, "failures": 0})
         slot["runs"] += 1
         if not ok:
             slot["failures"] += 1
-            if counterexample is None:
-                counterexample = {
-                    "property": name,
-                    "error": error,
-                    "ring": _ring_payload(ring),
-                    "curve": _inline_text(ring.spec),
-                    "case_seed": case_seed,
-                    "rerun": _rerun_hint(ns, ring.spec),
-                }
-
-    def record(name, thunk, ring, case_seed=None):
-        # a raise inside a corrupted computation becomes a recorded
-        # failure carrying its message instead of a crash
-        try:
-            ok, error = bool(thunk()), None
-        except AlgebraError as err:
-            ok, error = False, str(err)
-        tally(name, ok, error, ring, case_seed)
-
-    # a property verified while the dualizing module is built fails
-    # there, and counts as that property's counterexample
-    datas = []
-    for ring in rings:
-        try:
-            datas.append(duality.canonical_module(ring, drop_conditions=drop))
-        except duality._FailedInvariant as err:
-            tally(err.property, False, str(err), ring)
+            counterexample = {
+                "property": name,
+                "error": error,
+                "ring": _ring_payload(ring),
+                "curve": _inline_text(ring.spec),
+                "case_seed": case_seed,
+                "rerun": _rerun_hint(ns, ring.spec),
+            }
             break
-
-    for ring, data in zip(rings, datas):
-        if counterexample:
-            break
-        for name, thunk in duality.invariant_checks(ring, data):
-            record(name, thunk, ring)
-            if counterexample:
-                break
-
-    if not counterexample:
-        for i in range(ns.cases):
-            ring = rings[i % len(rings)]
-            omega = datas[i % len(rings)].module
-            case_seed = (ns.seed * 1_000_003 + i) & 0xFFFFFFFF
-            for name, thunk in _random_checks(ring, omega, case_seed):
-                record(name, thunk, ring, case_seed)
-                if counterexample:
-                    break
-            if counterexample:
-                break
 
     payload = {
         "schema": SCHEMA,
@@ -458,7 +391,7 @@ def _build_parser():
     chk.add_argument("curve", nargs="?")
     chk.add_argument("--inline")
     chk.add_argument("--cases", type=int, default=25, metavar="N")
-    chk.add_argument("--inject", choices=INJECTIONS,
+    chk.add_argument("--inject", choices=duality.INJECTIONS,
                      help="negative control: break the construction and "
                           "demand the harness notices")
     chk.set_defaults(func=cmd_check)

@@ -147,6 +147,11 @@ def build(spec: CurveSpec) -> "CurveRing":
                 f"conductor not certified within window bound "
                 f"{spec.window_bound} (needs at least {need})")
         width = min(need, spec.window_bound)
+    if spec.semigroup is not None and (
+            tuple(cond) != (data.conductor,)
+            or len(ech.rows) != data.conductor - data.delta):
+        raise InvariantViolation(
+            "window scan disagrees with the semigroup oracle")
 
     lifts = tuple(Element(field, nbranches, row, 0) for row in ech.rows)
     return CurveRing(spec, field, nbranches, tuple(gens), tuple(cond),

@@ -10,10 +10,10 @@ finite kernel plus the full regular form slab, and the condition
 matrix always has full row rank.
 
 Its defining identities are stated once, in the ordered table
-`invariant_checks`, which construction, the reporters and the
-command-line property harness all read.  Each verdict is kept on the
-`CanonicalModule` it was computed for, so a property runs at most once
-per module however many readers ask.
+`invariant_checks`, which construction, the reporters and `harness`
+(the properties of the `check` command) all read.  Each verdict is
+kept on the `CanonicalModule` it was computed for, so a property runs
+at most once per module however many readers ask.
 
 The same pairing gives every dual.  For a module M closed under O,
 
@@ -38,6 +38,8 @@ socle test that recognizes dualizing candidates.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 from .artin import curve_quotient, present_quotient, socle
@@ -45,15 +47,12 @@ from .errors import (DifferentialDegreeError, FieldTooSmall,
                      InvariantViolation, NotARing, NotDualizing, ZeroOnBranch)
 from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
-                        conductor_module, from_generators,
-                        normalization_module, slab_module, unit_ideal)
+                        conductor_module, from_generators, herbrand,
+                        normalization_module, random_ideal,
+                        random_ring_element, slab_module, unit_ideal)
 from .laurent import INF, Element, linear_combination, window_key
 from .linalg import kernel
 from .record import Record
-
-
-def _regular_forms(ring):
-    return slab_module(ring, (0,) * ring.nbranches, degree=1)
 
 
 def _max_pole_forms(ring):
@@ -91,9 +90,8 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
     condition of the ring; cached on the ring object.
 
     `drop_conditions` discards that many trailing conditions and skips
-    both verification and the cache.  It exists as a fault-injection
-    hook for the negative-control harness, which hands the corrupted
-    result to `invariant_checks`, and must stay 0 in real use.
+    both verification and the cache.  It is the fault `harness` injects
+    (`INJECTIONS`) and must stay 0 in real use.
     """
     if drop_conditions == 0:
         cached = getattr(ring, "_canonical_module", None)
@@ -130,7 +128,7 @@ def _verify_canonical(ring, data):
         raise InvariantViolation(
             f"residue matrix rank {data.rank} differs from the ring "
             f"colength {ring.colength_ring}")
-    if not module.contains_module(_regular_forms(ring)):
+    if not module.contains_module(normalization_module(ring, degree=1)):
         raise InvariantViolation("dualizing module misses a regular form")
     if not _max_pole_forms(ring).contains_module(module):
         raise InvariantViolation("dualizing module has too deep a pole")
@@ -168,7 +166,8 @@ def invariant_checks(ring, data: CanonicalModule = None):
     return tuple(kept(name, predicate) for name, predicate in (
         ("pole-profile", lambda: tuple(-p for p in omega.pole) == ring.cond),
         ("delta-over-regular",
-         lambda: omega.len_quotient(_regular_forms(ring)) == ring.delta),
+         lambda: omega.len_quotient(normalization_module(ring, degree=1))
+         == ring.delta),
         ("conductor-bound", lambda: a >= 2 * b),
         ("gorenstein-threshold",
          lambda: (a == 2 * b) == (omega.is_principal() is not None)),
@@ -187,6 +186,9 @@ class _FailedInvariant(InvariantViolation):
         super().__init__(f"duality invariant {name} fails")
         self.property = name
 
+    def reraise(self):
+        raise self
+
 
 def _require(ring, data, *names):
     """Raise `_FailedInvariant` for the first of the given table
@@ -195,6 +197,63 @@ def _require(ring, data, *names):
     for name in names:
         if not checks[name]():
             raise _FailedInvariant(name)
+
+
+# -- the property harness ------------------------------------------------------
+
+# The faults `harness` injects, by the residue conditions each drops.
+INJECTIONS = {"drop-residue-condition": 1}
+
+
+def harness(rings, cases, seed, inject=None):
+    """Every property `check` runs, in order, as (name, predicate, ring,
+    case seed) tuples.  First every ring's dualizing module is built; a
+    table property failing there is one entry whose predicate raises,
+    and the last.  Then each ring's `invariant_checks`, then `cases`
+    seeded cases round robin over the rings.  The stream is lazy, and a
+    case draws its ideal and multiplier outside the predicates, so an
+    error there propagates."""
+    drop = INJECTIONS[inject] if inject else 0
+    datas = []
+    for ring in rings:
+        try:
+            datas.append(canonical_module(ring, drop_conditions=drop))
+        except _FailedInvariant as err:
+            yield err.property, err.reraise, ring, None
+            return
+    for ring, data in zip(rings, datas):
+        for name, predicate in invariant_checks(ring, data):
+            yield name, predicate, ring, None
+    for i in range(cases):
+        ring, data = rings[i % len(rings)], datas[i % len(rings)]
+        case_seed = (seed * 1_000_003 + i) & 0xFFFFFFFF
+        for name, predicate in _seeded_checks(ring, data.module, case_seed):
+            yield name, predicate, ring, case_seed
+
+
+def _seeded_checks(ring, omega, case_seed):
+    """Seeded cases on one random ideal I.  Duals are read by residues
+    (`dual`, once per case for I) and checked against the general colon
+    by omega, or against a colength."""
+    ideal = random_ideal(ring, case_seed)
+    dual_ideal = functools.cache(lambda: dual(ideal))
+    yield "biduality", lambda: omega.colon(dual_ideal()) == ideal
+    x = _regular_multiplier(ring, random.Random(case_seed))
+    yield "herbrand", lambda: operator.eq(*herbrand(ideal, x))
+    sub = ideal.scale(x)
+    yield ("length-duality",
+           lambda: ideal.len_quotient(sub)
+           == dual(sub).len_quotient(dual_ideal()))
+
+
+def _regular_multiplier(ring, rng):
+    """A ring element with finite order on every branch."""
+    for _ in range(8):
+        x = random_ring_element(ring, rng)
+        if x and INF not in x.valuations():
+            return x
+    return Element.diag_monomial(ring.field, ring.nbranches,
+                                 max(*ring.cond, 1))
 
 
 # -- duals and hulls ------------------------------------------------------------
@@ -341,7 +400,8 @@ def _exact_poles(ring, sigma):
 
 def _checked_section(ring, sigma):
     # conductor * sigma must recover the regular forms exactly
-    if conductor_module(ring).scale(sigma) != _regular_forms(ring):
+    if (conductor_module(ring).scale(sigma)
+            != normalization_module(ring, degree=1)):
         raise InvariantViolation(
             "conductor multiple of the section misses the regular slab")
     return sigma

@@ -448,7 +448,7 @@ def random_ring_element(ring, rng, unit=False):
     return out
 
 
-def random_ideal(ring, seed, shift_bound=2, extra_gens=2, degree=0):
+def random_ideal(ring, seed, shift_bound=2, extra_gens=2):
     """Random finite-colength module, as a twisted ideal of the ring.
 
     Reproducible from the seed alone.  With shift_bound=0 and
@@ -465,8 +465,6 @@ def random_ideal(ring, seed, shift_bound=2, extra_gens=2, degree=0):
     shift = rng.randint(-shift_bound, shift_bound) if shift_bound else 0
     if shift:
         mod = mod.scale(Element.diag_monomial(ring.field, ring.nbranches, shift))
-    if degree == 1:
-        mod = FracIdeal(ring, 1, mod.pole, mod.tail, [dict(r) for r in mod.ech.rows])
     return mod
 
 

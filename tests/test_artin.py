@@ -561,6 +561,14 @@ def test_cover_rows_refuse_an_element_that_does_not_kill_the_module():
         artin._x_cover_rows(algebra, {0: algebra.field.one}, b0, tracked)
 
 
+def line_middles(nmodule, classes):
+    """(weight, middle) for every line of `artin._line_cocycles`."""
+    algebra = nmodule.algebra
+    b0, kvecs, reps, _ = classes
+    for weight, psi in artin._line_cocycles(algebra.field, reps):
+        yield weight, artin._pushout_middle(algebra, nmodule, b0, kvecs, psi)
+
+
 @pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (3, 5), (4, 2), (5, 2)])
 def test_socle_decides_isomorphism_to_the_target(m, p):
     # every line's middle, passing or not: a simple socle exactly when
@@ -568,7 +576,7 @@ def test_socle_decides_isomorphism_to_the_target(m, p):
     lab = ext_lab_instance(m, p)
     classes = artin._extension_classes(lab.module, lab.module)
     simple = []
-    for _, mid in artin._line_middles(lab.module, classes):
+    for _, mid in line_middles(lab.module, classes):
         simple.append(socle(mid).dimension == 1)
         assert simple[-1] == (module_iso(mid, lab.target) is not None)
     assert any(simple) and not all(simple)
@@ -611,7 +619,7 @@ def test_line_walk_is_the_full_walk_at_first_appearances():
         line = frozenset(tuple(c * x for x in lam) for c in field.elements()
                          if c) if any(lam) else frozenset([lam])
         lines.setdefault(line, []).append(i)
-    walk = list(artin._line_middles(lab.module, classes))
+    walk = list(line_middles(lab.module, classes))
     assert [w for w, _ in walk] == [len(ix) for ix in lines.values()]
     assert [mid.cols for _, mid in walk] == [middles[ix[0]].cols
                                              for ix in lines.values()]

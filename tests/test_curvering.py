@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 import curvedual as cd
 from curvedual import curvering
-from curvedual.errors import (NotCoprime, NotFiniteColength, NotPrimeField,
-                              ParseError, TooLarge)
+from curvedual.errors import (InvariantViolation, NotCoprime,
+                              NotFiniteColength, NotPrimeField, ParseError,
+                              TooLarge)
 from curvedual.family import random_spec
 from curvedual.fields import format_field
 from curvedual.laurent import Element, window_key
@@ -95,6 +96,24 @@ def test_semigroup_ring_matches_oracle(qq):
         assert ring.cond == (data.conductor,)
         assert ring.delta == data.delta
         assert bool(ring.is_gorenstein()) is data.symmetric
+
+
+@pytest.mark.parametrize("extra_conductor, extra_delta", [(3, 1), (0, 1)])
+def test_build_refuses_an_oracle_the_scan_contradicts(
+        monkeypatch, qq, extra_conductor, extra_delta):
+    # the oracle sizes the window, so an overstated conductor still
+    # leaves room for the scan; the scan's answer must match it anyway
+    oracle = curvering.semigroup_oracle
+
+    def overstating(gens):
+        data = oracle(gens)
+        return curvering.SemigroupData(
+            data.generators, data.conductor + extra_conductor,
+            data.delta + extra_delta, data.symmetric, data.gaps)
+
+    monkeypatch.setattr(curvering, "semigroup_oracle", overstating)
+    with pytest.raises(InvariantViolation, match="semigroup oracle"):
+        cd.build(cd.semigroup_spec(qq, (3, 5)))
 
 
 def test_membership(cusp, node, qq):

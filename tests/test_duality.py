@@ -134,31 +134,81 @@ def test_residue_dual_matches_colon_over_extension_and_large(f5):
     assert_routes_agree(cd.build(cd.semigroup_spec(f5, (13, 17))))
 
 
-def dropping_dual(module):
-    """The residue route with the last condition row left out."""
-    ring = module.ring
-    unknowns = sorted(((i, j) for i in range(ring.nbranches)
-                       for j in range(-module.tail[i], -module.pole[i])),
-                      key=window_key)
-    rows = [{(i, -1 - k): c for (i, k), c in row.items()}
-            for row in module.ech.rows][:-1]
-    return FracIdeal(ring, 1 ^ module.degree, [-t for t in module.tail],
-                     [-p for p in module.pole],
-                     kernel(ring.field, rows, unknowns))
+def residue_dual(pick):
+    """The residue route, reading the window rows that `pick` keeps."""
+    def route(module):
+        ring = module.ring
+        unknowns = sorted(((i, j) for i in range(ring.nbranches)
+                           for j in range(-module.tail[i], -module.pole[i])),
+                          key=window_key)
+        rows = [{(i, -1 - k): c for (i, k), c in row.items()}
+                for row in pick(module.ech.rows)]
+        return FracIdeal(ring, 1 ^ module.degree, [-t for t in module.tail],
+                         [-p for p in module.pole],
+                         kernel(ring.field, rows, unknowns))
+    return route
+
+
+def first_failure(argv):
+    """The JSON report of a `check` run that must exit 1 quietly."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert code == 1 and not err.getvalue()
+    return doc
 
 
 def test_harness_catches_a_dual_missing_a_condition(monkeypatch):
-    monkeypatch.setattr(duality, "dual", dropping_dual)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", "tacnode", "--cases", "8",
-                         "--format", "json"])
-    doc = json.loads(out.getvalue())
-    assert code == 1 and not err.getvalue()
+    # the last condition row left out
+    monkeypatch.setattr(duality, "dual", residue_dual(lambda rows: rows[:-1]))
+    doc = first_failure(["check", "tacnode", "--cases", "8"])
     # the dual of the branch tuple has no window row to drop, so
     # conductor duality still holds and the first random case fails
     assert doc["properties"]["conductor-duality"]["failures"] == 0
     assert doc["counterexample"]["property"] == "biduality"
+
+
+def test_harness_catches_a_length_without_its_slab_term(monkeypatch):
+    # len(M/N) counts the window and the slab between the two tails;
+    # omega and the regular forms share their tail, so the table still
+    # holds, and herbrand's len(I/xI) is the first to see the fault
+    length = FracIdeal.len_quotient
+
+    def window_only(self, sub):
+        return length(self, sub) - sum(ts - tm for ts, tm
+                                       in zip(sub.tail, self.tail))
+
+    monkeypatch.setattr(FracIdeal, "len_quotient", window_only)
+    doc = first_failure(["check", "cusp", "--cases", "8"])
+    assert doc["counterexample"]["property"] == "herbrand"
+    assert doc["properties"]["biduality"]["failures"] == 0
+
+
+def test_harness_catches_a_dual_exact_only_on_monomial_rows(monkeypatch):
+    # a row paired by its highest term alone: exact on the ideals t^s R
+    # of a monomial curve, whose rows are monomials, so biduality and
+    # the table hold; the first multiple xI with a two-term multiplier
+    # x breaks length duality
+    def top_terms(rows):
+        return [dict([max(row.items(), key=lambda kc: window_key(kc[0]))])
+                for row in rows]
+
+    monkeypatch.setattr(duality, "dual", residue_dual(top_terms))
+    doc = first_failure(["check", "3,5", "--cases", "8"])
+    assert doc["counterexample"]["property"] == "length-duality"
+    assert doc["properties"]["herbrand"]["failures"] == 0
+
+
+def test_harness_lists_the_table_then_the_seeded_cases(qq):
+    rings = [cd.named_ring(qq, "cusp"), cd.named_ring(qq, "node")]
+    stream = [(name, ring.label, case_seed) for name, _, ring, case_seed
+              in duality.harness(rings, 3, seed=7)]
+    seeded = ("biduality", "herbrand", "length-duality")
+    assert stream == (
+        [(name, ring.label, None) for ring in rings for name in PROPERTIES]
+        + [(name, rings[i % 2].label, (7 * 1_000_003 + i) & 0xFFFFFFFF)
+           for i in range(3) for name in seeded])
 
 
 # (name, colength_normalization, 2*colength_ring, delta, omega/regular, gorenstein)
@@ -386,11 +436,7 @@ def test_reporters_and_harness_read_the_table(monkeypatch, qq, broken):
         with pytest.raises(InvariantViolation, match=broken):
             reporter(ring)
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", "cusp", "--cases", "0", "--format", "json"])
-    doc = json.loads(out.getvalue())
-    assert code == 1 and not err.getvalue()
+    doc = first_failure(["check", "cusp", "--cases", "0"])
     assert doc["counterexample"]["property"] == broken
     if broken in AT_CONSTRUCTION:
         # the harness's own build fails verification: a counterexample
