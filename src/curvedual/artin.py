@@ -28,12 +28,13 @@ from its cocycle, as a rank on the image of x (`_x_image_dim`), and
 build a middle module only for a line that passes.
 
 The quotient constructors (`curve_quotient`, `present_quotient`) bridge
-from the Laurent-window world through one class map, `_WindowClasses`:
-the submodule's `FracIdeal.residual` of a Laurent vector is written
-over the chosen representatives.  The quotients of a module by a span
-(`quotient_module` and the pushout middles of the extension laboratory)
-share one induced action, `_induced_action`, which projects images onto
-the non-pivot keys.
+from the Laurent-window world through one method,
+`FracIdeal.quotient_classes`: the lifts of a basis of M/N and their
+class map, which writes a Laurent vector's residual modulo N over the
+lifts.  `curve_quotient` checks x by `herbrand` on O.  The quotients
+of a module by a span (`quotient_module` and the pushout middles of the
+extension laboratory) share one induced action, `_induced_action`,
+which projects images onto the non-pivot keys.
 """
 
 from __future__ import annotations
@@ -41,12 +42,10 @@ from __future__ import annotations
 import itertools
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
-                     NotContained, NotKilled, NotMember, TooLarge,
-                     ZeroDivisor)
+                     NotContained, NotKilled, NotMember, TooLarge)
 from .fields import FiniteField, prime_field
-from .fracideal import FracIdeal, maximal_ideal, unit_ideal
-from .laurent import (INF, Element, format_element, linear_combination,
-                      window_key)
+from .fracideal import FracIdeal, herbrand, unit_ideal
+from .laurent import Element, format_element, linear_combination
 from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
 from .record import Record
 
@@ -748,32 +747,6 @@ def quotient_module(module: ArtinModule, vectors) -> ArtinModule:
 
 # -- quotients of the curve ring ----------------------------------------------
 
-class _WindowClasses:
-    """The class map of Laurent vectors modulo a submodule `sub`, over
-    representatives added one at a time.
-
-    The residual of a vector against sub (`FracIdeal.residual`) is
-    written over the residuals of the representatives through a
-    tracked echelon.
-    """
-
-    __slots__ = ("sub", "tracked")
-
-    def __init__(self, sub: FracIdeal):
-        self.sub = sub
-        self.tracked = TrackedEchelon(sub.ring.field, sort_key=window_key)
-
-    def add(self, rep) -> bool:
-        """Take rep as the next representative if its class is new."""
-        return self.tracked.insert(self.sub.residual(rep), self.tracked.dim)
-
-    def __call__(self, elem):
-        """The class of elem as a sparse vector over the representative
-        indices, or None when elem is not in the span of the
-        representatives and the submodule."""
-        return self.tracked.express(self.sub.residual(elem))
-
-
 class ArtinQuotient:
     """O/xO packaged with the data needed to move elements in and out:
     representative lifts, and the class map modulo xO."""
@@ -814,38 +787,21 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
     """O/xO with its multiplication table.
 
     The dimension must come out as the total vanishing order of x (the
-    one-element Herbrand identity); anything else is an invariant
-    violation, not a warning.
+    one-element Herbrand identity, `herbrand`); anything else is an
+    invariant violation, not a warning.
     """
-    field = ring.field
-    r = ring.nbranches
     if x.degree != 0:
         raise DifferentialDegreeError("quotient by a function, not a form")
     total = unit_ideal(ring)
-    if not total.contains_element(x):
-        raise NotMember("multiplier is not in the ring")
-    vals = x.valuations()
-    if INF in vals:
-        raise ZeroDivisor("multiplier vanishes on a branch")
-    expected = sum(int(v) for v in vals)
+    length, expected = herbrand(total, x)
     if expected == 0:
         raise InvariantViolation("quotient by a unit is the zero algebra")
-
-    sub = total.scale(x)
-    mm = maximal_ideal(ring)
-    candidates = [Element.one(field, r)]
-    candidates.extend(mm.rows_as_elements())
-    for i in range(r):
-        for j in range(mm.tail[i], sub.tail[i]):
-            candidates.append(Element.monomial(field, r, i, j))
-
-    classes = _WindowClasses(sub)
-    reps = [cand for cand in candidates if classes.add(cand)]
-    if len(reps) != expected:
+    if length != expected:
         raise InvariantViolation(
-            f"quotient dimension {len(reps)} differs from the "
+            f"quotient dimension {length} differs from the "
             f"order sum {expected}")
 
+    reps, classes = total.quotient_classes(total.scale(x))
     mult = [[None] * len(reps) for _ in reps]
     for i, a in enumerate(reps):
         for j in range(i, len(reps)):
@@ -853,7 +809,7 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
             if vec is None:
                 raise InvariantViolation("product left the ring window")
             mult[i][j] = mult[j][i] = vec
-    algebra = ArtinAlgebra(field, mult,
+    algebra = ArtinAlgebra(ring.field, mult,
                            labels=tuple(format_element(rep) for rep in reps))
     return ArtinQuotient(algebra, ring, x, tuple(reps), classes)
 
@@ -868,11 +824,7 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
     if not sub.contains_module(total.scale(quotient.x)):
         raise NotKilled("the quotient class of x does not kill M/N")
 
-    reps = total.quotient_basis(sub)
-    classes = _WindowClasses(sub)
-    if not all(classes.add(rep) for rep in reps):
-        raise InvariantViolation("quotient representatives collapsed")
-
+    reps, classes = total.quotient_classes(sub)
     cols = []
     for lift in quotient.reps:
         line = [classes(lift * rep) for rep in reps]

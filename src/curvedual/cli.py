@@ -435,10 +435,7 @@ def main(argv=None):
     try:
         _check_counts(ns)
         return ns.func(ns)
-    except AlgebraError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (AlgebraError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

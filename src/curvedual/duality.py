@@ -15,18 +15,21 @@ Its defining identities are stated once, in the ordered table
 kept on the `CanonicalModule` it was computed for, so a property runs
 at most once per module however many readers ask.
 
-The same pairing gives every dual.  For a module M closed under O,
+The same pairing gives every dual, ω = O^⊥ among them.  For a module
+M closed under O,
 
   ω:M = {x : Σ_i res(x_i m_i) = 0 for all m in M},
 
 the residue-orthogonal of M (Serre, Algebraic Groups and Class Fields,
 ch. IV): x·M lies in ω iff Σ res(f·x·m) vanishes for all f in O and
-m in M, and f·m runs over M again.  `dual` solves these conditions
-directly, one per window row of M, with no generators of M and no
-normal forms against ω.  The general `FracIdeal.colon` stays for every
-other dividend, and each check that compares duals runs one side
-through each route: biduality and length duality in the harness,
-conductor duality, the torsion-free hull and the uniqueness test.
+m in M, and f·m runs over M again.  `_residue_conditions` writes
+these conditions, one per window row of M; `dual` solves them with no
+generators of M and no normal forms against ω, and `canonical_module`
+solves them for M = O.  The general
+`FracIdeal.colon` stays for every other dividend, and each check that
+compares duals runs one side through each route: biduality and length
+duality in the harness, conductor duality, the torsion-free hull and
+the uniqueness test.
 `ω:ω = O` stays on the colon alone, where the residue route would
 make it a tautology.
 
@@ -87,7 +90,8 @@ class CanonicalModule(Record):
 
 def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
     """Forms with conductor-bounded poles killed by every residue
-    condition of the ring; cached on the ring object.
+    condition of the ring, O^⊥ by `_residue_conditions` on the unit
+    ideal; cached on the ring object.
 
     `drop_conditions` discards that many trailing conditions and skips
     both verification and the cache.  It is the fault `harness` injects
@@ -99,21 +103,12 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
             return cached
     if drop_conditions < 0:
         raise ValueError("drop_conditions must be nonnegative")
-    r = ring.nbranches
-    cols = sorted(((i, j) for i in range(r) for j in range(-ring.cond[i], 0)),
-                  key=window_key)
-    rows = []
-    for f in ring.basis:
-        row = {}
-        for (i, j) in cols:
-            c = f.coefficient(i, -1 - j)
-            if c:
-                row[(i, j)] = c
-        rows.append(row)
+    rows, cols = _residue_conditions(unit_ideal(ring))
     if drop_conditions:
         rows = rows[:max(len(rows) - drop_conditions, 0)]
     sols = kernel(ring.field, rows, cols)
-    module = FracIdeal(ring, 1, tuple(-n for n in ring.cond), (0,) * r, sols)
+    module = FracIdeal(ring, 1, tuple(-n for n in ring.cond),
+                       (0,) * ring.nbranches, sols)
     out = CanonicalModule(module, tuple(rows), tuple(cols),
                           len(cols) - len(sols))
     if drop_conditions == 0:
@@ -247,13 +242,16 @@ def _seeded_checks(ring, omega, case_seed):
 
 
 def _regular_multiplier(ring, rng):
-    """A ring element with finite order on every branch."""
+    """A ring element of positive, finite order on every branch: a
+    random element minus its constant, so that it lies in the maximal
+    ideal, or else `_socle_parameter`."""
+    one = Element.one(ring.field, ring.nbranches)
     for _ in range(8):
         x = random_ring_element(ring, rng)
-        if x and INF not in x.valuations():
+        x = x - one * x.coefficient(0, 0)
+        if INF not in x.valuations():
             return x
-    return Element.diag_monomial(ring.field, ring.nbranches,
-                                 max(*ring.cond, 1))
+    return _socle_parameter(ring)
 
 
 # -- duals and hulls ------------------------------------------------------------
@@ -262,28 +260,35 @@ def dual(module: FracIdeal) -> FracIdeal:
     """ω:M, the colon of the dualizing module by M, read off M's rows as
     the residue-orthogonal {x : Σ_i res(x_i m_i) = 0 for all m in M}.
 
-    Unknowns are the window slots (i, j) with -tail_i <= j < -pole_i:
-    below -tail_i a term pairs with the slab of M, and from -pole_i up
-    every product is regular.  Each window row {(i, k): c} of M gives
-    one condition Σ c·x_(i, -1-k) = 0.  Preconditions: M is closed
-    under the ring (every FracIdeal built here is), and ω is the
-    cached, verified module O^⊥ of `canonical_module`, which this
-    route never builds.  Then the result equals
+    The conditions are `_residue_conditions(M)`: below -tail_i a term
+    pairs with the slab of M, and from -pole_i up every product is
+    regular.  Preconditions: M is closed under the ring (every
+    FracIdeal built here is), and ω is the cached, verified module O^⊥
+    of `canonical_module`, which this route never reads.  Then the
+    result equals
     `canonical_module(ring).module.colon(M)`; the checks named in the
     module docstring compare the two routes.
     """
     if isinstance(module, ZeroModule):
         raise ZeroOnBranch("the zero module has no dual here")
     ring = module.ring
-    unknowns = sorted(((i, j) for i in range(ring.nbranches)
-                       for j in range(-module.tail[i], -module.pole[i])),
-                      key=window_key)
-    rows = [{(i, -1 - k): c for (i, k), c in row.items()}
-            for row in module.ech.rows]
+    rows, unknowns = _residue_conditions(module)
     return FracIdeal(ring, 1 ^ module.degree,
                      tuple(-t for t in module.tail),
                      tuple(-p for p in module.pole),
                      kernel(ring.field, rows, unknowns))
+
+
+def _residue_conditions(module: FracIdeal):
+    """The residue conditions of M^⊥ and their unknowns: for each
+    window row {(i, k): c} of M, Σ c·x_(i, -1-k) = 0, over the slots
+    (i, j) with -tail_i <= j < -pole_i in window-key order."""
+    unknowns = sorted(((i, j) for i in range(module.ring.nbranches)
+                       for j in range(-module.tail[i], -module.pole[i])),
+                      key=window_key)
+    rows = [{(i, -1 - k): c for (i, k), c in row.items()}
+            for row in module.ech.rows]
+    return rows, unknowns
 
 
 def tfs2_hull(ring, gens):

@@ -34,7 +34,8 @@ from .errors import (DifferentialDegreeError, InvariantViolation, NotContained,
                      NotMember, OwnerMismatch, ZeroDivisor, ZeroOnBranch)
 from .laurent import (INF, Element, clip_product, clip_window,
                       linear_combination, shed_slab, window_key)
-from .linalg import Echelon, intersect_spans, kernel, span, vec_iaddmul
+from .linalg import (Echelon, TrackedEchelon, intersect_spans, kernel,
+                     vec_iaddmul)
 
 
 def _orders(ring):
@@ -280,18 +281,27 @@ class FracIdeal:
         drop = sum(ts - tm for ts, tm in zip(sub.tail, self.tail))
         return self.window_dim - sub.window_dim + drop
 
-    def quotient_basis(self, sub):
-        """Laurent vector lifts of a basis of self/sub."""
+    def quotient_classes(self, sub):
+        """Lifts of a basis of self/sub, and their class map.
+
+        One greedy pass over the window rows of self, then its slab
+        monomials up to the tail of sub, keeps each vector whose class
+        modulo sub is new; the class map writes a Laurent vector's class
+        over the kept lifts (`_WindowClasses`)."""
         expected = self.len_quotient(sub)
         field = self.ring.field
         r = self.ring.nbranches
-        top = [max(a, b) for a, b in zip(self.tail, sub.tail)]
-        ech = span(field, sub._window_vectors(top), sort_key=window_key)
-        reps = [Element(field, r, v, self.degree)
-                for v in self._window_vectors(top) if ech.insert(v) is not None]
+        classes = _WindowClasses(sub)
+        cands = (Element(field, r, v, self.degree)
+                 for v in self._window_vectors(sub.tail))
+        reps = [v for v in cands if classes.add(v)]
         if len(reps) != expected:
             raise InvariantViolation("quotient basis does not match its length")
-        return reps
+        return reps, classes
+
+    def quotient_basis(self, sub):
+        """Laurent vector lifts of a basis of self/sub."""
+        return self.quotient_classes(sub)[0]
 
     def is_principal(self):
         """A single element generating self over the ring, or None.
@@ -307,6 +317,32 @@ class FracIdeal:
             raise InvariantViolation(
                 "generator candidate fails to regenerate the module")
         return g
+
+
+class _WindowClasses:
+    """The class map of Laurent vectors modulo a submodule `sub`, over
+    representatives added one at a time.
+
+    The residual of a vector against sub (`FracIdeal.residual`) is
+    written over the residuals of the representatives through a
+    tracked echelon.
+    """
+
+    __slots__ = ("sub", "tracked")
+
+    def __init__(self, sub: FracIdeal):
+        self.sub = sub
+        self.tracked = TrackedEchelon(sub.ring.field, sort_key=window_key)
+
+    def add(self, rep) -> bool:
+        """Take rep as the next representative if its class is new."""
+        return self.tracked.insert(self.sub.residual(rep), self.tracked.dim)
+
+    def __call__(self, elem):
+        """The class of elem as a sparse vector over the representative
+        indices, or None when elem is not in the span of the
+        representatives and the submodule."""
+        return self.tracked.express(self.sub.residual(elem))
 
 
 class TorsionQuotient:

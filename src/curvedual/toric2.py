@@ -499,10 +499,10 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     walk alone would keep.  Every point dropped this way descends, by
     strictly falling level, to a kept one.
 
-    Let out be the module generated by the module's generators and the
-    kept window points; out lies in H, and H meets the window inside
-    out.  The rim agrees with out (H and out have the same rim points)
-    exactly when the walk keeps no rim point:
+    Let out be the module generated by the kept window points; out lies
+    in H, and H meets the window inside out, the module's generators
+    included.  The rim agrees with out (H and out have the same rim
+    points) exactly when the walk keeps no rim point:
 
     - a kept rim point u lies in H but not in out, because every point
       of out beyond the window has some u - g in out, inside H;
@@ -510,12 +510,10 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
       has no u - g in H: such a point would lie in the window (so in
       out) or be an earlier rim point (so in out).  The walk keeps it.
 
-    So the rim is certified without a semigroup search, and
-    `MonomialModule2` minimalizes the kept window points and the
-    module's generators to H's generator tuple.
+    So the rim is certified without a semigroup search, and the kept
+    window points, H's minimal generators, are H's generator tuple.
     """
     S = module.semigroup
-    gens = module.generators
     coords = module._edges
     b1 = min(c[0] for c in coords)
     b2 = min(c[1] for c in coords)
@@ -532,7 +530,7 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
         kept = _window_generators(module, b1, b2, top)
         if all(a <= b1 + size and b <= b2 + size
                for a, b in map(S.normal_values, kept)):
-            return MonomialModule2(S, list(gens) + kept)
+            return MonomialModule2(S, kept)
         size *= 2
     raise InvariantViolation("hull corner window failed to stabilize")
 

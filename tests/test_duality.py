@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
                                  from_generators, maximal_ideal,
                                  normalization_module, random_ideal,
                                  slab_module, unit_ideal)
-from curvedual.laurent import Element, window_key
+from curvedual.laurent import INF, Element, window_key
 from curvedual.linalg import kernel
 
 
@@ -169,10 +170,9 @@ def test_harness_catches_a_dual_missing_a_condition(monkeypatch):
     assert doc["counterexample"]["property"] == "biduality"
 
 
-def test_harness_catches_a_length_without_its_slab_term(monkeypatch):
-    # len(M/N) counts the window and the slab between the two tails;
-    # omega and the regular forms share their tail, so the table still
-    # holds, and herbrand's len(I/xI) is the first to see the fault
+def drop_slab_term(monkeypatch):
+    """Patch len(M/N) to count the window alone, without the slab
+    between the two tails."""
     length = FracIdeal.len_quotient
 
     def window_only(self, sub):
@@ -180,9 +180,51 @@ def test_harness_catches_a_length_without_its_slab_term(monkeypatch):
                                        in zip(sub.tail, self.tail))
 
     monkeypatch.setattr(FracIdeal, "len_quotient", window_only)
+
+
+def test_harness_catches_a_length_without_its_slab_term(monkeypatch):
+    # omega and the regular forms share their tail, so the table still
+    # holds, and herbrand's len(I/xI) is the first to see the fault
+    drop_slab_term(monkeypatch)
     doc = first_failure(["check", "cusp", "--cases", "8"])
     assert doc["counterexample"]["property"] == "herbrand"
     assert doc["properties"]["biduality"]["failures"] == 0
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("curve", ["cusp", "node", "3,5", "tacnode",
+                                   "3,4,5"])
+def test_first_seeded_case_has_a_multiplier_of_positive_order(
+        monkeypatch, curve, field):
+    # x in the maximal ideal moves I, so len(I/xI) > 0 and a length
+    # without its slab term fails herbrand on the very first case
+    drop_slab_term(monkeypatch)
+    doc = first_failure(["check", curve, "--field", field, "--cases", "1"])
+    assert doc["counterexample"]["property"] == "herbrand"
+    assert doc["counterexample"]["case_seed"] == 0
+
+
+def positive_finite_orders(x):
+    return all(v != INF and v > 0 for v in x.valuations())
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5)],
+                         ids=["Q", "F5"])
+def test_regular_multiplier_has_positive_finite_order(monkeypatch, field):
+    rings = cd.family_rings(field, bound=6)
+    rings += [cd.named_ring(field, name) for name in cd.curve_names()]
+    for ring in rings:
+        for seed in range(12):
+            x = duality._regular_multiplier(ring, random.Random(seed))
+            assert positive_finite_orders(x)
+    # every random draw a constant: the socle parameter is the fallback
+    monkeypatch.setattr(duality, "random_ring_element",
+                        lambda ring, rng: Element.one(ring.field,
+                                                      ring.nbranches))
+    for ring in rings:
+        x = duality._regular_multiplier(ring, random.Random(0))
+        assert x == duality._socle_parameter(ring)
+        assert positive_finite_orders(x)
 
 
 def test_harness_catches_a_dual_exact_only_on_monomial_rows(monkeypatch):

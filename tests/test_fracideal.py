@@ -3,6 +3,7 @@ import random
 import pytest
 
 import curvedual as cd
+from curvedual.duality import _socle_parameter
 from curvedual.errors import (DifferentialDegreeError, NotContained,
                               NotMember, OwnerMismatch, ZeroDivisor,
                               ZeroOnBranch)
@@ -95,6 +96,36 @@ def test_length_additivity(r345):
     # lifts really do span the quotient
     rebuilt = mm + from_generators(r345, reps)
     assert rebuilt == one
+
+
+def nested_pairs(ring):
+    """(M, N) with N inside M: the ring over m^2 and over x*O, the
+    branch tuple over the ring, and the dualizing module over x*omega."""
+    one = unit_ideal(ring)
+    m = maximal_ideal(ring)
+    x = _socle_parameter(ring)
+    omega = cd.canonical_module(ring).module
+    return [(one, m * m), (one, one.scale(x)), (m, m * m),
+            (normalization_module(ring), one), (omega, omega.scale(x))]
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5),
+                                   cd.prime_field(2)], ids=["Q", "F5", "F2"])
+@pytest.mark.parametrize("curve", [(3, 4, 5), (3, 5), "tacnode",
+                                   "three-lines"])
+def test_quotient_classes_write_each_class_over_the_lifts(field, curve):
+    ring = (cd.named_ring(field, curve) if isinstance(curve, str)
+            else cd.build(cd.semigroup_spec(field, curve)))
+    one = ring.field.one
+    for total, sub in nested_pairs(ring):
+        reps, classes = total.quotient_classes(sub)
+        assert len(reps) == total.len_quotient(sub)
+        assert reps == total.quotient_basis(sub)
+        for k, rep in enumerate(reps):
+            assert classes(rep) == {k: one}
+        assert all(classes(row) == {} for row in sub.rows_as_elements())
+        assert all(classes(row) is not None
+                   for row in total.rows_as_elements())
 
 
 def test_quotient_requires_containment(node):
