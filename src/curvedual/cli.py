@@ -416,6 +416,10 @@ def _build_parser():
     tor.add_argument("--gens", help="semigroup generators 'x,y x,y ...'")
     tor.add_argument("--module", default="0,0",
                      help="module generators for hull (default the ring)")
+    # a value such as '-2,3' is a point list, not an option: argparse
+    # reads a lone value that starts with '-' as an option unless it
+    # matches this pattern, which by default takes only plain numbers
+    tor._negative_number_matcher = re.compile(r"-\d")
     tor.set_defaults(func=cmd_toric)
     return parser
 

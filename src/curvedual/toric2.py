@@ -52,15 +52,12 @@ MAX_MEMBER_LEVEL = 8192
 
 # Widest walk over edge coordinates: the side of the hull's square, the
 # rim included, and the column count of the staircase of `saturation`
-# and `canonical_module_toric`.  The hull walk visits every group point
-# of its square, about (top + 1)^2 / det of them, and keeps those of a
-# few columns: at the cap, the hull of (1015, 0), (0, 1015) over the
-# plane walks 4.2 million points in 4.6-5.0 s and 16 MB.  The staircase
-# keeps one point per column, an antichain, which the semigroup built on
-# it keeps without comparing them: at the cap, `toric saturate --gens
-# '1,0 1,1 1,2047'` takes 0.11-0.17 s (both on a 2-vCPU VM, Python
-# 3.11).  The widest walk of the benchmark jobs is 250.  Past the cap
-# both raise TooLarge before they walk.
+# and `canonical_module_toric`.  At the cap, the hull of (1015, 0),
+# (0, 1015) over the plane takes 0.01 s (4.5-5.9 s while the walk tested
+# every group point), that of the ring on (400, 0), (1, 1), (0, 1), with
+# 400 classes a column, 1.1-1.3 s, and `toric saturate --gens '1,0 1,1
+# 1,2047'` 0.11-0.17 s (2-vCPU VM, Python 3.11).  The widest benchmark
+# walk is 250.  Past the cap both raise TooLarge before they walk.
 MAX_WALK_WIDTH = 2048
 
 
@@ -169,9 +166,8 @@ class AffineSemigroup2:
     Stores the canonical minimal generator list, the two primitive ray
     directions (counterclockwise), and in edge coordinates the
     generators (`_steps`) and the Hermite form of the group
-    (`_edge_form`, see `_corner_points`).  Membership is an exact
-    level-descent search, memoised per instance, from a level of at
-    most MAX_MEMBER_LEVEL.
+    (`_edge_form`).  Membership is an exact level-descent search,
+    memoised per instance, from a level of at most MAX_MEMBER_LEVEL.
     """
 
     def __init__(self, generators):
@@ -383,22 +379,6 @@ class MonomialModule2:
 
 # -- operations -----------------------------------------------------------------
 
-def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
-    """Edge pairs (a, b) of the group points with a in [a_lo, a_hi] and
-    b in [b_lo, b_hi], in order of a, then b.
-
-    The edge form (g, c, t) is the Hermite form of the group in edge
-    coordinates, rows (g, c) and (0, t), so (a, b) is a group point
-    exactly when g divides a and b = c a/g (mod t).  The walk takes the
-    columns a that g divides, starts each at its first such b >= b_lo
-    and steps by t; it never looks at the pairs in between.
-    """
-    g, c, t = S._edge_form
-    for a in range(a_lo + (-a_lo) % g, a_hi + 1, g):
-        for b in range(b_lo + (c * (a // g) - b_lo) % t, b_hi + 1, t):
-            yield a, b
-
-
 def _staircase(S, lo):
     """Nonzero group points z with n1(z), n2(z) >= lo that are minimal
     for the order of edge coordinates, in order of n1: for lo = 0 the
@@ -448,30 +428,59 @@ def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
 
 
 def _window_generators(module, b1, b2, size):
-    """Hull points u of the corner window [b1, b1 + size] x [b2, b2 +
-    size] of edge coordinates with no u - g a hull point of the window
-    for a semigroup generator g, in walk order.
+    """Hull points u of the square [b1, b1 + size] x [b2, b2 + size] of
+    edge coordinates with no u - g a hull point for a semigroup
+    generator g = (ga, gb), in order of a, then b.
 
-    The walk meets u - g before u, and the hull is a module, so a point
-    with u - g already found is a hull point without a pointwise test.
-    u - g lies at most `back` columns behind u, so only the hull points
-    found in those columns are kept.
+    The hull H is a module inside {n1 >= b1, n2 >= b2}, so such a u - g
+    lies in the square.  Ray 0 is extreme, so it carries generators;
+    (0, s0) is the least, and t | s0.  H + (0, s0) lies in H, so
+    H meets the class b = r (mod s0) of column a in the b >= beta(a, r)
+    of the square, and only (a, beta) can be kept.  A g with ga > 0
+    puts (a, B) in H, B = beta(a - ga, r - gb) + gb; a binary search,
+    by the exact test of both ray localizations, finds beta among the
+    class's points below the least B, probing the highest first.  If
+    beta < B, no such g has u - g in H, so (a, beta) is kept exactly
+    when no g with ga = 0 has beta(a, beta - gb) <= beta - gb.
     """
     S = module.semigroup
+    g, c, t = S._edge_form
     steps = S._steps
+    flat = [sb for sa, sb in steps if not sa]
+    s0 = min(flat)
     back = max(sa for sa, _ in steps)
-    found = {}  # column a -> the b of its hull points
+    local = module._ray_local
+    top = b2 + size
+    inf = math.inf
+    tables = {}
     kept = []
-    for a, b in _corner_points(S, b1, b1 + size, b2, b2 + size):
-        col = found.get(a)
-        if col is None:
-            found = {k: v for k, v in found.items() if k >= a - back}
-            col = found[a] = set()
-        if any(b - sb in found.get(a - sa, ()) for sa, sb in steps):
-            col.add(b)
-        elif module._ray_local((a, b), 0) and module._ray_local((a, b), 1):
-            col.add(b)
-            kept.append(S._edge_point(a, b))
+    for a in range(b1 + (-b1) % g, b1 + size + 1, g):
+        tables.pop(a - back - g, None)
+        climb = [(tables[a - sa], sb) for sa, sb in steps
+                 if sa and a - sa in tables]
+        col = tables[a] = {}
+        fresh = []
+        low = b2 + (c * (a // g) - b2) % t
+        for b in range(low, min(low + s0, top + 1), t):
+            r = b % s0
+            bound = min([tab.get((r - sb) % s0, inf) + sb
+                         for tab, sb in climb] or [inf])
+            n = -((b - min(bound, top + 1)) // s0)
+            i, j, m = 0, n, n - 1
+            while i < j:
+                if local((a, b + m * s0), 0) and local((a, b + m * s0), 1):
+                    j = m
+                else:
+                    i = m + 1
+                m = (i + j) // 2
+            if i < n:
+                col[r] = b + i * s0
+                fresh.append(b + i * s0)
+            elif bound <= top:
+                col[r] = bound
+        kept += [S._edge_point(a, beta) for beta in sorted(fresh)
+                 if all(col.get((beta - sb) % s0, inf) > beta - sb
+                        for sb in flat)]
     return kept
 
 
@@ -486,18 +495,13 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     window, the window doubles; persistent growth is an invariant
     violation rather than a wrong answer.
 
-    The square is walked over group points only (`_corner_points`), in
-    order of edge coordinates, so for every semigroup generator g the
-    point u - g, when it lies in the square, comes before u.  Let H be
-    the hull.  It is a module, and it lies in {n1 >= b1, n2 >= b2},
-    where b1 and b2 are the lowest edge coordinates of the module's
-    generators.  So `_window_generators` computes H exactly on the
-    square, recording u without a pointwise test once some u - g is
-    found, and the points it keeps are exactly H's minimal generators in
-    the square.  A window point's u - g is never a rim point, so the
-    window points kept by the square walk are exactly those the window
-    walk alone would keep.  Every point dropped this way descends, by
-    strictly falling level, to a kept one.
+    Let H be the hull, a module inside {n1 >= b1, n2 >= b2}, b1 and b2
+    the lowest edge coordinates of the module's generators.
+    `_window_generators` keeps exactly H's minimal generators in the
+    square, its points u with no u - g in H, in (n1, n2) order.  A
+    window point's u - g is never a rim point, so the kept window points
+    are those a walk of the window alone keeps.  Every point dropped
+    descends, by strictly falling level, to a kept one.
 
     Let out be the module generated by the kept window points; out lies
     in H, and H meets the window inside out, the module's generators
@@ -506,9 +510,10 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
 
     - a kept rim point u lies in H but not in out, because every point
       of out beyond the window has some u - g in out, inside H;
-    - conversely, the first rim point of H outside out, in walk order,
-      has no u - g in H: such a point would lie in the window (so in
-      out) or be an earlier rim point (so in out).  The walk keeps it.
+    - conversely, the first rim point of H outside out, in (n1, n2)
+      order, has no u - g in H: such a point would lie in the window
+      (so in out) or be an earlier rim point (so in out).  The walk
+      keeps it.
 
     So the rim is certified without a semigroup search, and the kept
     window points, H's minimal generators, are H's generator tuple.

@@ -263,6 +263,27 @@ def test_toric_hull(capsys):
     assert sorted(map(tuple, doc["hull_generators"])) == [(0, 0), (0, 1), (1, 0)]
 
 
+def test_toric_point_lists_may_start_with_a_minus(capsys):
+    # a lone value '-2,3' is a point list, not an unknown option
+    glued = run(capsys, "toric", "hull", "--gens", "1,0 0,1",
+                "--module=-2,3", "--format", "json")
+    assert glued[0] == 0
+    assert run(capsys, "toric", "hull", "--gens", "1,0 0,1", "--module",
+               "-2,3", "--format", "json") == glued
+    code, doc, _ = run_json(capsys, "toric", "hull", "--gens", "-1,2;3,4",
+                            "--module", "-1,2")
+    assert code == 0 and doc["hull_generators"] == [[-1, 2]]
+    # a value that starts with '-' and no digit is still read as an
+    # option: argparse exits 2 with its usage line, no traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["toric", "hull", "--module", "-x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "Traceback" not in err
+    code, _, err = run(capsys, "toric", "hull", "--module", "-2,x")
+    assert code == 2 and "lattice point '-2,x'" in err
+
+
 def test_toric_rejects_unsaturated_omega(capsys):
     code, out, err = run(capsys, "toric", "omega", "--model", "pinched-plane")
     assert code == 2

@@ -26,6 +26,12 @@ point against the extracted module.  One more hull file, on 10,2 9,-3
 11,12 with the module 0,0 2,15, was written while each ray
 localization still walked every multiple of the ray's gcd between two
 bounds, a long range on this semigroup, instead of one residue lookup.
+Two more hull files were written while the walk still tested every
+group point of its square, before it walked residue classes: the plane
+with the module 1015,0 0,1015, whose square is the widest the walk
+allows, and 4,0 6,0 0,5 1,1 with the module 0,0 -2,1, which has two
+generators on its first ray and a module point with a negative
+coordinate.
 The pinched plane is not saturated, so its `omega` exits 2 with nothing
 on stdout.
 The two extra `check` files pin the failure path (an injected fault,
@@ -110,6 +116,10 @@ CASES = {
                                                "--module=-5,-6"],
     "toric-hull-gens-10-2-9-m3-11-12-mod-0-0-2-15.json": [
         "toric", "hull", "--gens", "10,2 9,-3 11,12", "--module", "0,0 2,15"],
+    "toric-hull-plane-mod-1015-0-0-1015.json": [
+        "toric", "hull", "--model", "plane", "--module", "1015,0 0,1015"],
+    "toric-hull-gens-4-0-6-0-0-5-1-1-mod-0-0-m2-1.json": [
+        "toric", "hull", "--gens", "4,0 6,0 0,5 1,1", "--module", "0,0 -2,1"],
 }
 for _model in ("plane", "diagonal-mod3", "pinched-plane"):
     for _sub in ("saturate", "omega", "hull"):

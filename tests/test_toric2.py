@@ -13,8 +13,8 @@ from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
                               OwnerMismatch, ParseError, TooLarge)
 from curvedual.toric2 import (MAX_MEMBER_LEVEL, MAX_WALK_WIDTH,
                               AffineSemigroup2, MonomialModule2,
-                              _corner_points, _staircase,
-                              _window_generators, canonical_module_toric,
+                              _staircase, _window_generators,
+                              canonical_module_toric,
                               model, monomial_iso, s2_hull, saturation)
 
 
@@ -314,6 +314,46 @@ def test_member_search_is_not_recursive():
 
 # -- the hull's lattice walk against the grid filter --------------------------
 
+def _corner_points(S, a_lo, a_hi, b_lo, b_hi):
+    """Edge pairs (a, b) of the group points with a in [a_lo, a_hi] and
+    b in [b_lo, b_hi], in order of a, then b.
+
+    The edge form (g, c, t) is the Hermite form of the group in edge
+    coordinates, rows (g, c) and (0, t), so (a, b) is a group point
+    exactly when g divides a and b = c a/g (mod t).  The walk takes the
+    columns a that g divides, starts each at its first such b >= b_lo
+    and steps by t; it never looks at the pairs in between.
+    """
+    g, c, t = S._edge_form
+    for a in range(a_lo + (-a_lo) % g, a_hi + 1, g):
+        for b in range(b_lo + (c * (a // g) - b_lo) % t, b_hi + 1, t):
+            yield a, b
+
+
+def point_walk(module, b1, b2, size):
+    """`_window_generators` as it was before the walk over residue
+    classes: every group point of the square in order, a point recorded
+    as a hull point without a test once some u - g was found, and kept
+    when it is a hull point with no such u - g.  u - g lies at most
+    `back` columns behind u, so only those columns are remembered."""
+    S = module.semigroup
+    steps = S._steps
+    back = max(sa for sa, _ in steps)
+    found = {}  # column a -> the b of its hull points
+    kept = []
+    for a, b in _corner_points(S, b1, b1 + size, b2, b2 + size):
+        col = found.get(a)
+        if col is None:
+            found = {k: v for k, v in found.items() if k >= a - back}
+            col = found[a] = set()
+        if any(b - sb in found.get(a - sa, ()) for sa, sb in steps):
+            col.add(b)
+        elif module._ray_local((a, b), 0) and module._ray_local((a, b), 1):
+            col.add(b)
+            kept.append(S._edge_point(a, b))
+    return kept
+
+
 def grid_corner_points(S, a_lo, a_hi, b_lo, b_hi):
     """Every pair of edge coordinates in the box, kept when it gives a
     group point: the filter `_corner_points` had before it walked the
@@ -601,6 +641,55 @@ def test_square_walk_keeps_the_window_walk(S, shift):
     square = _window_generators(module, b1, b2, top)
     inside = [u for u in square if not beyond(S, u, b1, b2, size)]
     assert inside == _window_generators(module, b1, b2, size)
+
+
+@st.composite
+def hull_walks(draw):
+    """(module, size): a plane semigroup, the ring or its shifted module
+    (`module_over`) with up to three generators in all, the extra ones
+    combinations of two semigroup generators, and a window width from 0
+    to 3 span + 6, span the largest edge coordinate of a generator."""
+    S = draw(plane_semigroups())
+    gens = list(module_over(S, draw(st.booleans())).generators)
+    g, h = S.generators[0], S.generators[-1]
+    for i, j in draw(st.lists(st.tuples(st.integers(-2, 2),
+                                        st.integers(-2, 2)), max_size=2)):
+        gens.append((i * g[0] + j * h[0], i * g[1] + j * h[1]))
+    span = max(map(max, S._steps))
+    return (MonomialModule2(S, gens[:3]),
+            draw(st.integers(0, 3 * span + 6)))
+
+
+def two_steps_on_ray0():
+    # steps (0, 4) and (0, 6) on ray 0, and a module point with a
+    # negative coordinate
+    S = AffineSemigroup2([(4, 0), (6, 0), (0, 5), (1, 1)])
+    module = MonomialModule2(S, [(0, 0), (-2, 1)])
+    assert sorted(sb for sa, sb in S._steps if not sa) == [4, 6]
+    return module
+
+
+def doubling_walk():
+    # the first walk keeps (34, 15) beyond its window, so the window
+    # doubles
+    return MonomialModule2(AffineSemigroup2([(3, 4), (3, 0), (7, 5),
+                                             (8, 3)]), [(0, 0)])
+
+
+@settings(max_examples=120, deadline=None)
+@example(walk=(two_steps_on_ray0(), 0))
+@example(walk=(two_steps_on_ray0(), 20))
+@example(walk=(two_steps_on_ray0(), hull_window(two_steps_on_ray0())[3]))
+@example(walk=(doubling_walk(), 111))
+@example(walk=(doubling_walk(), 197))
+@given(hull_walks())
+def test_class_walk_matches_the_point_walk(walk):
+    module, size = walk
+    S = module.semigroup
+    b1 = min(S.normal_values(h)[0] for h in module.generators)
+    b2 = min(S.normal_values(h)[1] for h in module.generators)
+    assert (_window_generators(module, b1, b2, size)
+            == point_walk(module, b1, b2, size))
 
 
 def test_hull_runs_no_module_membership(monkeypatch):
