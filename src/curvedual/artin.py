@@ -31,7 +31,9 @@ The quotient constructors (`curve_quotient`, `present_quotient`) bridge
 from the Laurent-window world through one method,
 `FracIdeal.quotient_classes`: the lifts of a basis of M/N and their
 class map, which writes a Laurent vector's residual modulo N over the
-lifts.  `curve_quotient` checks x by `herbrand` on O.  The quotients
+lifts.  Both take x·M from `fracideal.regular_multiple`, which also
+checks x, so each builds it once, and `present_quotient` reuses the N
+its caller built there.  The quotients
 of a module by a span (`quotient_module` and the pushout middles of the
 extension laboratory) share one induced action, `_induced_action`,
 which projects images onto the non-pivot keys.
@@ -44,7 +46,7 @@ import itertools
 from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
                      NotContained, NotKilled, NotMember, TooLarge)
 from .fields import FiniteField, prime_field
-from .fracideal import FracIdeal, herbrand, unit_ideal
+from .fracideal import FracIdeal, regular_multiple, unit_ideal
 from .laurent import Element, format_element, linear_combination
 from .linalg import Echelon, TrackedEchelon, kernel, span, vec_iaddmul
 from .record import Record
@@ -787,21 +789,22 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
     """O/xO with its multiplication table.
 
     The dimension must come out as the total vanishing order of x (the
-    one-element Herbrand identity, `herbrand`); anything else is an
-    invariant violation, not a warning.
+    one-element Herbrand identity, `fracideal.herbrand`); anything else
+    is an invariant violation, not a warning.  The dimension is the
+    number of lifts `quotient_classes` picks, which it checks against
+    len(O/xO).
     """
     if x.degree != 0:
         raise DifferentialDegreeError("quotient by a function, not a form")
     total = unit_ideal(ring)
-    length, expected = herbrand(total, x)
+    sub, expected = regular_multiple(total, x)
     if expected == 0:
         raise InvariantViolation("quotient by a unit is the zero algebra")
-    if length != expected:
+    reps, classes = total.quotient_classes(sub)
+    if len(reps) != expected:
         raise InvariantViolation(
-            f"quotient dimension {length} differs from the "
+            f"quotient dimension {len(reps)} differs from the "
             f"order sum {expected}")
-
-    reps, classes = total.quotient_classes(total.scale(x))
     mult = [[None] * len(reps) for _ in reps]
     for i, a in enumerate(reps):
         for j in range(i, len(reps)):
@@ -816,12 +819,16 @@ def curve_quotient(ring, x: Element) -> ArtinQuotient:
 
 def present_quotient(total: FracIdeal, sub: FracIdeal,
                      quotient: ArtinQuotient) -> ArtinModule:
-    """M/N as a module over O/xO; requires x*M inside N."""
+    """M/N as a module over O/xO; requires x*M inside N.
+
+    x*M is `regular_multiple(total, x)`: when the caller built N there,
+    N is that very module, and the containment holds without a test."""
     if total.degree != sub.degree:
         raise DifferentialDegreeError("pair mixes functions and forms")
     if not total.contains_module(sub):
         raise NotContained("denominator is not a submodule")
-    if not sub.contains_module(total.scale(quotient.x)):
+    killed = regular_multiple(total, quotient.x)[0]
+    if killed is not sub and not sub.contains_module(killed):
         raise NotKilled("the quotient class of x does not kill M/N")
 
     reps, classes = total.quotient_classes(sub)
@@ -867,8 +874,9 @@ def ext_lab_instance(m: int, p: int) -> ExtLabInstance:
     square = curve_quotient(ring, x * x)
     linear = curve_quotient(ring, x)
     omega = canonical_module(ring).module
-    module = present_quotient(omega, omega.scale(x), square)
-    target = present_quotient(omega, omega.scale(x * x), square)
+    module = present_quotient(omega, regular_multiple(omega, x)[0], square)
+    target = present_quotient(omega, regular_multiple(omega, square.x)[0],
+                              square)
 
     # pinned multiplication shape of O/x: all products of the non-unit
     # basis vanish (their orders already clear the window)
@@ -1095,6 +1103,6 @@ def rees_check(ring, torsion, r: Element) -> ReesReport:
     lhs = dual_sub.len_quotient(dual_total)
     quotient = curve_quotient(ring, r)
     tmod = present_quotient(torsion.total, torsion.sub, quotient)
-    wmod = present_quotient(omega, omega.scale(r), quotient)
+    wmod = present_quotient(omega, regular_multiple(omega, r)[0], quotient)
     rhs = len(hom_space(tmod, wmod))
     return ReesReport(lhs == rhs, lhs, rhs)

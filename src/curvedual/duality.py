@@ -42,7 +42,6 @@ socle test that recognizes dualizing candidates.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 
 from .artin import curve_quotient, present_quotient, socle
@@ -50,9 +49,10 @@ from .errors import (DifferentialDegreeError, FieldTooSmall,
                      InvariantViolation, NotARing, NotDualizing, ZeroOnBranch)
 from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
-                        conductor_module, from_generators, herbrand,
+                        conductor_module, from_generators,
                         normalization_module, random_ideal,
-                        random_ring_element, slab_module, unit_ideal)
+                        random_ring_element, regular_multiple, slab_module,
+                        unit_ideal)
 from .laurent import INF, Element, linear_combination, window_key
 from .linalg import kernel
 from .record import Record
@@ -69,7 +69,8 @@ class CanonicalModule(Record):
 
     `conditions` holds the rows of the residue matrix, one per basis
     vector of the ring modulo its conductor, keyed by `pole_monomials`,
-    the (branch, exponent) labels of the admissible pole terms.  The
+    the (branch, exponent) labels of the admissible pole terms in
+    window-key order.  The
     matrix rank equals the colength of the conductor in the ring.
     `verdicts` keeps each invariant-table verdict computed for this
     module, by property name; it is not a field, so the repr leaves it
@@ -109,7 +110,7 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
     sols = kernel(ring.field, rows, cols)
     module = FracIdeal(ring, 1, tuple(-n for n in ring.cond),
                        (0,) * ring.nbranches, sols)
-    out = CanonicalModule(module, tuple(rows), tuple(cols),
+    out = CanonicalModule(module, tuple(rows), tuple(reversed(cols)),
                           len(cols) - len(sols))
     if drop_conditions == 0:
         _verify_canonical(ring, out)
@@ -227,18 +228,24 @@ def harness(rings, cases, seed, inject=None):
 
 
 def _seeded_checks(ring, omega, case_seed):
-    """Seeded cases on one random ideal I.  Duals are read by residues
-    (`dual`, once per case for I) and checked against the general colon
-    by omega, or against a colength."""
+    """Seeded cases on one random ideal I and one regular multiplier x.
+    Duals are read by residues (`dual`, once per case for I) and
+    checked against the general colon by omega, or against a colength.
+
+    xI is built once, by `regular_multiple`, outside the predicates.
+    len(I/xI) is computed once, by the first predicate that reads it,
+    and shared: herbrand compares it with the order sum of x (the
+    identity `herbrand` returns both sides of), length duality with
+    len(ω:xI / ω:I)."""
     ideal = random_ideal(ring, case_seed)
     dual_ideal = functools.cache(lambda: dual(ideal))
     yield "biduality", lambda: omega.colon(dual_ideal()) == ideal
     x = _regular_multiplier(ring, random.Random(case_seed))
-    yield "herbrand", lambda: operator.eq(*herbrand(ideal, x))
-    sub = ideal.scale(x)
+    sub, order_sum = regular_multiple(ideal, x)
+    length = functools.cache(lambda: ideal.len_quotient(sub))
+    yield "herbrand", lambda: length() == order_sum
     yield ("length-duality",
-           lambda: ideal.len_quotient(sub)
-           == dual(sub).len_quotient(dual_ideal()))
+           lambda: length() == dual(sub).len_quotient(dual_ideal()))
 
 
 def _regular_multiplier(ring, rng):
@@ -282,10 +289,12 @@ def dual(module: FracIdeal) -> FracIdeal:
 def _residue_conditions(module: FracIdeal):
     """The residue conditions of M^⊥ and their unknowns: for each
     window row {(i, k): c} of M, Σ c·x_(i, -1-k) = 0, over the slots
-    (i, j) with -tail_i <= j < -pole_i in window-key order."""
+    (i, j) with -tail_i <= j < -pole_i, highest window key first.  In
+    that order `kernel` returns the fully reduced echelon rows of M^⊥,
+    which `FracIdeal` takes without elimination."""
     unknowns = sorted(((i, j) for i in range(module.ring.nbranches)
                        for j in range(-module.tail[i], -module.pole[i])),
-                      key=window_key)
+                      key=window_key, reverse=True)
     rows = [{(i, -1 - k): c for (i, k), c in row.items()}
             for row in module.ech.rows]
     return rows, unknowns
@@ -512,7 +521,8 @@ def verify_dualizing(ring, candidate: FracIdeal,
         raise ZeroOnBranch("the zero module cannot be dualizing")
     x = parameter if parameter is not None else _socle_parameter(ring)
     quotient = curve_quotient(ring, x)
-    mod = present_quotient(candidate, candidate.scale(x), quotient)
+    mod = present_quotient(candidate, regular_multiple(candidate, x)[0],
+                           quotient)
     return socle(mod).dimension == 1
 
 

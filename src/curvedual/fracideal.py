@@ -46,7 +46,8 @@ def _orders(ring):
 
 
 class FracIdeal:
-    __slots__ = ("ring", "degree", "pole", "tail", "ech", "_min_gens")
+    __slots__ = ("ring", "degree", "pole", "tail", "ech", "_min_gens",
+                 "_last_multiple")
 
     def __init__(self, ring, degree, pole, tail, rows):
         r = ring.nbranches
@@ -69,6 +70,7 @@ class FracIdeal:
         self.tail = tuple(tail)
         self.ech = ech
         self._min_gens = None
+        self._last_multiple = None
 
     # -- basic views --------------------------------------------------------
 
@@ -95,14 +97,10 @@ class FracIdeal:
         Here e_i is the least order on branch i of a ring generator g;
         those monomials times the power series in g fill the slab on
         that branch."""
-        gens = self.rows_as_elements()
-        field = self.ring.field
-        r = self.ring.nbranches
-        for i, e in enumerate(_orders(self.ring)):
-            for k in range(e):
-                gens.append(Element.monomial(field, r, i, self.tail[i] + k,
-                                             degree=self.degree))
-        return gens
+        ring = self.ring
+        top = [t + e for t, e in zip(self.tail, _orders(ring))]
+        return [Element(ring.field, ring.nbranches, v, self.degree)
+                for v in self._window_vectors(top)]
 
     def minimal_generators(self):
         """Lifts of a basis of M/mM, picked greedily in the order of
@@ -111,19 +109,22 @@ class FracIdeal:
         mM is the sum of g*M over the ring's generators g.  It holds
         the slab from tail_i + e_i up (the slab of M times a generator
         of order e_i on branch i), so below that slab it is spanned by
-        the products of the g with the module generators."""
+        the products of the g with the module generators.  The pick
+        runs on coefficient dicts; only a kept generator becomes an
+        `Element`."""
         if self._min_gens is None:
             ring = self.ring
             top = [t + e for t, e in zip(self.tail, _orders(ring))]
-            cands = self.module_generators()
+            cands = self._window_vectors(top)
             ech = Echelon(ring.field, sort_key=window_key)
             for g in ring.gens:
                 for v in cands:
-                    prod = clip_product(g.coeffs, v.coeffs, top)
+                    prod = clip_product(g.coeffs, v, top)
                     if prod:
                         ech.insert(prod)
-            self._min_gens = tuple(v for v in cands
-                                   if ech.insert(v.coeffs) is not None)
+            self._min_gens = tuple(
+                Element(ring.field, ring.nbranches, v, self.degree)
+                for v in cands if ech.insert(v) is not None)
         return self._min_gens
 
     def contains_element(self, elem) -> bool:
@@ -144,12 +145,18 @@ class FracIdeal:
         return self.ech.reduce(clip_window(elem.coeffs, self.tail))
 
     def contains_module(self, other) -> bool:
+        """Whether other ⊆ self: its slab lies in self's, and each of its
+        window rows, read as a coefficient dict, has no term below
+        self's poles and reduces to zero against self's window."""
         self._same_ring(other)
         if other.degree != self.degree:
             return False
         if any(to < ts for to, ts in zip(other.tail, self.tail)):
             return False
-        return all(self.contains_element(e) for e in other.rows_as_elements())
+        pole, tail, reduce = self.pole, self.tail, self.ech.reduce
+        return all(all(j >= pole[i] for i, j in row)
+                   and not reduce(clip_window(row, tail))
+                   for row in other.ech.rows)
 
     def _same_ring(self, other):
         if not isinstance(other, FracIdeal):
@@ -244,8 +251,10 @@ class FracIdeal:
         r = self.ring.nbranches
         lo = [pm - pn for pm, pn in zip(self.pole, other.pole)]
         hi = [tm - pn for tm, pn in zip(self.tail, other.pole)]
+        # highest window key first: `kernel` then returns the result's
+        # fully reduced echelon rows, which `__init__` takes as they are
         unknowns = [(i, j) for i in range(r) for j in range(lo[i], hi[i])]
-        unknowns.sort(key=window_key)
+        unknowns.sort(key=window_key, reverse=True)
         # x*other ⊆ self iff x*g ∈ self for the generators g of other
         reps = [g.coeffs for g in other.minimal_generators()]
         # the residual of x_u * n is linear in the monomials of the
@@ -380,19 +389,34 @@ class TorsionQuotient:
         return f"<torsion quotient of length {self.length}>"
 
 
+def regular_multiple(module: FracIdeal, elem: Element):
+    """(r·F, sum of the branch orders of r) for r in the ring that
+    vanishes on no branch; NotMember or ZeroDivisor otherwise.
+
+    The module keeps the last multiple built here, so a caller that
+    builds N = r·F and hands N on to a reader of r·F, such as
+    `artin.present_quotient`, shares one object with it."""
+    last = module._last_multiple
+    if last is None or last[0] != elem:
+        if not unit_ideal(module.ring).contains_element(elem):
+            raise NotMember("multiplier is not in the ring")
+        if INF in elem.valuations():
+            raise ZeroDivisor("multiplier vanishes on a branch")
+        last = module._last_multiple = (elem, module.scale(elem))
+    return last[1], sum(int(v) for v in elem.valuations())
+
+
 def herbrand(module: FracIdeal, elem: Element):
     """(len(F/rF), sum of the branch orders of r) for r in the ring.
 
     The two numbers agree; tests assert the equality across random
-    inputs rather than baking it in here.
+    inputs rather than baking it in here.  rF and the checks on r come
+    from `regular_multiple`.  The seeded cases of `duality.harness`
+    read both numbers from there too: they compute len(I/xI) once and
+    share it between their herbrand and length-duality properties.
     """
-    ring = module.ring
-    if not unit_ideal(ring).contains_element(elem):
-        raise NotMember("multiplier is not in the ring")
-    vals = elem.valuations()
-    if INF in vals:
-        raise ZeroDivisor("multiplier vanishes on a branch")
-    return module.len_quotient(module.scale(elem)), sum(int(v) for v in vals)
+    sub, order_sum = regular_multiple(module, elem)
+    return module.len_quotient(sub), order_sum
 
 
 # -- builders ----------------------------------------------------------------

@@ -215,25 +215,35 @@ class TrackedEchelon:
 def kernel(field, constraints, unknowns):
     """Basis of {x : sum_k row[k]*x[k] = 0 for every constraint row}.
 
-    `unknowns` fixes the coordinate order; one basis vector is emitted
-    per free unknown, in that order, with that unknown set to one.
+    `unknowns` fixes the coordinate order.  The constraints are reduced
+    to a fully reduced echelon pivoted at the earliest unknown each row
+    touches; every other unknown is free.  One basis vector is emitted
+    per free unknown, in the order of `unknowns`: that unknown at one,
+    and minus its coefficient in each row at the row's pivot, in pivot
+    order.  Each row is scattered once into the vectors of the free
+    unknowns it touches.
+
+    Basis-order contract: a basis vector's support is its free unknown
+    and pivots earlier in `unknowns`, and no vector meets another's
+    free unknown.  So when `unknowns` is given in decreasing order of a
+    sort key, the basis is exactly the rows of the fully reduced
+    echelon of its span under that key, each pivoted at its free
+    unknown with coefficient one: inserting it into an `Echelon` with
+    that key eliminates nothing.
     """
     pos = {u: i for i, u in enumerate(unknowns)}
-    ech = Echelon(field, sort_key=lambda k: pos[k])
+    ech = Echelon(field, sort_key=pos.__getitem__)
     for row in constraints:
         ech.insert(row)
-    pivot_set = set(ech.pivots)
-    basis = []
-    for f in unknowns:
-        if f in pivot_set:
-            continue
-        sol = {f: field.one}
-        for row, p in zip(ech.rows, ech.pivots):
-            c = row.get(f)
-            if c:
-                sol[p] = -c
-        basis.append(sol)
-    return basis
+    pivots = ech._row_at
+    one = field.one
+    basis = {f: {f: one} for f in unknowns if f not in pivots}
+    # a fully reduced row meets no other pivot: its other keys are free
+    for row, p in zip(ech.rows, ech.pivots):
+        for k, c in row.items():
+            if k != p:
+                basis[k][p] = -c
+    return list(basis.values())
 
 
 def intersect_spans(field, avecs, bvecs, sort_key=None):

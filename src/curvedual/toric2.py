@@ -517,6 +517,8 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
 
     So the rim is certified without a semigroup search, and the kept
     window points, H's minimal generators, are H's generator tuple.
+    `MonomialModule2` minimalizes them again; a point it drops was kept
+    by a faulty walk, which raises `InvariantViolation`.
     """
     S = module.semigroup
     coords = module._edges
@@ -535,7 +537,11 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
         kept = _window_generators(module, b1, b2, top)
         if all(a <= b1 + size and b <= b2 + size
                for a, b in map(S.normal_values, kept)):
-            return MonomialModule2(S, kept)
+            out = MonomialModule2(S, kept)
+            if set(out.generators) != set(kept):
+                raise InvariantViolation(
+                    "hull walk kept a point that is not a minimal generator")
+            return out
         size *= 2
     raise InvariantViolation("hull corner window failed to stabilize")
 

@@ -41,3 +41,24 @@ def tacnode(named):
 @pytest.fixture(scope="session")
 def r345(qq):
     return cd.build(cd.semigroup_spec(qq, (3, 4, 5)))
+
+
+@pytest.fixture
+def scale_calls(monkeypatch):
+    """Counts the calls of `FracIdeal.scale` per (module, multiplier)
+    pair, keyed (id of the module, multiplier); the modules are kept
+    alive so that their ids stay distinct."""
+    from collections import Counter
+
+    from curvedual.fracideal import FracIdeal
+
+    calls, modules = Counter(), []
+    scale = FracIdeal.scale
+
+    def counting(self, x):
+        modules.append(self)
+        calls[id(self), x] += 1
+        return scale(self, x)
+
+    monkeypatch.setattr(FracIdeal, "scale", counting)
+    return calls

@@ -16,7 +16,7 @@ from curvedual.artin import (ArtinAlgebra, ArtinModule, SocleData,
 from curvedual.errors import (DifferentialDegreeError, InvariantViolation,
                               NoWitness, NotContained, NotKilled, NotMember,
                               TooLarge, ZeroDivisor)
-from curvedual.fracideal import TorsionQuotient, unit_ideal
+from curvedual.fracideal import TorsionQuotient, regular_multiple, unit_ideal
 from curvedual.laurent import Element
 from curvedual.linalg import vec_addmul
 
@@ -345,6 +345,19 @@ def test_present_quotient_guards(cusp):
         present_quotient(one.scale(elem(cusp, "t^2")), one, q)
     with pytest.raises(NotKilled):
         present_quotient(one, one.scale(elem(cusp, "t^4")), q)
+
+
+def test_quotients_build_each_multiple_once(scale_calls, cusp, r345):
+    # curve_quotient builds xO once, and present_quotient reuses the
+    # x·M its caller built through regular_multiple
+    ext_lab_instance(3, 2)
+    for ring, text in ((cusp, "t^2"), (r345, "t^3")):
+        x = elem(ring, text)
+        one = unit_ideal(ring)
+        assert cd.verify_dualizing(ring, cd.canonical_module(ring).module, x)
+        pair = TorsionQuotient(one, regular_multiple(one, x)[0])
+        assert rees_check(ring, pair, x).ok
+    assert scale_calls and set(scale_calls.values()) == {1}
 
 
 def test_rees_check(cusp, r345):

@@ -242,6 +242,15 @@ def test_harness_catches_a_dual_exact_only_on_monomial_rows(monkeypatch):
     assert doc["properties"]["herbrand"]["failures"] == 0
 
 
+def test_check_builds_each_multiple_once(scale_calls):
+    # one xI per seeded case (and the shift of each random ideal):
+    # herbrand and length duality share it
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "3,5", "--cases", "20"]) == 0
+    assert len(scale_calls) >= 20
+    assert set(scale_calls.values()) == {1}
+
+
 def test_harness_lists_the_table_then_the_seeded_cases(qq):
     rings = [cd.named_ring(qq, "cusp"), cd.named_ring(qq, "node")]
     stream = [(name, ring.label, case_seed) for name, _, ring, case_seed

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvedual as cd
+from curvedual.laurent import window_key
 from curvedual.linalg import (Echelon, TrackedEchelon, _Tag, dense_rank,
                               intersect_spans, kernel, span, vec_addmul)
 
@@ -119,6 +120,45 @@ def test_kernel_solves_constraints(field_name):
             assert total == field.zero
     # solutions are independent
     assert span(field, basis).dim == len(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_name=st.sampled_from(["Q", "F5", "F2"]),
+       nbranches=st.integers(1, 3), width=st.integers(1, 8),
+       nrows=st.integers(0, 12), dense=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_given_its_unknowns_highest_first_returns_echelon_rows(
+        field_name, nbranches, width, nrows, dense, seed):
+    # the basis-order contract: unknowns in decreasing window-key order
+    # give exactly the fully reduced echelon of the kernel, in order of
+    # decreasing pivot, so an echelon built from it eliminates nothing
+    field = cd.parse_field(field_name)
+    rng = random.Random(seed)
+    unknowns = sorted(((i, j) for i in range(nbranches)
+                       for j in range(-width, width)),
+                      key=window_key, reverse=True)
+
+    def draw():
+        keys = (unknowns if dense
+                else rng.sample(unknowns, min(len(unknowns), 3)))
+        return rand_vec(field, rng, keys)
+
+    constraints = [draw() for _ in range(nrows)]
+    basis = kernel(field, constraints, unknowns)
+    ech = Echelon(field, sort_key=window_key)
+    ech.extend(basis)
+    assert ech.rows[::-1] == basis
+    assert ech.pivots[::-1] == [min(v, key=window_key) for v in basis]
+    free = set(ech.pivots)
+    for v, p in zip(basis, ech.pivots[::-1]):
+        assert v[p] == field.one and not (free - {p}) & set(v)
+    assert len(basis) == len(unknowns) - span(field, constraints).dim
+    for sol in basis:
+        for row in constraints:
+            total = field.zero
+            for k, c in row.items():
+                total = total + c * sol.get(k, field.zero)
+            assert total == field.zero
 
 
 def test_intersect_spans():

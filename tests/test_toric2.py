@@ -572,6 +572,7 @@ def test_residue_lookup_matches_the_mu_loop(S, shift):
 
 @settings(max_examples=40, deadline=None)
 @example(S=model("pinched-plane"), shift=False)
+@example(S=AffineSemigroup2([(4, 0), (6, 0), (0, 5), (1, 1)]), shift=False)
 @given(plane_semigroups(), st.booleans())
 def test_window_keeps_only_points_without_a_hull_point_below(S, shift):
     # the kept points are exactly the window's hull points u with no
@@ -690,6 +691,23 @@ def test_class_walk_matches_the_point_walk(walk):
     b2 = min(S.normal_values(h)[1] for h in module.generators)
     assert (_window_generators(module, b1, b2, size)
             == point_walk(module, b1, b2, size))
+
+
+def test_hull_refuses_a_walk_that_keeps_a_non_minimal_point(monkeypatch):
+    # a hull point one semigroup step above a kept point is in the hull
+    # but is no minimal generator; MonomialModule2 would drop it
+    walk = toric2._window_generators
+
+    def one_too_many(module, b1, b2, size):
+        kept = walk(module, b1, b2, size)
+        g = module.semigroup.generators[0]
+        return kept + [(kept[0][0] + g[0], kept[0][1] + g[1])]
+
+    module = MonomialModule2(model("plane"), [(2, 5), (5, 2)])
+    s2_hull(module)
+    monkeypatch.setattr(toric2, "_window_generators", one_too_many)
+    with pytest.raises(InvariantViolation, match="minimal generator"):
+        s2_hull(module)
 
 
 def test_hull_runs_no_module_membership(monkeypatch):
