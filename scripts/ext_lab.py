@@ -16,7 +16,7 @@ uncovered middle.
 import argparse
 
 import curvedual as cd
-from curvedual.errors import TooLarge
+from curvedual.errors import NoWitness, TooLarge
 
 
 def main():
@@ -30,39 +30,47 @@ def main():
 
     print(f"{'m':>3} {'p':>3} {'resolution':>11} {'enumeration':>12} "
           f"{'closed form':>12}")
+    # one loop over (m, p), so each pair's parts share the one lab the
+    # library keeps; the claim lines print after the whole table
+    claim_lines = []
     for m in ns.m:
         for p in ns.p:
-            try:
-                rep = cd.ext_routes(m, p)
-            except TooLarge as err:
-                print(f"{m:>3} {p:>3}  skipped: {err}")
-                continue
-            flag = "" if rep.routes_agree and rep.matches_closed_form \
-                else "  <-- disagreement"
-            print(f"{m:>3} {p:>3} {rep.via_resolution:>11} "
-                  f"{rep.via_enumeration:>12} {rep.closed_form:>12}{flag}")
+            print(routes_line(m, p))
+            if ns.claims:
+                claim_lines.extend(claims_lines(m, p))
+    if ns.claims:
+        print()
+        print("\n".join(claim_lines))
 
-    if not ns.claims:
-        return
-    print()
-    for m in ns.m:
-        for p in ns.p:
-            try:
-                claim = cd.verify_claim4(m, p)
-            except TooLarge as err:
-                print(f"claim sweep (m={m}, p={p}) skipped: {err}")
-                continue
-            print(f"classes (m={m}, p={p}): {claim.checked} of "
-                  f"{claim.total} pass the quotient test; classification "
-                  f"{'holds' if claim.ok else 'FAILS'}")
-            try:
-                witness = cd.witness_cor3(m, p)
-            except TooLarge as err:
-                print(f"  uncovered witness skipped: {err}")
-                continue
-            print(f"  uncovered witness: {witness.passing_quotient_test} "
-                  f"candidates, {witness.covered_by_target} covered, "
-                  f"witness of dimension {witness.witness.dim} found")
+
+def routes_line(m, p):
+    try:
+        rep = cd.ext_routes(m, p)
+    except TooLarge as err:
+        return f"{m:>3} {p:>3}  skipped: {err}"
+    flag = "" if rep.routes_agree and rep.matches_closed_form \
+        else "  <-- disagreement"
+    return (f"{m:>3} {p:>3} {rep.via_resolution:>11} "
+            f"{rep.via_enumeration:>12} {rep.closed_form:>12}{flag}")
+
+
+def claims_lines(m, p):
+    try:
+        claim = cd.verify_claim4(m, p)
+    except TooLarge as err:
+        return [f"claim sweep (m={m}, p={p}) skipped: {err}"]
+    lines = [f"classes (m={m}, p={p}): {claim.checked} of "
+             f"{claim.total} pass the quotient test; classification "
+             f"{'holds' if claim.ok else 'FAILS'}"]
+    try:
+        witness = cd.witness_cor3(m, p)
+    except TooLarge as err:
+        return lines + [f"  uncovered witness skipped: {err}"]
+    except NoWitness as err:  # at m = 2, which has no gap pair
+        return lines + [f"  no uncovered witness: {err}"]
+    return lines + [f"  uncovered witness: {witness.passing_quotient_test} "
+                    f"candidates, {witness.covered_by_target} covered, "
+                    f"witness of dimension {witness.witness.dim} found"]
 
 
 if __name__ == "__main__":

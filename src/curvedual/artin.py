@@ -41,6 +41,7 @@ which projects images onto the non-pivot keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (DifferentialDegreeError, InvariantViolation, NoWitness,
@@ -855,7 +856,19 @@ class ExtLabInstance(Record):
                            "linear", "module", "target")
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def ext_lab_instance(m: int, p: int) -> ExtLabInstance:
+    """The lab at multiplicity m over F_p, built and checked once.
+
+    The last instance built is kept, one per process: a second call
+    with the same (m, p) returns that same object, and a call with
+    another (m, p) replaces it.  So `ext_routes`, `verify_claim4` and
+    `witness_cor3` share one lab, and an all-parts `ext-lab` builds it
+    once.  The instance is shared, so it is read-only: no caller
+    changes its modules or algebras.  The key is typed, so m = 3.0 is
+    not the (3, p) lab; it fails as it would unkept.  TooLarge and the
+    other refusals raise before the build and are never kept.
+    """
     from .curvering import CurveSpec, build
     from .duality import canonical_module
     if m < 2:

@@ -162,11 +162,14 @@ def cmd_omega(ns):
     data = duality.canonical_module(ring)
     module = data.module
     cols = [f"t_{i}^{j}" for (i, j) in data.pole_monomials]
+    # the rows are sparse, so the dense matrix is mostly zeros: format
+    # each distinct scalar once
+    fmt, zero = functools.cache(ring.field.format), ring.field.zero
     matrix = []
     for row, label in zip(data.conditions, ring.basis):
         matrix.append({
             "ring_element": format_element(label),
-            "residues": [ring.field.format(row.get(key, ring.field.zero))
+            "residues": [fmt(row.get(key, zero))
                          for key in data.pole_monomials],
         })
     principal = module.is_principal()

@@ -1,6 +1,14 @@
 import pytest
 
 import curvedual as cd
+from curvedual.artin import ext_lab_instance
+
+
+@pytest.fixture(autouse=True)
+def no_kept_lab():
+    """Each test starts with no Ext lab kept, so a test that patches
+    the lab's internals builds its own lab, whatever ran before it."""
+    ext_lab_instance.cache_clear()
 
 
 @pytest.fixture(scope="session")

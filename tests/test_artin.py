@@ -334,8 +334,51 @@ def test_lab_past_the_resolution_cap_is_refused_before_the_build(
         raise AssertionError("an oversized lab built its ring")
 
     monkeypatch.setattr(curvering, "build", refuse)
-    with pytest.raises(TooLarge, match="size 2112 exceeds the bound 2048"):
-        ext_lab_instance(33, 2)
+    # a refusal is never kept: the second call is refused again
+    for _ in range(2):
+        with pytest.raises(TooLarge,
+                           match="size 2112 exceeds the bound 2048"):
+            ext_lab_instance(33, 2)
+    assert ext_lab_instance.cache_info().currsize == 0
+
+
+def test_lab_parts_share_one_kept_instance(monkeypatch):
+    # the routes, Claim 4 and Corollary 3 at one (m, p) build one ring
+    from curvedual import curvering
+
+    built = []
+    build = curvering.build
+
+    def counted(spec):
+        built.append(spec.semigroup)
+        return build(spec)
+
+    monkeypatch.setattr(curvering, "build", counted)
+    lab = ext_lab_instance(3, 2)
+    assert ext_lab_instance(3, 2) is lab
+    for part in (ext_routes, verify_claim4, witness_cor3):
+        part(3, 2)
+    assert ext_lab_instance(3, 2) is lab
+    assert built == [(3, 4, 5)]
+
+
+def test_lab_keeps_one_instance_only():
+    # a second (m, p) replaces the first, which a later call rebuilds
+    first = ext_lab_instance(3, 2)
+    second = ext_lab_instance(3, 3)
+    assert second is not first and second.p == 3
+    assert ext_lab_instance.cache_info().currsize == 1
+    again = ext_lab_instance(3, 2)
+    assert again is not first
+    assert again.module.cols == first.module.cols
+
+
+def test_lab_key_is_typed():
+    # an untyped key would hand m = 3.0 the kept (3, 2) lab
+    lab = ext_lab_instance(3, 2)
+    with pytest.raises(TypeError):
+        ext_lab_instance(3.0, 2)
+    assert ext_lab_instance(3, 2) is lab
 
 
 def test_present_quotient_guards(cusp):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from curvedual import cli
+from curvedual.artin import ext_lab_instance
 
 
 def run(capsys, *argv):
@@ -229,6 +230,31 @@ def test_ext_lab_within_the_line_cap(capsys):
     cor3 = doc["cor3"]
     assert (cor3["classes_total"], cor3["classes_passing_quotient_test"],
             cor3["classes_covered_by_target"]) == (2048, 1792, 7)
+
+
+# The benchmark's ext-lab jobs: the parts at (3, 2), then Claim 4 at
+# (3, 3).
+LAB_JOBS = [["--m", "3", "--p", "2", "--claim2"],
+            ["--m", "3", "--p", "2", "--claim4"],
+            ["--m", "3", "--p", "2", "--cor3"],
+            ["--m", "3", "--p", "3", "--claim4"]]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0),
+                                   (0, 3, 1, 3, 2)],
+                         ids=("benchmark", "reverse", "interleaved"))
+def test_ext_lab_jobs_in_one_process_print_what_they_print_alone(
+        capsys, order):
+    # the kept lab is shared by the jobs of one (m, p) and replaced
+    # between (m, p)s; no job's bytes may depend on what ran before it
+    alone = []
+    for argv in LAB_JOBS:
+        ext_lab_instance.cache_clear()
+        alone.append(run(capsys, "ext-lab", *argv, "--format", "json"))
+    ext_lab_instance.cache_clear()
+    for job in order:
+        assert run(capsys, "ext-lab", *LAB_JOBS[job], "--format",
+                   "json") == alone[job]
 
 
 def test_toric_saturate(capsys):

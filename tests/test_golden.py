@@ -50,9 +50,13 @@ still ran in `Fraction`s and inserted module rows in the given order,
 which took about 12 s for the check; they now take under a second.  A
 changed byte at scale fails here; a swell that comes back fails the
 row-rewrite count in test_fracideal.py and shows here as a slow run.
+`omega 29,31` prints 4.6 MB of JSON, too large for a file here, so its
+output is pinned by sha256 digests, JSON and text; they were written
+while every entry of the residue matrix was still formatted on its own.
 """
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -145,3 +149,20 @@ def test_json_bytes_match_golden(name):
     code, got = run_json(CASES[name])
     assert code == EXIT_CODES.get(name, 0)
     assert got == (GOLDEN / name).read_bytes()
+
+
+# sha256 of the stdout of `omega 29,31`, per --format.
+OMEGA_29_31 = {
+    "json": "3db5073434e8e6032ee295c06df27fb08311dd0ebe0a2534bec11e54be672ca1",
+    "text": "fae87c5241b64a65679b8ed0fbf5fb4240092bbf03b7fb38da242c7aeb06f723",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(OMEGA_29_31))
+def test_omega_at_scale_matches_its_digest(fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["omega", "29,31", "--format", fmt])
+    assert code == 0
+    got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert got == OMEGA_29_31[fmt]

@@ -22,6 +22,8 @@ RUNS = [
       for m in ("plane", "diagonal-mod3", "pinched-plane")),
     ["ext_lab.py", "--m", "3", "--p", "2"],
     ["ext_lab.py", "--m", "3", "5", "--p", "2", "--claims"],
+    # m = 2 has no gap pair, so Corollary 3 finds no witness there
+    ["ext_lab.py", "--m", "2", "--p", "2", "--claims"],
     ["family_report.py", "--bound", "5"],
     ["family_report.py", "--bound", "5", "--field", "F5"],
     ["job_digests.py", "--workload", "finite-labs", "--seeds", "1"],
@@ -108,3 +110,11 @@ def test_traced_ext_lab_runs():
         counts = out.splitlines()[-1].split()
         assert len(counts) == len(names)
         assert all(int(c) > 0 for c in counts), (argv, names, counts)
+
+
+def test_traced_whole_lab_builds_one_ring():
+    # the span wrapper sits outside the kept lab: the three parts of an
+    # all-parts ext-lab call ext_lab_instance and build its ring once
+    out = run_python(["-c", TRACED, "curvering.build.calls", "ext-lab",
+                      "--m", "3", "--p", "2"])
+    assert out.splitlines()[-1] == "1"
