@@ -11,8 +11,8 @@ module sits (when the model is saturated).  Legend: '#' member,
 import argparse
 
 from curvedual.toric2 import (MODELS, AffineSemigroup2, MonomialModule2,
-                              canonical_module_toric, s2_hull, saturation)
-from curvedual.errors import NotSaturated
+                              canonical_module_toric, is_saturated, s2_hull,
+                              saturation)
 
 
 def grid(box, cell):
@@ -34,7 +34,7 @@ def main():
     print("membership ('#') and saturation gain ('+'):")
     grid(ns.box, lambda a, b: "#" if S.contains((a, b))
          else "+" if sat.contains((a, b)) else ".")
-    if sat == S:
+    if is_saturated(S):
         print("already saturated\n")
     else:
         print(f"saturation generators: {list(sat.generators)}\n")
@@ -49,12 +49,11 @@ def main():
              else "o" if hull.contains((a, b)) else ".")
         print(f"hull generators: {list(hull.generators)}\n")
 
-    try:
-        omega = canonical_module_toric(S)
-    except NotSaturated:
+    if not is_saturated(S):
         print("canonical module: undefined here (model not saturated); "
               "run again on its saturation")
         return
+    omega = canonical_module_toric(S)
     print("canonical module ('w') inside the semigroup ('#'):")
     grid(ns.box, lambda a, b: "w" if omega.contains((a, b))
          else "#" if S.contains((a, b)) else ".")

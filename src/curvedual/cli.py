@@ -338,8 +338,8 @@ def cmd_toric(ns):
     if ns.toric_cmd == "saturate":
         sat = toric2.saturation(S)
         payload["saturation_generators"] = [list(g) for g in sat.generators]
-        payload["already_saturated"] = sat == S
-        payload["idempotent"] = toric2.saturation(sat) == sat
+        payload["already_saturated"] = toric2.is_saturated(S)
+        payload["idempotent"] = toric2.is_saturated(sat)
     elif ns.toric_cmd == "omega":
         omega = toric2.canonical_module_toric(S)
         structure = toric2.MonomialModule2(S, [(0, 0)])
@@ -352,7 +352,12 @@ def cmd_toric(ns):
         payload["module_generators"] = [list(g) for g in module.generators]
         payload["hull_generators"] = [list(g) for g in hull.generators]
         payload["enlarged"] = hull != module
-        payload["idempotent"] = toric2.s2_hull(hull) == hull
+        # on a saturated S, s2_hull checked the hull against the
+        # staircase from the module's corner, which is then the hull's
+        # own; elsewhere the hull is walked again
+        payload["idempotent"] = (hull.corner() == module.corner()
+                                 if toric2.is_saturated(S)
+                                 else toric2.s2_hull(hull) == hull)
     _emit(ns, payload)
     return 0
 

@@ -110,7 +110,11 @@ def _closure_window(field, nbranches, gens, width):
 
 
 def build(spec: CurveSpec) -> "CurveRing":
-    """Close the generators, certify the conductor, package the ring."""
+    """Close the generators, certify the conductor, package the ring.
+    A window bound above MAX_WINDOW_BOUND raises TooLarge at once."""
+    if spec.window_bound > MAX_WINDOW_BOUND:
+        raise TooLarge(f"window bound {spec.window_bound} exceeds the bound "
+                       f"{MAX_WINDOW_BOUND}")
     field = spec.field
     gens = list(spec.generators)
     if spec.semigroup is not None:
@@ -304,6 +308,15 @@ class SemigroupData(Record):
 # at the cap, takes about 9 s on a 2-vCPU VM; past it the oracle raises
 # TooLarge before any sieve or ring of that size is built.
 MAX_SEMIGROUP_CONDUCTOR = 4096
+
+# Largest window bound `build` accepts: the widest window the semigroup
+# path presizes, 2 c + 2 at the conductor cap, so `seminormalization`,
+# which rebuilds within the larger of the ring's window and its bound,
+# stays in range.  On an input of infinite colength the window doubles
+# up to the bound before NotFiniteColength: `report --inline 'field Q;
+# branches 2; gen (t, 0)'` gives up after 0.8 s at 4,096 and 2.7-3.6 s
+# at 8,194, but ran 14-17 s at 20,000 (2-vCPU VM, Python 3.11).
+MAX_WINDOW_BOUND = 2 * MAX_SEMIGROUP_CONDUCTOR + 2
 
 
 def semigroup_oracle(generators) -> SemigroupData:

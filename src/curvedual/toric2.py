@@ -28,8 +28,13 @@ points are the pairs (a, b) with g | a and b = c a/g (mod t).  The hull
 walks a square of them.  The saturation is the set of group points
 with a, b >= 0 and the canonical module of a saturated semigroup the
 set with a, b >= 1 (Oda, Convex Bodies and Algebraic Geometry, 1.6);
-the generators of both are the minimal points, one per step of a
-staircase over the columns a.
+over a saturated semigroup the hull of a module is the set with
+a >= b1 and b >= b2, (b1, b2) the least edge coordinates of the
+module's generators.  The generators of each are the minimal points,
+one per step of a staircase over the columns a from a corner
+(`_staircase`).  That one routine decides saturation (`is_saturated`),
+gives the saturation and omega, and is the second route of `s2_hull`
+on every saturated semigroup.
 """
 
 from __future__ import annotations
@@ -51,13 +56,16 @@ from .errors import (InvariantViolation, NotMember, NotSaturated,
 MAX_MEMBER_LEVEL = 8192
 
 # Widest walk over edge coordinates: the side of the hull's square, the
-# rim included, and the column count of the staircase of `saturation`
-# and `canonical_module_toric`.  At the cap, the hull of (1015, 0),
-# (0, 1015) over the plane takes 0.01 s (4.5-5.9 s while the walk tested
-# every group point), that of the ring on (400, 0), (1, 1), (0, 1), with
-# 400 classes a column, 1.1-1.3 s, and `toric saturate --gens '1,0 1,1
-# 1,2047'` 0.11-0.17 s (2-vCPU VM, Python 3.11).  The widest benchmark
-# walk is 250.  Past the cap both raise TooLarge before they walk.
+# rim included, and the column count of a staircase (`_staircase`), which
+# is never more than the hull's square of the same semigroup is wide.
+# At the cap, the hull of (1015, 0), (0, 1015) over the plane takes 0.01
+# s (4.5-5.9 s while the walk tested every group point), that of the
+# ring on (400, 0), (1, 1), (0, 1), with 400 classes a column, 1.1-1.3
+# s, and `toric saturate --gens '1,0 1,1 1,2047'` 0.11-0.17 s (2-vCPU
+# VM, Python 3.11).  That ring is unsaturated, so `toric hull` walks
+# twice there, for the hull and for its idempotence, about 2 s from
+# start.  The widest benchmark walk is 250.  Past the cap both raise
+# TooLarge before they walk.
 MAX_WALK_WIDTH = 2048
 
 
@@ -361,6 +369,11 @@ class MonomialModule2:
                 return True
         return False
 
+    def corner(self):
+        """(b1, b2), the least edge coordinates of the generators: the
+        module and its hull lie in {n1 >= b1, n2 >= b2}."""
+        return tuple(map(min, zip(*self._edges)))
+
     def hull_contains(self, point):
         return all(self.in_ray_localization(point, ray) for ray in (0, 1))
 
@@ -379,28 +392,42 @@ class MonomialModule2:
 
 # -- operations -----------------------------------------------------------------
 
-def _staircase(S, lo):
-    """Nonzero group points z with n1(z), n2(z) >= lo that are minimal
-    for the order of edge coordinates, in order of n1: for lo = 0 the
-    Hilbert basis of the saturation, for lo = 1 the generators of its
-    module of interior points.
+def _staircase(S, corner, nonzero=False):
+    """Group points z with (n1(z), n2(z)) >= corner = (b1, b2) that are
+    minimal for the order of edge coordinates, in order of n1; with
+    `nonzero`, the origin is left out.  From (0, 0) with the origin left
+    out this is the Hilbert basis of the saturation, from (1, 1) the
+    generators of its module of interior points, and from the least
+    edge coordinates of a module's generators, over a saturated S, the
+    generators of the module's hull.
 
-    The saturation is the set of group points with both edge
-    coordinates >= 0, the interior points those with both >= 1.  A
-    point z of either set is a sum z = h + s, with h nonzero (interior,
-    for lo = 1), h != z and s in the saturation, exactly when some such
-    h has n1(h) <= n1(z) and n2(h) <= n2(z): then s = z - h has both
-    edge coordinates >= 0, and it lies in the group as a difference of
-    group points.  So the generators are the minimal points.  Column a
-    holds group points only when g divides a; of these only its lowest
-    b >= lo (the origin skipped) can be minimal, and it is minimal
-    exactly when it lies below the lowest b of every earlier column,
-    that is below every b kept so far.  The ray point with edge
-    coordinates (A, 0), A = g t / gcd(c, t), is the first group point
-    of the second ray.  A point z of a column past A lies above (A, 0)
-    and above z - (A, 0), which is interior when z is; so the walk stops
-    at A, after A/g + 1 columns at most.
+    Each of these sets is the set X of group points with both edge
+    coordinates >= those of the corner (the origin dropped for the
+    saturation).  A point z of X is a sum z = h + s, with h in X, h != z
+    and s in the saturation, exactly when some such h has n1(h) <= n1(z)
+    and n2(h) <= n2(z): then s = z - h has both edge coordinates >= 0,
+    and it lies in the group as a difference of group points.  So the
+    generators are the minimal points.  Column a holds group points
+    only when g divides a; of these only its lowest b >= b2 (the origin
+    skipped) can be minimal, and it is minimal exactly when it lies
+    below the lowest b of every earlier column, that is below every b
+    kept so far.  The ray point with edge coordinates (A, 0), A = g t /
+    gcd(c, t), is the first group point of the second ray.  A point z of
+    a column past a0 + A, a0 the first column, lies above z - (A, 0),
+    which is in X when z is (and is not the origin: its n1 is past a0);
+    so the walk stops at a0 + A, after A/g + 1 columns.  That is at most
+    span + 1, span the largest edge coordinate of a generator, since a
+    generator on the second ray has n1 a multiple of A: fewer columns
+    than the hull walk's square is wide.
+
+    Over a saturated S each ray localization of a module M is a
+    half-plane of the group, n1 >= b1 or n2 >= b2, (b1, b2) = M.corner(),
+    so the hull, reflexive of rank one and so divisorial, is the group
+    points of the quadrant above the corner (Cox, Little and Schenck,
+    Toric Varieties, ch. 4 and 8; Bruns and Herzog, Cohen-Macaulay
+    Rings, ch. 6).
     """
+    b1, b2 = corner
     g, c, t = S._edge_form
     top = g * t // math.gcd(c, t)
     if top // g + 1 > MAX_WALK_WIDTH:
@@ -408,9 +435,10 @@ def _staircase(S, lo):
                        f"bound {MAX_WALK_WIDTH}")
     out = []
     low = math.inf
-    for a in range(lo + (-lo) % g, top + 1, g):
-        b = lo + (c * (a // g) - lo) % t
-        if a == b == 0:
+    first = b1 + (-b1) % g
+    for a in range(first, first + top + 1, g):
+        b = b2 + (c * (a // g) - b2) % t
+        if nonzero and a == b == 0:
             b = t
         if b < low:
             low = b
@@ -418,11 +446,23 @@ def _staircase(S, lo):
     return out
 
 
+def is_saturated(S: AffineSemigroup2) -> bool:
+    """Whether S is its own saturation: whether every point of the
+    Hilbert basis of the saturation (`_staircase` from (0, 0), origin
+    left out) is a generator of S.  Then the saturation lies in S.
+
+    The test is "staircase within the generators", not equality: a
+    staircase that loses a point still leaves a saturated S saturated
+    here, so `s2_hull` still compares its walk with the staircase, and
+    the loss shows there."""
+    return set(_staircase(S, (0, 0), nonzero=True)) <= set(S.generators)
+
+
 def saturation(S: AffineSemigroup2) -> AffineSemigroup2:
     """Hilbert basis of cone(S) intersected with group(S), read off the
     staircase of edge coordinates (`_staircase`)."""
-    out = AffineSemigroup2(_staircase(S, 0))  # same cone, same edges
-    if out._edge_form != S._edge_form:
+    out = AffineSemigroup2(_staircase(S, (0, 0), nonzero=True))
+    if out._edge_form != S._edge_form:  # same cone, same edges
         raise InvariantViolation("saturation changed the group")
     return out
 
@@ -519,11 +559,19 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
     window points, H's minimal generators, are H's generator tuple.
     `MonomialModule2` minimalizes them again; a point it drops was kept
     by a faulty walk, which raises `InvariantViolation`.
+
+    On a saturated S (`is_saturated`) the hull has a closed form, the
+    staircase from the corner (b1, b2) (`_staircase`), and the kept
+    points must be exactly its points, in the same order; otherwise
+    `InvariantViolation` is raised, before the module is built, so a
+    walk that keeps no point is caught there too.  The walk is the
+    answer either way.  On an unsaturated S the closed form does not
+    hold: the hull of the pinched plane's ring has three generators, the
+    staircase from its corner one.
     """
     S = module.semigroup
     coords = module._edges
-    b1 = min(c[0] for c in coords)
-    b2 = min(c[1] for c in coords)
+    b1, b2 = module.corner()
     span = max(map(max, S._steps))
     mspan = max(c[0] - b1 + c[1] - b2 for c in coords)
     reach = S._det * (S._ray_gcds[0] * max(S._ray_conductors[0], 1)
@@ -537,6 +585,10 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
         kept = _window_generators(module, b1, b2, top)
         if all(a <= b1 + size and b <= b2 + size
                for a, b in map(S.normal_values, kept)):
+            if is_saturated(S) and kept != _staircase(S, (b1, b2)):
+                raise InvariantViolation(
+                    "hull walk kept other points than the minimal generators "
+                    "on the corner staircase of a saturated semigroup")
             out = MonomialModule2(S, kept)
             if set(out.generators) != set(kept):
                 raise InvariantViolation(
@@ -548,10 +600,11 @@ def s2_hull(module: MonomialModule2) -> MonomialModule2:
 
 def canonical_module_toric(S: AffineSemigroup2) -> MonomialModule2:
     """Module of interior lattice points of a saturated semigroup, on
-    the staircase of edge coordinates >= 1 (`_staircase`)."""
-    if saturation(S) != S:
+    the staircase from the corner (1, 1) (`_staircase`).  Saturation is
+    decided by `is_saturated`, with no second semigroup built."""
+    if not is_saturated(S):
         raise NotSaturated("interior-point recipe needs a saturated input")
-    return MonomialModule2(S, _staircase(S, 1))
+    return MonomialModule2(S, _staircase(S, (1, 1)))
 
 
 def monomial_iso(mod_a: MonomialModule2, mod_b: MonomialModule2):

@@ -317,6 +317,55 @@ def test_cor3_runs_one_surjection_search(monkeypatch, m, p):
     assert len(calls) == 1
 
 
+def raise_least_coefficient(psi, field):
+    """The cocycle psi with the coefficient of its least key raised by
+    one; the split class, psi = {}, as it is."""
+    psi = dict(psi)
+    if psi:
+        key = min(psi)
+        psi[key] += field.one
+        if not psi[key]:
+            del psi[key]
+    return psi
+
+
+def test_lab_middle_from_a_changed_cocycle_is_caught(monkeypatch):
+    # each middle is built from its line's cocycle with one coefficient
+    # changed, while the rank that let the line pass is read from the
+    # cocycle itself.  Corollary 3 at (3, 2) and (4, 2) fails the x-rank
+    # cross-check first; Claim 4 first fails the middle's own action
+    # check, as the changed map is no longer equivariant
+    push = artin._pushout_middle
+
+    def changed(algebra, nmodule, b0, kvecs, psi):
+        return push(algebra, nmodule, b0, kvecs,
+                    raise_least_coefficient(psi, algebra.field))
+
+    monkeypatch.setattr(artin, "_pushout_middle", changed)
+    for m, p in [(3, 2), (4, 2)]:
+        with pytest.raises(InvariantViolation, match="disagree on dim xE"):
+            witness_cor3(m, p)
+    with pytest.raises(InvariantViolation, match="structure constants"):
+        verify_claim4(3, 2)
+
+
+def test_lab_walk_over_changed_cocycles_is_seen_by_the_pinned_counts(
+        monkeypatch):
+    # every line's cocycle changed before both the rank and the middle
+    # read it: they agree, every middle is a module, and Claim 4 still
+    # holds, so only the pinned count of checked classes, 4 of 8 in
+    # `test_claim4_smallest_case` and the golden file, sees the fault
+    lines = artin._line_cocycles
+
+    def changed(field, reps):
+        for weight, psi in lines(field, reps):
+            yield weight, raise_least_coefficient(psi, field)
+
+    monkeypatch.setattr(artin, "_line_cocycles", changed)
+    rep = verify_claim4(3, 2)
+    assert rep.ok and rep.total == 8 and rep.checked != 4
+
+
 def test_cor3_refuses_a_hom_space_that_misses_the_top(monkeypatch):
     # dim Hom(M, k) is checked against the top of M before it counts
     homs = artin.hom_space

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from curvedual import cli
+from curvedual import cli, toric2
 from curvedual.artin import ext_lab_instance
 
 
@@ -289,6 +289,54 @@ def test_toric_hull(capsys):
     assert sorted(map(tuple, doc["hull_generators"])) == [(0, 0), (0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize("argv, walks", [
+    # saturated: the checked staircase certifies idempotence
+    (["--model", "plane", "--module", "1015,0 0,1015"], 1),
+    (["--model", "plane", "--module", "2,5 5,2"], 1),
+    (["--model", "diagonal-mod3"], 1),
+    # unsaturated: the hull is walked again
+    (["--model", "pinched-plane"], 2),
+    (["--gens", "10,2 9,-3 11,12", "--module", "0,0 2,15"], 2),
+])
+def test_toric_hull_walks_again_only_when_unsaturated(capsys, monkeypatch,
+                                                      argv, walks):
+    calls = []
+    walk = toric2._window_generators
+
+    def counted(module, b1, b2, size):
+        calls.append(size)
+        return walk(module, b1, b2, size)
+
+    monkeypatch.setattr(toric2, "_window_generators", counted)
+    code, doc, _ = run_json(capsys, "toric", "hull", *argv)
+    assert code == 0 and doc["idempotent"] is True
+    assert len(calls) == walks
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["omega", "--model", "plane"], 1),
+    (["omega", "--model", "diagonal-mod3"], 1),
+    (["omega", "--model", "pinched-plane"], 1),
+    (["saturate", "--model", "plane"], 2),
+    (["saturate", "--model", "pinched-plane"], 2),
+    (["saturate", "--gens", "45,1 2,1 1,1 1,45"], 2),
+])
+def test_toric_builds_only_the_semigroups_it_prints(capsys, monkeypatch,
+                                                    argv, built):
+    # S, and for saturate its saturation: saturation is decided by
+    # `is_saturated`, with no second semigroup to compare
+    count = []
+    init = toric2.AffineSemigroup2.__init__
+
+    def counted(self, generators):
+        count.append(1)
+        init(self, generators)
+
+    monkeypatch.setattr(toric2.AffineSemigroup2, "__init__", counted)
+    run(capsys, "toric", *argv)
+    assert len(count) == built
+
+
 def test_toric_point_lists_may_start_with_a_minus(capsys):
     # a lone value '-2,3' is a point list, not an unknown option
     glued = run(capsys, "toric", "hull", "--gens", "1,0 0,1",
@@ -357,6 +405,23 @@ def test_window_bound_flag(capsys):
                             "--window-bound", "300")
     assert code == 0
     assert doc["ring"]["conductor_exponents"] == [110]
+
+
+def test_window_bound_past_its_cap_exits_2_at_once(capsys):
+    # infinite colength: the window would double up to the bound (14-17
+    # s at 20,000 on a 2-vCPU VM); past the cap 8,194 the build refuses
+    # at once, before any closure
+    inline = "field Q; branches 2; gen (t, 0)"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", "--inline", inline,
+                         "--window-bound", "8195")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "window bound 8195 exceeds the bound 8194" in err
+    code, out, err = run(capsys, "report", "--inline", inline,
+                         "--window-bound", "20")
+    assert code == 2 and "not certified within window bound 20" in err
 
 
 def test_report_needs_curve(capsys):

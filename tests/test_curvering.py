@@ -158,6 +158,23 @@ def test_window_bound_enforced(qq):
     assert cd.build(cd.semigroup_spec(qq, (11, 12))).cond == (110,)
 
 
+def test_window_bound_is_capped(qq, monkeypatch):
+    # the widest window the semigroup path presizes, so seminormalization,
+    # which rebuilds within the ring's own window, stays in range
+    cap = curvering.MAX_WINDOW_BOUND
+    assert cap == 2 * curvering.MAX_SEMIGROUP_CONDUCTOR + 2 == 8194
+    gens = (cd.parse_element(qq, "t^2"), cd.parse_element(qq, "t^3"))
+    assert cd.build(cd.CurveSpec(qq, gens, window_bound=cap)).cond == (2,)
+
+    def refuse(*args):
+        raise AssertionError("closed past the cap")
+
+    monkeypatch.setattr(curvering, "_closure_window", refuse)
+    with pytest.raises(TooLarge, match="window bound 8195 exceeds the "
+                                       "bound 8194"):
+        cd.build(cd.CurveSpec(qq, gens, window_bound=cap + 1))
+
+
 def test_no_finite_colength_cases(qq):
     with pytest.raises(NotFiniteColength):
         cd.build(cd.CurveSpec(qq, ()))

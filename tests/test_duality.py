@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import curvedual as cd
-from curvedual import cli, duality
+from curvedual import cli, duality, fracideal
 from curvedual.errors import (FieldTooSmall, InvariantViolation, NotARing,
                               NotDualizing, ZeroOnBranch)
 from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
@@ -168,6 +168,27 @@ def test_harness_catches_a_dual_missing_a_condition(monkeypatch):
     # conductor duality still holds and the first random case fails
     assert doc["properties"]["conductor-duality"]["failures"] == 0
     assert doc["counterexample"]["property"] == "biduality"
+
+
+@pytest.mark.parametrize("drop", ["first", "last"])
+@pytest.mark.parametrize("curve", ["cusp", "node", "tacnode", "3,5"])
+def test_harness_catches_a_colon_missing_a_constraint_row(monkeypatch,
+                                                          curve, drop):
+    # `FracIdeal.colon` solved without one of its constraint rows: the
+    # solutions grow, so omega:omega exceeds O, and the dualizing module
+    # fails its own verification before any other property runs
+    solve = fracideal.kernel
+
+    def dropped(field, rows, unknowns):
+        rows = list(rows)
+        return solve(field, rows[1:] if drop == "first" else rows[:-1],
+                     unknowns)
+
+    monkeypatch.setattr(fracideal, "kernel", dropped)
+    doc = first_failure(["check", curve, "--cases", "8"])
+    assert doc["counterexample"]["property"] == "omega-endomorphisms"
+    assert doc["properties"] == {
+        "omega-endomorphisms": {"runs": 1, "failures": 1}}
 
 
 def drop_slab_term(monkeypatch):

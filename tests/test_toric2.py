@@ -14,7 +14,7 @@ from curvedual.errors import (InvariantViolation, NotMember, NotSaturated,
 from curvedual.toric2 import (MAX_MEMBER_LEVEL, MAX_WALK_WIDTH,
                               AffineSemigroup2, MonomialModule2,
                               _staircase, _window_generators,
-                              canonical_module_toric,
+                              canonical_module_toric, is_saturated,
                               model, monomial_iso, s2_hull, saturation)
 
 
@@ -819,7 +819,7 @@ def test_staircase_is_capped(monkeypatch):
     # (1, 0), (1, 1), (1, k) over Z^2: edge form (1, k - 1, k), so the
     # staircase walks the k + 1 columns 0, ..., k and keeps every one
     S = AffineSemigroup2([(1, 0), (1, 1), (1, 2047)])
-    assert len(_staircase(S, 0)) == MAX_WALK_WIDTH
+    assert len(_staircase(S, (0, 0), nonzero=True)) == MAX_WALK_WIDTH
     # a group index of 10^9 in the plane's coordinates, but an edge form
     # (10^9, 0, 1): two columns, answered at once
     tall = AffineSemigroup2([(1, 0), (0, 10 ** 9)])
@@ -829,7 +829,7 @@ def test_staircase_is_capped(monkeypatch):
     # edge coordinates (5000, 0), so two columns, not g t / g + 1
     square = AffineSemigroup2([(5000, 0), (0, 5000)])
     assert square._edge_form == (5000, 0, 5000)
-    assert _staircase(square, 0) == [(5000, 0), (0, 5000)]
+    assert _staircase(square, (0, 0), nonzero=True) == [(5000, 0), (0, 5000)]
 
     def refuse(*args):
         raise AssertionError("walked past the cap")
@@ -894,3 +894,167 @@ def test_staircase_matches_the_parallelogram_scan(S):
     sat = saturation(S)
     assert sat == reference_saturation(S)
     assert canonical_module_toric(sat) == reference_canonical(sat)
+
+
+# -- one corner staircase: saturation, omega and saturated hulls ---------------
+
+@st.composite
+def saturated_modules(draw):
+    """A module over the saturation of a plane semigroup: the ring, or
+    the ring and up to two combinations of two saturation generators."""
+    sat = saturation(draw(plane_semigroups()))
+    g, h = sat.generators[0], sat.generators[-1]
+    gens = [(0, 0)] + [(i * g[0] + j * h[0], i * g[1] + j * h[1])
+                       for i, j in draw(st.lists(
+                           st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           max_size=2))]
+    return MonomialModule2(sat, gens)
+
+
+def plane_module_1015():
+    return MonomialModule2(model("plane"), [(1015, 0), (0, 1015)])
+
+
+@settings(max_examples=150, deadline=None)
+@example(module=plane_module_1015())
+@example(module=MonomialModule2(model("diagonal-mod3"), [(0, 0), (2, 1)]))
+@example(module=MonomialModule2(AffineSemigroup2([(1, 0), (1, 40)]),
+                                [(0, 0), (3, 80)]))
+@given(saturated_modules())
+def test_saturated_hull_is_the_corner_staircase(module):
+    # a reflexive rank-one module over a normal semigroup is divisorial:
+    # the group points above the corner, pointwise in both localizations
+    S = module.semigroup
+    assert is_saturated(S)
+    stairs = _staircase(S, module.corner())
+    assert set(s2_hull(module).generators) == set(stairs)
+    assert all(module.hull_contains(z) for z in stairs)
+
+
+@settings(max_examples=200, deadline=None)
+@example(S=model("pinched-plane"))
+@example(S=AffineSemigroup2([(1, 0), (1, 1), (1, 3)]))
+@given(plane_semigroups())
+def test_is_saturated_is_the_old_comparison(S):
+    # the oracle: a second semigroup, the saturation, compared with S
+    sat = saturation(S)
+    assert is_saturated(S) == (sat == S)
+    assert is_saturated(sat)
+
+
+@settings(max_examples=150, deadline=None)
+@example(S=model("plane"))
+@example(S=AffineSemigroup2([(1, 0), (1, 1), (1, 2047)]))
+@given(plane_semigroups())
+def test_staircase_is_never_wider_than_the_hull_walk(S):
+    # so the check `s2_hull` runs, and `is_saturated`, refuse no hull
+    # the walk admits: under a cap at the first walk's width, both run
+    g, c, t = S._edge_form
+    module = MonomialModule2(S, [(0, 0)])
+    top = hull_window(module)[3]
+    assert t // math.gcd(c, t) + 1 <= top
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric2, "MAX_WALK_WIDTH", top)
+        is_saturated(S)
+        _staircase(S, module.corner())
+        if is_saturated(S):
+            s2_hull(module)
+
+
+def test_unsaturated_hull_is_not_the_corner_staircase():
+    # why an unsaturated S keeps the walk: the hull of the pinched
+    # plane's ring has three generators, the staircase from its corner
+    # one, the corner itself
+    S = model("pinched-plane")
+    unit = MonomialModule2(S, [(0, 0)])
+    assert not is_saturated(S)
+    assert set(s2_hull(unit).generators) == {(0, 0), (1, 0), (0, 1)}
+    assert _staircase(S, unit.corner()) == [(0, 0)]
+
+
+def test_staircase_from_a_corner():
+    S = model("diagonal-mod3")
+    # the saturation's Hilbert basis, omega's generators, and the hull
+    # of a module with corner (1, 2) in edge coordinates (y, x)
+    assert _staircase(S, (0, 0), nonzero=True) == [(3, 0), (2, 1), (1, 2),
+                                                   (0, 3)]
+    assert _staircase(S, (0, 0)) == [(0, 0)]
+    assert _staircase(S, (1, 1)) == [(2, 1), (1, 2)]
+    module = MonomialModule2(S, [(2, 1), (4, 2)])
+    assert module.corner() == (1, 2)
+    assert s2_hull(module).generators == ((2, 1),)
+
+
+# -- negative controls: the staircase check catches a faulty walk -----------
+
+def drop_one_kept_point(monkeypatch):
+    walk = toric2._window_generators
+
+    def dropped(module, b1, b2, size):
+        return walk(module, b1, b2, size)[:-1]
+
+    monkeypatch.setattr(toric2, "_window_generators", dropped)
+
+
+@pytest.mark.parametrize("module", [
+    plane_module_1015(),
+    MonomialModule2(model("diagonal-mod3"), [(0, 0)]),
+    # omega, its own hull with two generators: without the check, a
+    # walk missing the last one returns the module on the first alone
+    MonomialModule2(model("diagonal-mod3"), [(2, 1), (1, 2)]),
+], ids=["plane-1015", "diagonal-mod3", "diagonal-mod3-omega"])
+def test_hull_check_catches_a_walk_that_drops_a_point(monkeypatch, module):
+    s2_hull(module)
+    drop_one_kept_point(monkeypatch)
+    with pytest.raises(InvariantViolation, match="corner staircase"):
+        s2_hull(module)
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturated_modules())
+def test_hull_check_catches_a_dropped_point_on_random_saturations(module):
+    with pytest.MonkeyPatch.context() as mp:
+        drop_one_kept_point(mp)
+        with pytest.raises(InvariantViolation, match="corner staircase"):
+            s2_hull(module)
+
+
+def test_minimality_check_still_guards_unsaturated_hulls(monkeypatch):
+    # the check the staircase now precedes on saturated S: on the
+    # pinched plane a kept point one step above another is refused by
+    # the module's own minimalization
+    walk = toric2._window_generators
+
+    def one_too_many(module, b1, b2, size):
+        kept = walk(module, b1, b2, size)
+        g = module.semigroup.generators[0]
+        return kept + [(kept[0][0] + g[0], kept[0][1] + g[1])]
+
+    module = MonomialModule2(model("pinched-plane"), [(0, 0)])
+    monkeypatch.setattr(toric2, "_window_generators", one_too_many)
+    with pytest.raises(InvariantViolation,
+                       match="not a minimal generator"):
+        s2_hull(module)
+
+
+@settings(max_examples=60, deadline=None)
+@example(module=plane_module_1015())
+@example(module=MonomialModule2(model("diagonal-mod3"), [(0, 0)]))
+@given(saturated_modules())
+def test_hull_check_catches_a_staircase_that_skips_a_column(module):
+    # the staircase skips the column of its last step; from (0, 0) it
+    # still lies within the generators of a saturated S, so the hull is
+    # still compared with it and the comparison fails.  An equality test
+    # would call S unsaturated and skip the comparison.
+    S = module.semigroup
+    stairs = toric2._staircase
+
+    def skipped(S, corner, nonzero=False):
+        return stairs(S, corner, nonzero)[:-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric2, "_staircase", skipped)
+        assert is_saturated(S)
+        assert set(skipped(S, (0, 0), True)) < set(S.generators)
+        with pytest.raises(InvariantViolation, match="corner staircase"):
+            s2_hull(module)
