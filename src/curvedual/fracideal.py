@@ -492,39 +492,52 @@ def maximal_ideal(ring):
     return FracIdeal(ring, 0, (1,) * r, tail, rows)
 
 
-def random_ring_element(ring, rng, unit=False):
-    """Random polynomial vector inside the ring; a unit if requested."""
+def random_ring_element(ring, rng):
+    """Random polynomial vector inside the ring."""
     field = ring.field
     r = ring.nbranches
     vecs = [b.coeffs for b in ring.basis]
     vecs += [{(i, j): field.one} for i in range(r)
              for j in range(ring.cond[i], ring.cond[i] + 2)]
-    out = linear_combination(field, r, [field.random(rng) for _ in vecs],
-                             vecs)
-    if unit:
-        c = out.coefficient(0, 0)
-        if not c:
-            out = out + Element.one(field, r)
-    return out
+    return linear_combination(field, r, [field.random(rng) for _ in vecs],
+                              vecs)
 
 
 def random_ideal(ring, seed, shift_bound=2, extra_gens=2):
     """Random finite-colength module, as a twisted ideal of the ring.
 
-    Reproducible from the seed alone.  With shift_bound=0 and
-    extra_gens=0 the result is the unit ideal: the single generator is
-    forced to be a unit, and a unit generates the whole ring.
+    Reproducible from the seed alone.  Between 1 and 1 + extra_gens
+    generators are drawn, each a sum of two or three sparse elements of
+    the maximal ideal with random nonzero coefficients: ring basis rows
+    past the unit, and t^j on branch i for j = c_i, c_i + 1, c_i + 2,
+    with c_i = max(n_i, 1).  A branch no generator reaches gets t^(c_i)
+    on it.  Before the shift, the ideal lies in the maximal ideal, has
+    at most 1 + extra_gens + r minimal generators, and its colength is
+    at most Σ(n_i + c_i + 2) - delta: on each branch some generator has
+    order at most c_i + 2, and its conductor multiples fill the slab
+    from there.  Then the module is shifted by t^s for s drawn in
+    [-shift_bound, shift_bound].  Most draws are not principal, and
+    about half hold a window row that is not a monomial.
     """
+    field = ring.field
+    r = ring.nbranches
+    lows = [max(n, 1) for n in ring.cond]
+    sparse = [b.coeffs for b in ring.basis[1:]]
+    sparse += [{(i, j): field.one} for i in range(r)
+               for j in range(lows[i], lows[i] + 3)]
     rng = random.Random(seed)
-    gens = [random_ring_element(ring, rng, unit=True)]
-    for _ in range(extra_gens):
-        g = random_ring_element(ring, rng)
-        if g:
-            gens.append(g)
+    gens = []
+    for _ in range(rng.randint(1, 1 + extra_gens)):
+        terms = rng.sample(sparse, rng.randint(2, 3))
+        gens.append(linear_combination(
+            field, r, [field.random_nonzero(rng) for _ in terms], terms))
+    for i in range(r):
+        if all(g.valuation(i) == INF for g in gens):
+            gens.append(Element.monomial(field, r, i, lows[i]))
     mod = from_generators(ring, gens)
     shift = rng.randint(-shift_bound, shift_bound) if shift_bound else 0
     if shift:
-        mod = mod.scale(Element.diag_monomial(ring.field, ring.nbranches, shift))
+        mod = mod.scale(Element.diag_monomial(field, r, shift))
     return mod
 
 

@@ -51,9 +51,9 @@ class Echelon:
     residual, key order included, as a scan over every pivot.
 
     A new row only rewrites the rows pivoted below its own pivot: a
-    row's support starts at its pivot.  `extend` therefore inserts a
-    batch highest leading key first.  Then a vector whose leading key
-    is not yet a pivot becomes a row below every existing one and
+    row's support starts at its pivot.  `extend` therefore brings a
+    batch to distinct leading keys and inserts it highest leading key
+    first.  Then each vector becomes a row below every existing one and
     rewrites none, where the given order could rewrite a row with every
     insert, and over Q swell its entries on the way.  A fully reduced
     echelon is unique, so the order changes no row, only the work.
@@ -124,11 +124,24 @@ class Echelon:
 
     def extend(self, vecs):
         """Insert a batch, highest leading key first (see the class
-        docstring); ties keep the given order."""
+        docstring).  First the batch is brought to distinct leading
+        keys: a vector whose leading key an earlier one holds has that
+        term eliminated by it, on a copy, until its leading key is new
+        or it vanishes.  So on an empty echelon no row is rewritten,
+        whatever the batch."""
         sk = self.sort_key
-        for v in sorted((v for v in vecs if v), reverse=True,
-                        key=lambda v: min(map(sk, v))):
-            self.insert(v)
+        inverse = self.field.inverse
+        heads = {}
+        for v in vecs:
+            while v:
+                p = min(v, key=sk)
+                if p not in heads:
+                    heads[p] = v
+                    break
+                head = heads[p]
+                v = vec_iaddmul(dict(v), -v[p] * inverse(head[p]), head)
+        for p in sorted(heads, key=sk, reverse=True):
+            self.insert(heads[p])
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)

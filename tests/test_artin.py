@@ -349,12 +349,43 @@ def test_lab_middle_from_a_changed_cocycle_is_caught(monkeypatch):
         verify_claim4(3, 2)
 
 
-def test_lab_walk_over_changed_cocycles_is_seen_by_the_pinned_counts(
-        monkeypatch):
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("drop", ["first", "last"])
+def test_lab_middle_missing_a_graph_row_is_caught(monkeypatch, m, p, drop):
+    # the middle's dimension is not tested: it holds by construction.  A
+    # middle built without one graph row is still not silent.  Without
+    # the last row, the middle's own action check fails first, in both
+    # walks.  Without the first, Claim 4 fails at the first passing line
+    # (its socle is not simple) and Corollary 3 fails the x-rank
+    # cross-check of `_passing_middles`
+    push = artin._pushout_middle
+
+    def dropped(algebra, nmodule, b0, kvecs, psi):
+        if drop == "last":
+            return push(algebra, nmodule, b0, kvecs[:-1], psi)
+        psi = {(mdx - 1, q): c for (mdx, q), c in psi.items() if mdx}
+        return push(algebra, nmodule, b0, kvecs[1:], psi)
+
+    monkeypatch.setattr(artin, "_pushout_middle", dropped)
+    if drop == "last":
+        for claim in (verify_claim4, witness_cor3):
+            with pytest.raises(InvariantViolation,
+                               match="structure constants"):
+                claim(m, p)
+        return
+    rep = verify_claim4(m, p)
+    assert not rep.ok and rep.checked == p - 1
+    with pytest.raises(InvariantViolation, match="disagree on dim xE"):
+        witness_cor3(m, p)
+
+
+@pytest.mark.parametrize("m, p, checked", [(3, 2, 0), (3, 3, 10),
+                                            (4, 2, 0), (4, 3, 28)])
+def test_lab_walk_over_changed_cocycles_fails_the_closed_form(
+        monkeypatch, m, p, checked):
     # every line's cocycle changed before both the rank and the middle
-    # read it: they agree, every middle is a module, and Claim 4 still
-    # holds, so only the pinned count of checked classes, 4 of 8 in
-    # `test_claim4_smallest_case` and the golden file, sees the fault
+    # read it: they agree and every middle is a module, so only the
+    # closed form q^e - q^(e-1) of the passing count sees the fault
     lines = artin._line_cocycles
 
     def changed(field, reps):
@@ -362,8 +393,26 @@ def test_lab_walk_over_changed_cocycles_is_seen_by_the_pinned_counts(
             yield weight, raise_least_coefficient(psi, field)
 
     monkeypatch.setattr(artin, "_line_cocycles", changed)
-    rep = verify_claim4(3, 2)
-    assert rep.ok and rep.total == 8 and rep.checked != 4
+    with pytest.raises(InvariantViolation,
+                       match=f"^{checked} of {p ** m} classes pass"):
+        verify_claim4(m, p)
+
+
+def test_claim4_refuses_an_ext_dimension_off_dim_o_mod_x(monkeypatch):
+    # one class fewer than dim O/x: refused before any middle is built
+    classes = artin._walkable_classes
+
+    def short(mmodule, nmodule, per_line):
+        b0, kvecs, reps, tracked = classes(mmodule, nmodule, per_line)
+        return b0, kvecs, reps[:-1], tracked
+
+    def refuse(*args):
+        raise AssertionError("a middle was built before the Ext check")
+
+    monkeypatch.setattr(artin, "_walkable_classes", short)
+    monkeypatch.setattr(artin, "_pushout_middle", refuse)
+    with pytest.raises(InvariantViolation, match="differs from dim O/x"):
+        verify_claim4(3, 2)
 
 
 def test_cor3_refuses_a_hom_space_that_misses_the_top(monkeypatch):
@@ -437,6 +486,12 @@ def test_present_quotient_guards(cusp):
         present_quotient(one.scale(elem(cusp, "t^2")), one, q)
     with pytest.raises(NotKilled):
         present_quotient(one, one.scale(elem(cusp, "t^4")), q)
+    # t^3 O is not inside t^2 O, and t^2 (t^2 O) = t^4 O is not inside
+    # t^3 O: both guards fail, and N ⊆ M is the one reported
+    total, sub = one.scale(elem(cusp, "t^2")), one.scale(elem(cusp, "t^3"))
+    assert not sub.contains_module(regular_multiple(total, q.x)[0])
+    with pytest.raises(NotContained):
+        present_quotient(total, sub, q)
 
 
 def test_quotients_build_each_multiple_once(scale_calls, cusp, r345):

@@ -53,6 +53,41 @@ def test_canonical_construction_data(r345):
     assert cd.min_pole_profile(r345) == (3,)
 
 
+@pytest.mark.parametrize("spec", ["cusp", "node", "tacnode", "three-lines",
+                                  (3, 5), (3, 4, 5)])
+def test_canonical_module_missing_a_solution_fails_at_construction(
+        monkeypatch, qq, spec):
+    # the residue matrix rank is tested once, by delta-over-regular:
+    # one kernel vector fewer reads as one rank more
+    solve = duality.kernel
+    monkeypatch.setattr(duality, "kernel",
+                        lambda field, rows, unknowns:
+                        solve(field, rows, unknowns)[:-1])
+    ring = cd.build(cd.semigroup_spec(qq, spec) if isinstance(spec, tuple)
+                    else cd.named_spec(qq, spec))
+    with pytest.raises(InvariantViolation) as info:
+        cd.canonical_module(ring)
+    assert info.value.property == "delta-over-regular"
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5)],
+                         ids=("Q", "F5"))
+def test_omega_lies_between_its_two_slabs_by_construction(field):
+    # ω's window rows lie in [-n_i, 0) and its tail is at most 0, so it
+    # holds the regular forms and lies in the maximal-pole slab; neither
+    # containment is tested when ω is built
+    rings = cd.family_rings(field, bound=8)
+    rings += [cd.named_ring(field, name) for name in cd.curve_names()]
+    for ring in rings:
+        omega = cd.canonical_module(ring).module
+        assert all(t <= 0 for t in omega.tail), ring.label
+        assert all(-ring.cond[i] <= j < 0
+                   for row in omega.ech.rows for i, j in row), ring.label
+        poles = slab_module(ring, [-n for n in ring.cond], degree=1)
+        assert omega.contains_module(regular_forms(ring))
+        assert poles.contains_module(omega)
+
+
 def test_canonical_negative_control(qq):
     ring = cd.build(cd.semigroup_spec(qq, (2, 3), label="control"))
     honest = cd.canonical_module(ring).module
@@ -248,10 +283,36 @@ def test_regular_multiplier_has_positive_finite_order(monkeypatch, field):
         assert positive_finite_orders(x)
 
 
+def test_multiplier_does_not_replay_the_ideal_draw(monkeypatch, qq):
+    # x and I come from two streams of the case seed: x is never the
+    # multiplier the ideal's own stream would give, and the same case
+    # seed gives the same x
+    drawn = []
+    multiple = duality.regular_multiple
+
+    def record(ideal, x):
+        drawn.append(x)
+        return multiple(ideal, x)
+
+    monkeypatch.setattr(duality, "regular_multiple", record)
+    rings = [cd.named_ring(qq, "tacnode"), cd.named_ring(qq, "node"),
+             cd.build(cd.semigroup_spec(qq, (3, 5)))]
+    for ring in rings:
+        omega = cd.canonical_module(ring).module
+        for case_seed in range(50):
+            for _ in range(2):
+                list(duality._seeded_checks(ring, omega, case_seed))
+            first, again = drawn[-2:]
+            assert first == again
+            replay = duality._regular_multiplier(ring,
+                                                 random.Random(case_seed))
+            assert first != replay, (ring, case_seed)
+
+
 def test_harness_catches_a_dual_exact_only_on_monomial_rows(monkeypatch):
-    # a row paired by its highest term alone: exact on the ideals t^s R
-    # of a monomial curve, whose rows are monomials, so biduality and
-    # the table hold; the first multiple xI with a two-term multiplier
+    # a row paired by its highest term alone: exact on monomial rows,
+    # so the table holds on a monomial curve, and so does biduality on
+    # the first case's ideal; its multiple xI with a two-term multiplier
     # x breaks length duality
     def top_terms(rows):
         return [dict([max(row.items(), key=lambda kc: window_key(kc[0]))])
@@ -261,6 +322,40 @@ def test_harness_catches_a_dual_exact_only_on_monomial_rows(monkeypatch):
     doc = first_failure(["check", "3,5", "--cases", "8"])
     assert doc["counterexample"]["property"] == "length-duality"
     assert doc["properties"]["herbrand"]["failures"] == 0
+
+
+def lowest_terms(residue_conditions):
+    """`_residue_conditions` with each row paired by its lowest term
+    alone: exact on monomial rows, so on ω of a monomial curve."""
+    def route(module):
+        rows, unknowns = residue_conditions(module)
+        return ([dict([min(row.items(), key=lambda kc: window_key(kc[0]))])
+                 for row in rows], unknowns)
+    return route
+
+
+@pytest.mark.parametrize("curve, gens, first, case_seed, biduality_seed", [
+    ("cusp", (2, 3), "biduality", 1, 1),
+    ("3,5", (3, 5), "length-duality", 0, 8),
+    ("3,4,5", (3, 4, 5), "biduality", 0, 0),
+    ("5,7", (5, 7), "length-duality", 0, 2)])
+def test_check_catches_a_dual_paired_by_lowest_terms(
+        monkeypatch, qq, curve, gens, first, case_seed, biduality_seed):
+    # on principal ideals t^s R, whose rows are monomials, this fault is
+    # exact; the random ideals are not principal, so biduality alone
+    # sees it within the 25 cases, and the multiplier's two-term
+    # multiples may see it first
+    monkeypatch.setattr(duality, "_residue_conditions",
+                        lowest_terms(duality._residue_conditions))
+    doc = first_failure(["check", curve, "--cases", "25"])
+    assert doc["counterexample"]["property"] == first
+    assert doc["counterexample"]["case_seed"] == case_seed
+    ring = cd.build(cd.semigroup_spec(qq, gens))
+    omega = cd.canonical_module(ring).module
+    failing = [seed for seed in range(25)
+               for name, holds in duality._seeded_checks(ring, omega, seed)
+               if name == "biduality" and not holds()]
+    assert failing and failing[0] == biduality_seed
 
 
 def test_check_builds_each_multiple_once(scale_calls):

@@ -228,7 +228,57 @@ def test_random_ideal_reproducible(node):
     b = random_ideal(node, seed=42)
     assert a == b
     assert len({random_ideal(node, seed=s) for s in range(8)}) > 1
-    assert random_ideal(node, seed=0, shift_bound=0, extra_gens=0) == unit_ideal(node)
+    # one generator, in the maximal ideal: principal, and not the ring
+    single = random_ideal(node, seed=0, shift_bound=0, extra_gens=0)
+    assert single.is_principal() is not None
+    assert maximal_ideal(node).contains_module(single)
+    assert single != unit_ideal(node)
+
+
+def sample_rings():
+    """The rings the random ideals are measured on: five semigroups
+    over Q and F5, and four multi-branch curves over Q."""
+    rings = [cd.build(cd.semigroup_spec(field, gens))
+             for field in (cd.rationals(), cd.prime_field(5))
+             for gens in [(2, 3), (3, 5), (3, 4, 5), (5, 7), (13, 17)]]
+    rings += [cd.named_ring(cd.rationals(), name)
+              for name in ("node", "tacnode", "three-lines", "axes")]
+    return rings
+
+
+def test_random_ideals_are_mostly_not_principal():
+    # 364 of these 560 draws are not principal and 281 hold a window
+    # row that is not a monomial; the floors are half and two fifths,
+    # and a quarter on every ring
+    principal = monomial = 0
+    for ring in sample_rings():
+        here = 0
+        for seed in range(40):
+            ideal = random_ideal(ring, seed)
+            if ideal.is_principal() is None:
+                here += 1
+            monomial += all(len(row) == 1 for row in ideal.ech.rows)
+        assert here >= 10, ring
+        principal += 40 - here
+    assert 560 - principal >= 280
+    assert 560 - monomial >= 224
+
+
+@pytest.mark.parametrize("extra_gens", [0, 1, 2, 4])
+def test_random_ideal_bounds(extra_gens):
+    # unshifted, the ideal lies in the maximal ideal; it needs at most
+    # 1 + extra_gens generators, plus one per branch none of them reach,
+    # and its colength is at most the sum of n_i + c_i + 2, less delta
+    for ring in sample_rings():
+        lows = [max(n, 1) for n in ring.cond]
+        bound = sum(ring.cond) + sum(lows) + 2 * ring.nbranches - ring.delta
+        for seed in range(6):
+            ideal = random_ideal(ring, seed, shift_bound=0,
+                                 extra_gens=extra_gens)
+            assert maximal_ideal(ring).contains_module(ideal)
+            assert (len(ideal.minimal_generators())
+                    <= 1 + extra_gens + ring.nbranches)
+            assert 1 <= unit_ideal(ring).len_quotient(ideal) <= bound
 
 
 def test_zero_module(node):

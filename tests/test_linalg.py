@@ -387,3 +387,32 @@ def test_extend_inserts_highest_leading_key_first(monkeypatch):
         one_by_one.insert(v)
     assert len(rewrites) == 5 + 4 + 3 + 2 + 1
     assert batch.rows == one_by_one.rows and batch.pivots == one_by_one.pivots
+
+
+@pytest.mark.parametrize("field", [cd.rationals(), cd.prime_field(5)],
+                         ids=["Q", "F5"])
+def test_extend_rewrites_no_row_when_leading_keys_repeat(monkeypatch, field):
+    """Products of several generators share leading keys.  The batch is
+    first brought to distinct leading keys, so even then no row already
+    in the echelon is rewritten; the echelon is the one-by-one one, and
+    the batch's vectors are left as they were."""
+    from curvedual import linalg
+    rng = random.Random(3)
+    rewrites = []
+    original = linalg.vec_addmul
+    monkeypatch.setattr(linalg, "vec_addmul",
+                        lambda *a: rewrites.append(1) or original(*a))
+    for _ in range(40):
+        vecs = [{k: field.random_nonzero(rng)
+                 for k in rng.sample(range(10), rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 12))]
+        kept = [dict(v) for v in vecs]
+        batch = Echelon(field)
+        batch.extend(vecs)
+        assert vecs == kept and rewrites == []
+        one_by_one = Echelon(field)
+        for v in vecs:
+            one_by_one.insert(v)
+        rewrites.clear()
+        assert batch.rows == one_by_one.rows
+        assert batch.pivots == one_by_one.pivots
