@@ -1029,7 +1029,10 @@ def verify_claim4(m: int, p: int) -> ClaimReport:
     e = dim Ext^1(M, M) certified equal to dim O/x, it is an
     isomorphism, and a class passes exactly when its image is a unit of
     the local algebra O/x: q^e - q^(e-1) classes.  A walk that counts
-    otherwise raises InvariantViolation.
+    otherwise raises InvariantViolation.  So every passing class is
+    f_*[T] for a unit f, and its middle is isomorphic to T: a passing
+    middle whose socle is not simple contradicts this proof and raises
+    InvariantViolation too, so the returned report always holds.
     """
     lab = ext_lab_instance(m, p)
     target = lab.target
@@ -1043,7 +1046,9 @@ def verify_claim4(m: int, p: int) -> ClaimReport:
     for weight, mid in walk:
         checked += weight
         if socle(mid).dimension != 1:
-            return ClaimReport(False, checked, total, m, p)
+            raise InvariantViolation(
+                "a passing middle is not f_*[T] for a unit f: its socle "
+                "is not simple")
     if checked != total - total // p:
         raise InvariantViolation(
             f"{checked} of {total} classes pass, not q^e - q^(e-1)")

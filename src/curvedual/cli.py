@@ -6,7 +6,8 @@ extension lab, and the plane-semigroup driver.
 renders the first failure as a counterexample with a rerun line.
 
 Exit codes: 0 success, 1 property violation, 2 input or feasibility
-error.  With --format json the output is a schema-versioned document
+error.  Each subcommand takes only the options it reads, and an input
+it would drop is refused with exit 2.  With --format json the output is a schema-versioned document
 with sorted keys, no timestamps, and the seed always present, so equal
 input and seed give byte-identical output.
 """
@@ -71,6 +72,8 @@ def _lines(value, key=None, indent=0):
 
 
 def _emit(ns, payload):
+    """Print the payload under the header every command shares."""
+    payload.update(schema=SCHEMA, command=ns.command, seed=ns.seed)
     if ns.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -81,31 +84,48 @@ def _emit(ns, payload):
 
 def _curve_spec(ns):
     """Resolve the curve argument: inline text, a file path, '-' for
-    stdin, a comma list of semigroup exponents, or a builtin name."""
-    inline = getattr(ns, "inline", None)
+    stdin, a comma list of semigroup exponents, or a builtin name; None
+    when there is none.  A curve text names its own field, so --field
+    goes only with a name or exponents.  A --window-bound that is given
+    replaces the bound of whatever spec the source gave."""
+    inline, target = getattr(ns, "inline", None), ns.curve
     if inline is not None:
-        text = inline.replace(";", "\n")
-        return parse_curve_file(text, window_bound=ns.window_bound,
-                                label="inline")
-    target = getattr(ns, "curve", None)
-    if target is None:
+        text, label = inline.replace(";", "\n"), "inline"
+    elif target is None:
         return None
-    if target == "-":
-        return parse_curve_file(sys.stdin.read(),
-                                window_bound=ns.window_bound, label="stdin")
-    if os.path.exists(target):
+    elif target == "-":
+        text, label = sys.stdin.read(), "stdin"
+    elif os.path.exists(target):
         with open(target, encoding="utf-8") as handle:
-            text = handle.read()
-        return parse_curve_file(text, window_bound=ns.window_bound,
-                                label=os.path.basename(target))
-    field = parse_field(ns.field)
-    if re.fullmatch(r"\d+(,\d+)+", target):
-        exponents = tuple(int(a) for a in target.split(","))
-        spec = family.semigroup_spec(field, exponents)
+            text, label = handle.read(), os.path.basename(target)
     else:
-        spec = family.named_spec(field, target)
-    return CurveSpec(spec.field, spec.generators, spec.semigroup,
-                     ns.window_bound, spec.label)
+        text = None
+    if text is None:
+        field = parse_field(ns.field or "Q")
+        if re.fullmatch(r"\d+(,\d+)+", target):
+            exponents = tuple(int(a) for a in target.split(","))
+            spec = family.semigroup_spec(field, exponents)
+        else:
+            spec = family.named_spec(field, target)
+    elif ns.field is not None:
+        raise ParseError("--field goes with a builtin name or exponents; "
+                         "a curve text names its own field")
+    else:
+        spec = parse_curve_file(text, label=label)
+    bound = ns.window_bound
+    if bound is None:
+        return spec
+    if bound < 1:
+        raise ParseError(f"--window-bound must be at least 1, not {bound}")
+    return CurveSpec(spec.field, spec.generators, spec.semigroup, bound,
+                     spec.label)
+
+
+def _ring(ns):
+    spec = _curve_spec(ns)
+    if spec is None:
+        raise AlgebraError(f"{ns.command} needs a curve argument or --inline")
+    return build(spec)
 
 
 def _inline_text(spec):
@@ -124,17 +144,11 @@ def _ring_payload(ring):
 # -- report ------------------------------------------------------------------
 
 def cmd_report(ns):
-    spec = _curve_spec(ns)
-    if spec is None:
-        raise AlgebraError("report needs a curve argument or --inline")
-    ring = build(spec)
+    ring = _ring(ns)
     data = duality.canonical_module(ring)
     principal = data.module.is_principal()
     gor = ring.is_gorenstein()
     payload = {
-        "schema": SCHEMA,
-        "command": "report",
-        "seed": ns.seed,
         "ring": _ring_payload(ring),
         "colength_ring": ring.colength_ring,
         "colength_normalization": ring.colength_normalization,
@@ -155,10 +169,7 @@ def cmd_report(ns):
 # -- omega -------------------------------------------------------------------
 
 def cmd_omega(ns):
-    spec = _curve_spec(ns)
-    if spec is None:
-        raise AlgebraError("omega needs a curve argument or --inline")
-    ring = build(spec)
+    ring = _ring(ns)
     data = duality.canonical_module(ring)
     module = data.module
     cols = [f"t_{i}^{j}" for (i, j) in data.pole_monomials]
@@ -174,9 +185,6 @@ def cmd_omega(ns):
         })
     principal = module.is_principal()
     payload = {
-        "schema": SCHEMA,
-        "command": "omega",
-        "seed": ns.seed,
         "ring": _ring_payload(ring),
         "pole_profile": [-p for p in module.pole],
         "window_generators":
@@ -197,17 +205,24 @@ def cmd_omega(ns):
 def _rerun_hint(ns, spec):
     parts = ["curvedual", "check", "--inline", repr(_inline_text(spec)),
              "--seed", str(ns.seed), "--cases", str(ns.cases)]
+    if ns.window_bound is not None:
+        parts.extend(["--window-bound", str(ns.window_bound)])
     if ns.inject:
         parts.extend(["--inject", ns.inject])
     return " ".join(parts)
 
 
 def cmd_check(ns):
+    if ns.cases < 0:
+        raise ParseError(f"--cases must be at least 0, not {ns.cases}")
     spec = _curve_spec(ns)
     if spec is not None:
         rings = [build(spec)]
+    elif ns.window_bound is not None:
+        raise ParseError("--window-bound goes with a curve; the family "
+                         "rings keep their own windows")
     else:
-        rings = family.family_rings(parse_field(ns.field), bound=8)
+        rings = family.family_rings(parse_field(ns.field or "Q"), bound=8)
     properties = {}
     counterexample = None
     for name, predicate, ring, case_seed in duality.harness(
@@ -232,9 +247,6 @@ def cmd_check(ns):
             break
 
     payload = {
-        "schema": SCHEMA,
-        "command": "check",
-        "seed": ns.seed,
         "cases": ns.cases,
         "inject": ns.inject,
         "rings": [ring.label for ring in rings],
@@ -267,9 +279,6 @@ def cmd_ext_lab(ns):
         raise AlgebraError("the lab needs m >= 3 (m = 2 has no gap pair)")
     run_all = not (ns.claim2 or ns.claim4 or ns.cor3)
     payload = {
-        "schema": SCHEMA,
-        "command": "ext-lab",
-        "seed": ns.seed,
         "m": ns.m,
         "p": ns.p,
     }
@@ -319,20 +328,15 @@ def _parse_points(text):
     return pts
 
 
-def _toric_semigroup(ns):
-    if ns.gens:
-        return toric2.AffineSemigroup2(_parse_points(ns.gens))
-    return toric2.model(ns.model)
-
-
 def cmd_toric(ns):
-    S = _toric_semigroup(ns)
+    if ns.module is not None and ns.toric_cmd != "hull":
+        raise ParseError("--module goes only with toric hull")
+    model = None if ns.gens else ns.model or "plane"
+    S = (toric2.model(model) if model
+         else toric2.AffineSemigroup2(_parse_points(ns.gens)))
     payload = {
-        "schema": SCHEMA,
-        "command": "toric",
         "subcommand": ns.toric_cmd,
-        "seed": ns.seed,
-        "model": ns.model if not ns.gens else None,
+        "model": model,
         "semigroup_generators": [list(g) for g in S.generators],
     }
     if ns.toric_cmd == "saturate":
@@ -347,7 +351,8 @@ def cmd_toric(ns):
         payload["omega_generators"] = [list(g) for g in omega.generators]
         payload["principal_translation"] = list(iso) if iso else None
     else:
-        module = toric2.MonomialModule2(S, _parse_points(ns.module))
+        points = "0,0" if ns.module is None else ns.module
+        module = toric2.MonomialModule2(S, _parse_points(points))
         hull = toric2.s2_hull(module)
         payload["module_generators"] = [list(g) for g in module.generators]
         payload["hull_generators"] = [list(g) for g in hull.generators]
@@ -368,36 +373,39 @@ def cmd_toric(ns):
 def _build_parser():
     """The argument parser, built once per process: building it costs
     about a millisecond, mostly terminal-size probes in `add_argument`,
-    and parsing leaves it unchanged."""
+    and parsing leaves it unchanged.  Each subcommand takes only the
+    options it reads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0, metavar="N")
-    common.add_argument("--window-bound", type=int, default=200, metavar="N")
-    common.add_argument("--field", default="Q", metavar="K",
-                        help="field for builtin curve names: Q or F<p>")
+
+    curve = argparse.ArgumentParser(add_help=False, parents=[common])
+    source = curve.add_mutually_exclusive_group()
+    source.add_argument(
+        "curve", nargs="?",
+        help="file path, '-', builtin name, or a,b,c exponents")
+    source.add_argument("--inline",
+                        help="curve file text; ';' starts a new line")
+    curve.add_argument("--field", metavar="K",
+                       help="field of a builtin name, exponents or the "
+                            "family: Q (default) or F<p>")
+    curve.add_argument("--window-bound", type=int, metavar="N",
+                       help="closure window bound of the curve (default 200)")
 
     parser = argparse.ArgumentParser(
         prog="curvedual",
         description="invariants and duality checks for branch curve rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("report", parents=[common],
-                         help="full invariant report for one curve")
-    rep.add_argument("curve", nargs="?",
-                     help="file path, '-', builtin name, or a,b,c exponents")
-    rep.add_argument("--inline", help="curve file text; ';' starts a new line")
-    rep.set_defaults(func=cmd_report)
+    sub.add_parser("report", parents=[curve],
+                   help="full invariant report for one curve"
+                   ).set_defaults(func=cmd_report)
+    sub.add_parser("omega", parents=[curve],
+                   help="dualizing module generators and residue matrix"
+                   ).set_defaults(func=cmd_omega)
 
-    om = sub.add_parser("omega", parents=[common],
-                        help="dualizing module generators and residue matrix")
-    om.add_argument("curve", nargs="?")
-    om.add_argument("--inline")
-    om.set_defaults(func=cmd_omega)
-
-    chk = sub.add_parser("check", parents=[common],
+    chk = sub.add_parser("check", parents=[curve],
                          help="property harness over a curve or the family")
-    chk.add_argument("curve", nargs="?")
-    chk.add_argument("--inline")
     chk.add_argument("--cases", type=int, default=25, metavar="N")
     chk.add_argument("--inject", choices=duality.INJECTIONS,
                      help="negative control: break the construction and "
@@ -419,11 +427,13 @@ def _build_parser():
     tor = sub.add_parser("toric", parents=[common],
                          help="plane semigroup saturation, hulls, omega")
     tor.add_argument("toric_cmd", choices=("saturate", "omega", "hull"))
-    tor.add_argument("--model", default="plane",
-                     choices=sorted(toric2.MODELS))
-    tor.add_argument("--gens", help="semigroup generators 'x,y x,y ...'")
-    tor.add_argument("--module", default="0,0",
-                     help="module generators for hull (default the ring)")
+    semigroup = tor.add_mutually_exclusive_group()
+    semigroup.add_argument("--model", choices=sorted(toric2.MODELS),
+                           help="named semigroup (default plane)")
+    semigroup.add_argument("--gens",
+                           help="semigroup generators 'x,y x,y ...'")
+    tor.add_argument("--module",
+                     help="module generators, hull only (default the ring)")
     # a value such as '-2,3' is a point list, not an option: argparse
     # reads a lone value that starts with '-' as an option unless it
     # matches this pattern, which by default takes only plain numbers
@@ -432,20 +442,10 @@ def _build_parser():
     return parser
 
 
-def _check_counts(ns):
-    """Reject count flags outside their range before any work starts."""
-    if ns.window_bound < 1:
-        raise ParseError(f"--window-bound must be at least 1, "
-                         f"not {ns.window_bound}")
-    if getattr(ns, "cases", 0) < 0:
-        raise ParseError(f"--cases must be at least 0, not {ns.cases}")
-
-
 def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        _check_counts(ns)
         return ns.func(ns)
     except (AlgebraError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

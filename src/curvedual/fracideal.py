@@ -534,11 +534,11 @@ def random_ideal(ring, seed, shift_bound=2, extra_gens=2):
     for i in range(r):
         if all(g.valuation(i) == INF for g in gens):
             gens.append(Element.monomial(field, r, i, lows[i]))
-    mod = from_generators(ring, gens)
     shift = rng.randint(-shift_bound, shift_bound) if shift_bound else 0
     if shift:
-        mod = mod.scale(Element.diag_monomial(field, r, shift))
-    return mod
+        twist = Element.diag_monomial(field, r, shift)
+        gens = [twist * g for g in gens]
+    return from_generators(ring, gens)
 
 
 class ZeroModule:

@@ -355,9 +355,9 @@ def test_lab_middle_missing_a_graph_row_is_caught(monkeypatch, m, p, drop):
     # the middle's dimension is not tested: it holds by construction.  A
     # middle built without one graph row is still not silent.  Without
     # the last row, the middle's own action check fails first, in both
-    # walks.  Without the first, Claim 4 fails at the first passing line
-    # (its socle is not simple) and Corollary 3 fails the x-rank
-    # cross-check of `_passing_middles`
+    # walks.  Without the first, Claim 4 raises at the first passing line
+    # (its socle is not simple, against the proof) and Corollary 3 fails
+    # the x-rank cross-check of `_passing_middles`
     push = artin._pushout_middle
 
     def dropped(algebra, nmodule, b0, kvecs, psi):
@@ -373,8 +373,8 @@ def test_lab_middle_missing_a_graph_row_is_caught(monkeypatch, m, p, drop):
                                match="structure constants"):
                 claim(m, p)
         return
-    rep = verify_claim4(m, p)
-    assert not rep.ok and rep.checked == p - 1
+    with pytest.raises(InvariantViolation, match="socle is not simple"):
+        verify_claim4(m, p)
     with pytest.raises(InvariantViolation, match="disagree on dim xE"):
         witness_cor3(m, p)
 
@@ -680,8 +680,8 @@ def test_claim4_refuses_a_target_without_a_simple_socle(monkeypatch):
 
 def test_claim4_fails_at_a_middle_without_a_simple_socle(monkeypatch):
     # the target's socle is read first and is simple; the first passing
-    # middle's is read as two-dimensional, so the claim fails there,
-    # after the classes of one line
+    # middle's is read as two-dimensional, which the proof rules out, so
+    # the claim raises there, at the second socle read
     real = artin.socle
     calls = []
 
@@ -693,8 +693,8 @@ def test_claim4_fails_at_a_middle_without_a_simple_socle(monkeypatch):
         return data
 
     monkeypatch.setattr(artin, "socle", doubled)
-    rep = verify_claim4(3, 3)
-    assert (rep.ok, rep.checked, rep.total) == (False, 2, 27)
+    with pytest.raises(InvariantViolation, match="socle is not simple"):
+        verify_claim4(3, 3)
     assert len(calls) == 2
 
 

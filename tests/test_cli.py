@@ -1,4 +1,6 @@
+import io
 import json
+import shlex
 import time
 
 import pytest
@@ -389,7 +391,6 @@ def test_curve_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert doc["ring"]["label"] == "mynode.curve"
     assert doc["delta"] == 1
 
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, doc, _ = run_json(capsys, "report", "-")
     assert code == 0
@@ -430,6 +431,103 @@ def test_report_needs_curve(capsys):
     assert "curve" in err
 
 
+def test_rerun_line_under_a_window_bound_reproduces_the_counterexample(
+        capsys):
+    # the conductor 110 needs a window past the default bound 200, so
+    # the printed line must carry the bound it was found under
+    code, doc, _ = run_json(capsys, "check", "--inline",
+                            "field Q; gen t^11; gen t^12", "--window-bound",
+                            "300", "--inject", "drop-residue-condition",
+                            "--cases", "1")
+    assert code == 1
+    ce = doc["counterexample"]
+    assert "--window-bound 300" in ce["rerun"]
+    code2, again, err = run_json(capsys, *shlex.split(ce["rerun"])[1:])
+    assert code2 == 1 and err == ""
+    assert again["counterexample"] == ce
+
+
+# Inputs a subcommand would drop, each refused with exit 2: (argv, True
+# for an argparse usage error, the option the message names).  Two
+# options that exclude each other, or an option the subcommand does not
+# take, are usage errors; the rest are `error:` lines.
+DROPPED = {
+    "ext-lab-field": (["ext-lab", "--m", "3", "--p", "2", "--claim2",
+                       "--field", "F5"], True, "--field"),
+    "ext-lab-window-bound": (["ext-lab", "--m", "3", "--p", "2", "--claim2",
+                              "--window-bound", "5"], True, "--window-bound"),
+    "ext-lab-window-bound-0": (["ext-lab", "--m", "3", "--p", "2",
+                                "--window-bound", "0"], True,
+                               "--window-bound"),
+    "toric-field-window-bound": (["toric", "saturate", "--model", "plane",
+                                  "--field", "F5", "--window-bound", "5"],
+                                 True, "--field F5 --window-bound 5"),
+    "toric-model-gens": (["toric", "saturate", "--model", "diagonal-mod3",
+                          "--gens", "1,0 0,1"], True, "--gens"),
+    "toric-saturate-module": (["toric", "saturate", "--module", "1,1 5,5"],
+                              False, "--module"),
+    "toric-omega-module": (["toric", "omega", "--module", "1,1 5,5"],
+                           False, "--module"),
+    "report-curve-inline": (["report", "cusp", "--inline",
+                             "field Q; semigroup 3 4"], True, "--inline"),
+    "report-inline-field": (["report", "--inline", "field Q; semigroup 3 4",
+                             "--field", "F5"], False, "--field"),
+    "check-family-window-bound": (["check", "--cases", "1",
+                                   "--window-bound", "5"], False,
+                                  "--window-bound"),
+}
+
+
+@pytest.mark.parametrize("argv, usage, named", DROPPED.values(),
+                         ids=DROPPED)
+def test_an_input_the_subcommand_would_drop_is_refused(capsys, argv, usage,
+                                                       named):
+    if usage:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        code, (out, err) = exc.value.code, capsys.readouterr()
+    else:
+        code, out, err = run(capsys, *argv)
+        assert err.startswith("error: ")
+    assert code == 2 and not out
+    assert named in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_field_with_a_curve_file_or_stdin_is_refused(capsys, tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "cusp.curve"
+    path.write_text("field Q\nsemigroup 2 3\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "report", source, "--field", "F5")
+        assert code == 2 and not out
+        assert err.startswith("error: --field")
+
+
+@pytest.mark.parametrize("command", ["ext-lab", "toric"])
+def test_help_lists_only_the_options_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--seed" in out
+    assert "--field" not in out and "--window-bound" not in out
+
+
+def test_options_that_are_read_keep_their_bytes(capsys):
+    # a given bound that the build does not need changes no byte, and
+    # --gens alone is the semigroup with the ring as its module
+    field = run(capsys, "report", "3,5", "--field", "F5", "--format", "json")
+    bound = run(capsys, "report", "3,5", "--field", "F5", "--window-bound",
+                "300", "--format", "json")
+    assert bound == field and bound[0] == 0
+    assert json.loads(bound[1])["ring"]["field"] == "F5"
+    alone = run(capsys, "toric", "hull", "--gens", "1,0 0,1")
+    assert alone == run(capsys, "toric", "hull", "--gens", "1,0 0,1",
+                        "--module", "0,0")
+    assert alone[0] == 0
+
+
 MALFORMED = [
     ["toric", "saturate", "--gens", "a,b"],
     ["toric", "saturate", "--gens", "1,2,3"],
@@ -455,7 +553,6 @@ MALFORMED = [
     ["report", "--window-bound", "0", "cusp"],
     ["report", "--window-bound", "-5", "--inline",
      "field Q; branches 1; gen t^2 + t^3"],
-    ["ext-lab", "--m", "3", "--p", "2", "--window-bound", "0"],
     ["report", "--inline", "field F5; branches 1; gen t^2 + 3 t^3; field F7"],
     ["report", "--inline", "field F5; branches 1; gen t^2 + 3 t^3; field Q"],
     ["report", "--inline", "field Q; semigroup 2 3; semigroup 3 4"],

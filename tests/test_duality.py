@@ -359,8 +359,8 @@ def test_check_catches_a_dual_paired_by_lowest_terms(
 
 
 def test_check_builds_each_multiple_once(scale_calls):
-    # one xI per seeded case (and the shift of each random ideal):
-    # herbrand and length duality share it
+    # one xI per seeded case: herbrand and length duality share it, and
+    # a random ideal is built from its twisted generators, not scaled
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", "3,5", "--cases", "20"]) == 0
     assert len(scale_calls) >= 20

@@ -1,5 +1,5 @@
 """The sweep scripts under scripts/ run to the end without a traceback,
-the benchmark jobs of seed 1 print the pinned digests, the README's
+the benchmark jobs of seeds 1-10 print the pinned digests, the README's
 Python tour runs and prints what its comments claim, and the
 benchmark's span tracer still wraps the library.
 
@@ -59,13 +59,14 @@ def test_script_runs(argv):
 
 
 def test_job_digests_match_golden():
-    # One digest line per benchmark job of seed 1, every workload: a
-    # changed byte or exit code in any job fails here, not only in the
-    # jobs a golden file happens to cover.  A change that alters job
-    # output on purpose rewrites tests/golden/job-digests-seeds1.txt.
+    # One digest line per benchmark job of seeds 1-10, every workload,
+    # 690 lines: a changed byte or exit code in any job fails here, not
+    # only in the jobs a golden file happens to cover.  A change that
+    # alters job output on purpose rewrites
+    # tests/golden/job-digests-seeds1-10.txt.
     out = run_python([str(ROOT / "scripts" / "job_digests.py"),
-                      "--seeds", "1"])
-    golden = ROOT / "tests" / "golden" / "job-digests-seeds1.txt"
+                      "--seeds", "1-10"])
+    golden = ROOT / "tests" / "golden" / "job-digests-seeds1-10.txt"
     assert out == golden.read_text(encoding="utf-8")
 
 
