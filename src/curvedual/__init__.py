@@ -16,10 +16,9 @@ from .artin import (ArtinAlgebra, ArtinModule, curve_quotient,
 from .curvering import (CurveRing, CurveSpec, build, format_curve_file,
                         parse_curve_file, semigroup_oracle)
 from .duality import (canonical_module, conductor_duality, dual,
-                      exact_seq_lengths, ext1_torsion, general_section,
-                      general_section_extended, min_pole_profile,
-                      seminormal_via_omega, serre_report, shriek, tfs2_hull,
-                      uniqueness_check, verify_dualizing)
+                      ext1_torsion, general_section, general_section_extended,
+                      min_pole_profile, seminormal_via_omega, serre_report,
+                      shriek, tfs2_hull, uniqueness_check, verify_dualizing)
 from .errors import AlgebraError
 from .family import (curve_names, family_rings, family_specs, monomial_spec,
                      named_ring, named_spec, random_ring, semigroup_spec)
@@ -39,8 +38,8 @@ __all__ = [
     "MonomialModule2", "TorsionQuotient", "ZeroModule", "build",
     "canonical_module", "canonical_module_toric", "conductor_duality",
     "conductor_module", "curve_names", "curve_quotient", "dual",
-    "enumerate_extensions", "exact_seq_lengths", "ext", "ext1_torsion",
-    "ext_lab_instance", "ext_routes", "family_rings", "family_specs",
+    "enumerate_extensions", "ext", "ext1_torsion", "ext_lab_instance",
+    "ext_routes", "family_rings", "family_specs",
     "format_curve_file", "format_element", "free_module", "from_generators",
     "general_section", "general_section_extended", "herbrand", "hom_space",
     "matlis_dual", "maximal_ideal", "min_pole_profile", "minimal_resolution",

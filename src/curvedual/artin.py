@@ -32,11 +32,11 @@ from the Laurent-window world through one method,
 `FracIdeal.quotient_classes`: the lifts of a basis of M/N and their
 class map, which writes a Laurent vector's residual modulo N over the
 lifts.  Both take x·M from `fracideal.regular_multiple`, which also
-checks x, so each builds it once, and `present_quotient` reuses the N
-its caller built there.  The quotients
-of a module by a span (`quotient_module` and the pushout middles of the
-extension laboratory) share one induced action, `_induced_action`,
-which projects images onto the non-pivot keys.
+checks x, and each builds it once: `curve_quotient` as the ideal xO
+it divides by, `present_quotient` to test that x kills M/N.  The
+quotients of a module by a span (`quotient_module` and the pushout
+middles of the extension laboratory) share one induced action,
+`_induced_action`, which projects images onto the non-pivot keys.
 """
 
 from __future__ import annotations
@@ -825,14 +825,11 @@ def present_quotient(total: FracIdeal, sub: FracIdeal,
     """M/N as a module over O/xO; requires N inside M and x*M inside N.
 
     N ⊆ M is tested once, by `quotient_classes` (NotContained), before
-    x*M ⊆ N (NotKilled).  x*M is `regular_multiple(total, x)`: when the
-    caller built N there, N is that very module, and the containment
-    holds without a test."""
+    x*M ⊆ N (NotKilled), with x*M from `regular_multiple(total, x)`."""
     if total.degree != sub.degree:
         raise DifferentialDegreeError("pair mixes functions and forms")
     reps, classes = total.quotient_classes(sub)
-    killed = regular_multiple(total, quotient.x)[0]
-    if killed is not sub and not sub.contains_module(killed):
+    if not sub.contains_module(regular_multiple(total, quotient.x)[0]):
         raise NotKilled("the quotient class of x does not kill M/N")
     cols = []
     for lift in quotient.reps:

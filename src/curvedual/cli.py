@@ -144,20 +144,21 @@ def _ring_payload(ring):
 # -- report ------------------------------------------------------------------
 
 def cmd_report(ns):
+    """Every fact comes from a reader backed by the invariant table, so
+    a failing property raises `InvariantViolation` (exit 2), except
+    conductor duality, which is printed as its own verdict."""
     ring = _ring(ns)
-    data = duality.canonical_module(ring)
-    principal = data.module.is_principal()
-    gor = ring.is_gorenstein()
+    serre = duality.serre_report(ring)
+    principal = duality.canonical_module(ring).module.is_principal()
     payload = {
         "ring": _ring_payload(ring),
         "colength_ring": ring.colength_ring,
-        "colength_normalization": ring.colength_normalization,
-        "delta": ring.delta,
-        "gorenstein": bool(gor),
-        "seminormal": ring.is_seminormal(),
-        "pole_profile": [-p for p in data.module.pole],
-        # certified by the invariant table when the module was built
-        "dualizing_over_regular": ring.delta,
+        "colength_normalization": serre.colength_normalization,
+        "delta": serre.delta,
+        "gorenstein": serre.gorenstein,
+        "seminormal": duality.seminormal_via_omega(ring),
+        "pole_profile": list(duality.min_pole_profile(ring)),
+        "dualizing_over_regular": serre.dualizing_over_regular,
         "omega_principal_generator":
             format_element(principal) if principal is not None else None,
         "conductor_duality_holds": duality.conductor_duality(ring),
@@ -186,7 +187,7 @@ def cmd_omega(ns):
     principal = module.is_principal()
     payload = {
         "ring": _ring_payload(ring),
-        "pole_profile": [-p for p in module.pole],
+        "pole_profile": list(duality.min_pole_profile(ring)),
         "window_generators":
             [format_element(g) for g in module.rows_as_elements()],
         "regular_tail_from": list(module.tail),
@@ -316,7 +317,7 @@ def cmd_ext_lab(ns):
 
 # -- toric -------------------------------------------------------------------
 
-def _parse_points(text):
+def _parse_points(text, option):
     pts = []
     for chunk in text.replace(";", " ").split():
         parts = chunk.split(",")
@@ -325,15 +326,17 @@ def _parse_points(text):
         except ValueError:
             raise ParseError(f"bad lattice point {chunk!r}; use x,y") from None
         pts.append((x, y))
+    if not pts:
+        raise ParseError(f"{option} needs at least one point x,y")
     return pts
 
 
 def cmd_toric(ns):
     if ns.module is not None and ns.toric_cmd != "hull":
         raise ParseError("--module goes only with toric hull")
-    model = None if ns.gens else ns.model or "plane"
+    model = None if ns.gens is not None else ns.model or "plane"
     S = (toric2.model(model) if model
-         else toric2.AffineSemigroup2(_parse_points(ns.gens)))
+         else toric2.AffineSemigroup2(_parse_points(ns.gens, "--gens")))
     payload = {
         "subcommand": ns.toric_cmd,
         "model": model,
@@ -352,7 +355,7 @@ def cmd_toric(ns):
         payload["principal_translation"] = list(iso) if iso else None
     else:
         points = "0,0" if ns.module is None else ns.module
-        module = toric2.MonomialModule2(S, _parse_points(points))
+        module = toric2.MonomialModule2(S, _parse_points(points, "--module"))
         hull = toric2.s2_hull(module)
         payload["module_generators"] = [list(g) for g in module.generators]
         payload["hull_generators"] = [list(g) for g in hull.generators]

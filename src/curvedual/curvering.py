@@ -164,22 +164,6 @@ def build(spec: CurveSpec) -> "CurveRing":
 
 # -- the ring object ----------------------------------------------------------
 
-class ConductorData(Record):
-    """Conductor exponents and the colengths dim O/conductor,
-    dim (branch tuple)/conductor and delta = dim (branch tuple)/O."""
-
-    __slots__ = _fields = ("exponents", "colength_ring",
-                           "colength_normalization", "delta")
-
-
-class GorensteinCertificate(Record):
-    __slots__ = _fields = ("gorenstein", "colength_normalization",
-                           "twice_colength_ring")
-
-    def __bool__(self):
-        return self.gorenstein
-
-
 class CurveRing:
     """A built ring: generators, conductor, and a reduced basis of the
     ring modulo its conductor (unit row first).
@@ -232,20 +216,13 @@ class CurveRing:
             return False
         return unit_ideal(self).contains_element(elem)
 
-    def conductor(self) -> ConductorData:
-        """Conductor exponents plus the three colengths.  No direct
-        len(Ō/O) is computed: `len_quotient`'s arithmetic gives
-        Σn_i - len(basis) there, the very sum `delta` is."""
-        return ConductorData(self.cond, self.colength_ring,
-                             self.colength_normalization, self.delta)
-
-    def is_gorenstein(self) -> GorensteinCertificate:
-        a = self.colength_normalization
-        b = 2 * self.colength_ring
-        if a < b:
-            raise InvariantViolation(
-                "conductor colength below twice the ring colength")
-        return GorensteinCertificate(a == b, a, b)
+    def is_gorenstein(self) -> bool:
+        """Whether Serre's equality len(Ō/C) = 2 len(O/C) holds; the one
+        place it is written.  The bound len(Ō/C) >= 2 len(O/C) is the
+        invariant table's `conductor-bound`, and `gorenstein-threshold`
+        there checks this verdict against principality of the
+        dualizing module."""
+        return self.colength_normalization == 2 * self.colength_ring
 
     def is_seminormal(self) -> bool:
         return all(n <= 1 for n in self.cond)
@@ -362,8 +339,7 @@ def semigroup_oracle(generators) -> SemigroupData:
 
 # -- text format ---------------------------------------------------------------
 
-def parse_curve_file(text: str, window_bound: int = 200,
-                     label: str = None) -> CurveSpec:
+def parse_curve_file(text: str, label: str = None) -> CurveSpec:
     """Sections, one per line: `field`, `branches`, `gen` (repeatable),
     `semigroup`.  `#` starts a comment.  Errors carry line numbers."""
     field = None
@@ -412,8 +388,7 @@ def parse_curve_file(text: str, window_bound: int = 200,
         raise ParseError("missing field section")
     if semigroup is not None and gens:
         raise ParseError("give either gen lines or a semigroup line")
-    return CurveSpec(field, tuple(gens), semigroup=semigroup,
-                     window_bound=window_bound, label=label)
+    return CurveSpec(field, tuple(gens), semigroup=semigroup, label=label)
 
 
 def format_curve_file(spec: CurveSpec) -> str:

@@ -11,9 +11,13 @@ matrix always has full row rank.
 
 Its defining identities are stated once, in the ordered table
 `invariant_checks`, which construction, the reporters and `harness`
-(the properties of the `check` command) all read.  Each verdict is
-kept on the `CanonicalModule` it was computed for, so a property runs
-at most once per module however many readers ask.
+(the properties of the `check` command) all read.  The `report`
+command takes every fact from those reporters (`serre_report`,
+`min_pole_profile`, `seminormal_via_omega`, `conductor_duality`), so
+all seven properties back what it prints, and `omega` reads its pole
+profile from `min_pole_profile`.  Each verdict is kept on the
+`CanonicalModule` it was computed for, so a property runs at most once
+per module however many readers ask.
 
 The same pairing gives every dual, ω = O^⊥ among them.  For a module
 M closed under O,
@@ -134,8 +138,6 @@ def invariant_checks(ring, data: CanonicalModule = None):
     if data is None:
         data = canonical_module(ring)
     omega = data.module
-    a = ring.colength_normalization
-    b = ring.colength_ring
 
     def double_colon():
         # the dual of the branch tuple by residues, then back by the colon
@@ -154,9 +156,10 @@ def invariant_checks(ring, data: CanonicalModule = None):
         ("delta-over-regular",
          lambda: omega.len_quotient(normalization_module(ring, degree=1))
          == ring.delta),
-        ("conductor-bound", lambda: a >= 2 * b),
+        ("conductor-bound",
+         lambda: ring.colength_normalization >= 2 * ring.colength_ring),
         ("gorenstein-threshold",
-         lambda: (a == 2 * b) == (omega.is_principal() is not None)),
+         lambda: ring.is_gorenstein() == (omega.is_principal() is not None)),
         ("conductor-duality", double_colon),
         ("omega-endomorphisms",
          lambda: omega.colon(omega) == unit_ideal(ring)),
@@ -351,12 +354,12 @@ def serre_report(ring) -> SerreReport:
     """Colength comparison around the conductor: the colength in the
     branch tuple is at least twice the colength in the ring, with
     equality exactly when the dualizing module is principal.  Both
-    statements are read from the invariant table; the dualizing
-    colength over the regular forms was certified at construction."""
+    statements are read from the invariant table, the equality from
+    `CurveRing.is_gorenstein`; the dualizing colength over the regular
+    forms was certified at construction."""
     _require(ring, None, "conductor-bound", "gorenstein-threshold")
-    a = ring.colength_normalization
-    b = 2 * ring.colength_ring
-    return SerreReport(a, b, ring.delta, ring.delta, a == b)
+    return SerreReport(ring.colength_normalization, 2 * ring.colength_ring,
+                       ring.delta, ring.delta, ring.is_gorenstein())
 
 
 def min_pole_profile(ring):
@@ -371,23 +374,6 @@ def seminormal_via_omega(ring) -> bool:
     Cross-checked against the conductor-exponent criterion."""
     _require(ring, None, "pole-profile", "seminormal-poles")
     return ring.is_seminormal()
-
-
-class BoundaryLengths(Record):
-    __slots__ = _fields = ("over_dualizing", "colength_ring",
-                           "dualizing_over_regular", "delta")
-
-
-def exact_seq_lengths(ring) -> BoundaryLengths:
-    """Slab distances around the dualizing module: the maximal-pole
-    slab exceeds it by the ring colength and it exceeds the regular
-    forms by delta.  Both read `delta-over-regular`, certified at
-    construction: the slab exceeds ω by the residue matrix rank, which
-    that property makes the ring colength, so the slab length is not
-    computed again."""
-    _require(ring, None, "delta-over-regular")
-    b = ring.colength_ring
-    return BoundaryLengths(b, b, ring.delta, ring.delta)
 
 
 def conductor_duality(ring) -> bool:

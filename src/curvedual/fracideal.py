@@ -16,11 +16,17 @@ are `laurent.clip_product` of rows, cut to the result's window.
 A module computes its minimal generators once, on first use, as lifts
 of a basis of M/mM.  `colon` writes its constraints from the minimal
 generators of the divisor N, μ(N) of them per unknown rather than
-dim(N), and `is_principal` reads their count.  The owning ring only
-needs to expose `field`, `nbranches`, `cond` (the conductor exponents),
-`basis` (polynomial lifts of a reduced basis of the ring modulo its
-conductor, unit row first) and `gens` (generators of the maximal ideal,
-with no constant terms).
+dim(N), and `is_principal` reads their count and verifies its
+generator once per module.  The `report` and `omega` commands read
+their facts through the table-backed readers of `duality`; in
+`report`, the property `gorenstein-threshold` and the printed
+generator both ask ω for its generator, and one verification serves
+both.
+
+The owning ring only needs to expose `field`, `nbranches`, `cond` (the
+conductor exponents), `basis` (polynomial lifts of a reduced basis of
+the ring modulo its conductor, unit row first) and `gens` (generators
+of the maximal ideal, with no constant terms).
 
 All constructions here assume, and preserve, closure under the ring
 action; `from_generators` is the safe entry point.
@@ -47,7 +53,7 @@ def _orders(ring):
 
 class FracIdeal:
     __slots__ = ("ring", "degree", "pole", "tail", "ech", "_min_gens",
-                 "_last_multiple")
+                 "_principal")
 
     def __init__(self, ring, degree, pole, tail, rows):
         r = ring.nbranches
@@ -70,7 +76,7 @@ class FracIdeal:
         self.tail = tuple(tail)
         self.ech = ech
         self._min_gens = None
-        self._last_multiple = None
+        self._principal = None
 
     # -- basic views --------------------------------------------------------
 
@@ -316,16 +322,19 @@ class FracIdeal:
         """A single element generating self over the ring, or None.
 
         Nakayama: the module is principal iff it has one minimal
-        generator.  The generator is double-checked by regeneration.
+        generator.  The generator is double-checked by regeneration,
+        once per module, like the minimal generators it is read from.
         """
         gens = self.minimal_generators()
         if len(gens) != 1:
             return None
-        g = gens[0]
-        if from_generators(self.ring, [g], degree=self.degree) != self:
-            raise InvariantViolation(
-                "generator candidate fails to regenerate the module")
-        return g
+        if self._principal is None:
+            g = gens[0]
+            if from_generators(self.ring, [g], degree=self.degree) != self:
+                raise InvariantViolation(
+                    "generator candidate fails to regenerate the module")
+            self._principal = g
+        return self._principal
 
 
 class _WindowClasses:
@@ -391,29 +400,25 @@ class TorsionQuotient:
 
 def regular_multiple(module: FracIdeal, elem: Element):
     """(r·F, sum of the branch orders of r) for r in the ring that
-    vanishes on no branch; NotMember or ZeroDivisor otherwise.
-
-    The module keeps the last multiple built here, so a caller that
-    builds N = r·F and hands N on to a reader of r·F, such as
-    `artin.present_quotient`, shares one object with it."""
-    last = module._last_multiple
-    if last is None or last[0] != elem:
-        if not unit_ideal(module.ring).contains_element(elem):
-            raise NotMember("multiplier is not in the ring")
-        if INF in elem.valuations():
-            raise ZeroDivisor("multiplier vanishes on a branch")
-        last = module._last_multiple = (elem, module.scale(elem))
-    return last[1], sum(int(v) for v in elem.valuations())
+    vanishes on no branch; NotMember or ZeroDivisor otherwise.  Each
+    call builds r·F afresh."""
+    if not unit_ideal(module.ring).contains_element(elem):
+        raise NotMember("multiplier is not in the ring")
+    vals = elem.valuations()
+    if INF in vals:
+        raise ZeroDivisor("multiplier vanishes on a branch")
+    return module.scale(elem), sum(int(v) for v in vals)
 
 
 def herbrand(module: FracIdeal, elem: Element):
     """(len(F/rF), sum of the branch orders of r) for r in the ring.
 
     The two numbers agree; tests assert the equality across random
-    inputs rather than baking it in here.  rF and the checks on r come
-    from `regular_multiple`.  The seeded cases of `duality.harness`
-    read both numbers from there too: they compute len(I/xI) once and
-    share it between their herbrand and length-duality properties.
+    inputs rather than baking it in here.  rF, built afresh, and the
+    checks on r come from `regular_multiple`.  The seeded cases of
+    `duality.harness` read both numbers from there too: they compute
+    len(I/xI) once and share it between their herbrand and
+    length-duality properties.
     """
     sub, order_sum = regular_multiple(module, elem)
     return module.len_quotient(sub), order_sum

@@ -84,7 +84,7 @@ class Element:
     """One Laurent vector: coeffs maps (branch, exponent) to a nonzero
     scalar; degree is 0 for functions and 1 for differentials."""
 
-    __slots__ = ("field", "nbranches", "coeffs", "degree", "_hash")
+    __slots__ = ("field", "nbranches", "coeffs", "degree")
 
     def __init__(self, field, nbranches, coeffs, degree=0):
         if degree not in (0, 1):
@@ -100,7 +100,6 @@ class Element:
         self.nbranches = nbranches
         self.coeffs = clean
         self.degree = degree
-        self._hash = None
 
     # -- construction -----------------------------------------------------
 
@@ -203,10 +202,8 @@ class Element:
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nbranches, self.degree,
-                               frozenset(self.coeffs.items())))
-        return self._hash
+        return hash((self.nbranches, self.degree,
+                     frozenset(self.coeffs.items())))
 
     # -- inspection ---------------------------------------------------------
 

@@ -495,16 +495,13 @@ def test_present_quotient_guards(cusp):
 
 
 def test_quotients_build_each_multiple_once(scale_calls, cusp, r345):
-    # curve_quotient builds xO once, and present_quotient reuses the
-    # x·M its caller built through regular_multiple
-    ext_lab_instance(3, 2)
+    # curve_quotient builds xO once, through regular_multiple, and no
+    # other multiple
     for ring, text in ((cusp, "t^2"), (r345, "t^3")):
         x = elem(ring, text)
-        one = unit_ideal(ring)
-        assert cd.verify_dualizing(ring, cd.canonical_module(ring).module, x)
-        pair = TorsionQuotient(one, regular_multiple(one, x)[0])
-        assert rees_check(ring, pair, x).ok
-    assert scale_calls and set(scale_calls.values()) == {1}
+        scale_calls.clear()
+        curve_quotient(ring, x)
+        assert dict(scale_calls) == {(id(unit_ideal(ring)), x): 1}
 
 
 def test_rees_check(cusp, r345):

@@ -360,6 +360,21 @@ def test_toric_point_lists_may_start_with_a_minus(capsys):
     assert code == 2 and "lattice point '-2,x'" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["toric", "saturate", "--gens", ""], "--gens"),
+    (["toric", "saturate", "--gens", "  "], "--gens"),
+    (["toric", "omega", "--gens", ";"], "--gens"),
+    (["toric", "hull", "--module", ""], "--module"),
+    (["toric", "hull", "--gens", "1,0 0,1", "--module", " ; "], "--module"),
+])
+def test_toric_refuses_an_empty_point_list(capsys, argv, option):
+    # an empty --gens is not the default plane, and an empty --module is
+    # bad input, not an internal fault
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} needs at least one point x,y\n"
+
+
 def test_toric_rejects_unsaturated_omega(capsys):
     code, out, err = run(capsys, "toric", "omega", "--model", "pinched-plane")
     assert code == 2

@@ -439,18 +439,6 @@ def test_pole_profiles_and_seminormality(named):
     assert not cd.seminormal_via_omega(named["tacnode"])
 
 
-def test_exact_seq_lengths(named, r345):
-    rep = cd.exact_seq_lengths(named["tacnode"])
-    assert (rep.over_dualizing, rep.colength_ring) == (2, 2)
-    assert (rep.dualizing_over_regular, rep.delta) == (2, 2)
-    rep = cd.exact_seq_lengths(r345)
-    assert (rep.over_dualizing, rep.dualizing_over_regular) == (1, 2)
-    for ring in named.values():
-        rep = cd.exact_seq_lengths(ring)
-        assert rep.over_dualizing == ring.colength_ring
-        assert rep.dualizing_over_regular == ring.delta
-
-
 def test_conductor_duality(named, r345):
     for ring in list(named.values()) + [r345]:
         assert cd.conductor_duality(ring)
@@ -544,8 +532,7 @@ PROPERTIES = ("pole-profile", "delta-over-regular", "conductor-bound",
               "omega-endomorphisms", "seminormal-poles")
 # verified when the dualizing module is built, so every reporter fails
 AT_CONSTRUCTION = ("delta-over-regular", "omega-endomorphisms")
-REPORTERS = (cd.serre_report, cd.min_pole_profile, cd.seminormal_via_omega,
-             cd.exact_seq_lengths)
+REPORTERS = (cd.serre_report, cd.min_pole_profile, cd.seminormal_via_omega)
 READERS = {
     "pole-profile": (cd.min_pole_profile, cd.seminormal_via_omega),
     "conductor-bound": (cd.serre_report,),
@@ -612,6 +599,59 @@ def test_reporters_and_harness_read_the_table(monkeypatch, qq, broken):
             f"duality invariant {broken} fails")
     else:
         assert doc["counterexample"]["error"] is None
+
+
+# the properties `omega` reads: its pole profile and the construction
+OMEGA_READS = ("pole-profile",) + AT_CONSTRUCTION
+
+
+@pytest.mark.parametrize("broken", PROPERTIES)
+def test_report_and_omega_print_only_what_the_table_certified(
+        monkeypatch, capsys, broken):
+    # a failing property is an internal fault: exit 2 naming it, and
+    # nothing on stdout; conductor duality alone is a printed verdict
+    _break(monkeypatch, broken)
+    for command, raises in (("report", broken != "conductor-duality"),
+                            ("omega", broken in OMEGA_READS)):
+        code = cli.main([command, "cusp", "--format", "json"])
+        out, err = capsys.readouterr()
+        if raises:
+            assert (code, out) == (2, "")
+            assert err == f"error: duality invariant {broken} fails\n"
+        else:
+            assert code == 0 and err == ""
+            if command == "report":
+                assert json.loads(out)["conductor_duality_holds"] is False
+
+
+def test_report_regenerates_the_omega_generator_once(monkeypatch, capsys):
+    # gorenstein-threshold and the printed generator both ask omega for
+    # its generator; the regeneration check runs for the first only
+    asked, inside, regenerated = [], [], []
+    is_principal = FracIdeal.is_principal
+    regenerate = fracideal.from_generators
+
+    def principal(self):
+        asked.append(self)
+        inside.append(self)
+        try:
+            return is_principal(self)
+        finally:
+            inside.pop()
+
+    def counting(*args, **kwargs):
+        if inside:
+            regenerated.append(inside[-1])
+        return regenerate(*args, **kwargs)
+
+    monkeypatch.setattr(FracIdeal, "is_principal", principal)
+    monkeypatch.setattr(fracideal, "from_generators", counting)
+    code = cli.main(["report", "7,9", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["gorenstein"] is True
+    assert doc["omega_principal_generator"] is not None
+    assert len(asked) == 2 and asked[0] is asked[1]
+    assert regenerated == asked[:1]
 
 
 @pytest.mark.parametrize("argv", [["check", "cusp", "--cases", "0"],

@@ -1,4 +1,4 @@
-"""The thirteen result records: construction, immutability, equality,
+"""The ten result records: construction, immutability, equality,
 hashing, repr and the few behaviours some of them add, pinned by
 behaviour only, so the tests hold for any implementation of the records.
 Also the import-path rule: `import curvedual.cli` loads neither
@@ -17,9 +17,8 @@ import curvedual as cd
 from curvedual import cli, family
 from curvedual.artin import (ClaimReport, ExtLabInstance, ExtRouteReport,
                              ReesReport, SocleData, WitnessReport)
-from curvedual.curvering import (ConductorData, CurveSpec,
-                                 GorensteinCertificate, SemigroupData)
-from curvedual.duality import BoundaryLengths, CanonicalModule, SerreReport
+from curvedual.curvering import CurveSpec, SemigroupData
+from curvedual.duality import CanonicalModule, SerreReport
 
 # every record compared by value, with its fields in constructor order
 VALUE_RECORDS = [
@@ -34,16 +33,10 @@ VALUE_RECORDS = [
     (ReesReport, ("ok", "length_via_duals", "hom_dimension")),
     (CurveSpec, ("field", "generators", "semigroup", "window_bound",
                  "label")),
-    (ConductorData, ("exponents", "colength_ring", "colength_normalization",
-                     "delta")),
-    (GorensteinCertificate, ("gorenstein", "colength_normalization",
-                             "twice_colength_ring")),
     (SemigroupData, ("generators", "conductor", "delta", "symmetric",
                      "gaps")),
     (SerreReport, ("colength_normalization", "twice_colength_ring", "delta",
                    "dualizing_over_regular", "gorenstein")),
-    (BoundaryLengths, ("over_dualizing", "colength_ring",
-                       "dualizing_over_regular", "delta")),
 ]
 IDS = [cls.__name__ for cls, _ in VALUE_RECORDS]
 
@@ -87,8 +80,8 @@ def test_value_equality_and_hash(cls, fields):
 
 
 def test_records_of_different_classes_never_compare_equal():
-    assert SerreReport(1, 2, 3, 4, True) != BoundaryLengths(1, 2, 3, 4)
-    assert ReesReport(True, 1, 1) != GorensteinCertificate(True, 1, 1)
+    assert SerreReport(1, 2, 3, 4, True) != ExtRouteReport(1, 2, 3, 4, True)
+    assert ReesReport(True, 1, 1) != ClaimReport(True, 1, 1, 3, 2)
 
 
 @pytest.mark.parametrize("cls,fields", VALUE_RECORDS, ids=IDS)
@@ -224,7 +217,6 @@ def test_canonical_module_of_a_ring_keeps_its_verdicts(named):
 @pytest.mark.parametrize("cls,args", [
     (ClaimReport, (1, 2, 3, 4)),
     (ReesReport, (5, 5)),
-    (GorensteinCertificate, (4, 4)),
 ])
 def test_report_truthiness_is_its_verdict(cls, args):
     assert bool(cls(True, *args)) is True
