@@ -8,9 +8,17 @@ span the radical; an algebra element is a sparse vector over that
 basis, and so are the classes of `ArtinQuotient.class_of` and the
 argument of `ArtinModule.action_matrix`.  A module stores the action
 of each algebra basis element as sparse columns, the images of the
-module basis vectors, and a map between modules (a hom-space element,
-an isomorphism) is a tuple of sparse columns in the same way.  The
-structure constants `mult[i][j]`, the product of basis[i] and basis[j],
+module basis vectors, and every map is a tuple of sparse columns in
+the same way: a hom-space element, an isomorphism, an Ext^1 cocycle
+on the kernel of the minimal cover (one column per kernel basis
+vector), and the map k -> M whose one column is a socle vector.  One
+routine, `_combine`, forms every linear combination of maps, the
+action of an algebra element among them.  Flat keys (source index,
+target coordinate) appear only where an echelon needs them: the
+unknowns of `_equivariant_maps`, the Hom differentials of
+`_hom_differential` (the coboundaries of `_extension_classes` and the
+ranks of `ext`) and the tops of `_search_hom`.  The structure
+constants `mult[i][j]`, the product of basis[i] and basis[j],
 are then exactly the action columns of the algebra as a module over
 itself, so one routine, `_action_fault`, checks both the module
 identities and associativity.  Both types verify their defining
@@ -21,7 +29,8 @@ Every space of maps that commute with the radical is the kernel of one
 routine, `_equivariant_maps`: `hom_space`, the socle read as Hom(k, M),
 and the Ext^1 cocycles on the kernel of the minimal cover.  The cover's
 kernel and every syzygy step of a resolution are one transposed kernel,
-`_cover_kernel`.
+`_cover_kernel`, and one routine, `_transpose`, turns columns into rows
+for it, for `_equivariant_maps` and for `matlis_dual`.
 
 The Claim 4 and Corollary 3 walks decide each line of extension classes
 from its cocycle, as a rank on the image of x (`_x_image_dim`), and
@@ -131,13 +140,23 @@ def _action_fault(mult, cols, d):
     return False
 
 
-def _rows(cols, d):
-    """The rows of a map with d-dimensional target, given by columns:
-    row p maps each column index to its entry at p (the transpose)."""
-    out = [{} for _ in range(d)]
-    for q, col in enumerate(cols):
+def _transpose(cols):
+    """The nonzero rows of a map given by (index, sparse column) pairs:
+    row p maps each index to its column's entry at p."""
+    rows = {}
+    for q, col in cols:
         for p, c in col.items():
-            out[p][q] = c
+            rows.setdefault(p, {})[q] = c
+    return rows
+
+
+def _combine(coeffs, maps, d):
+    """sum c * map over the pairs, for maps given by d sparse columns;
+    the zero map for the empty family."""
+    out = tuple({} for _ in range(d))
+    for c, cols in zip(coeffs, maps):
+        for acc, col in zip(out, cols):
+            vec_iaddmul(acc, c, col)
     return out
 
 
@@ -228,11 +247,8 @@ class ArtinModule:
     def action_matrix(self, avec):
         """The action of the algebra element avec, a sparse vector over
         the algebra basis, as a tuple of sparse columns."""
-        cols = [{} for _ in range(self.dim)]
-        for k, c in avec.items():
-            for col, image in zip(cols, self.cols[k]):
-                vec_iaddmul(col, c, image)
-        return tuple(cols)
+        return _combine(avec.values(), [self.cols[k] for k in avec],
+                        self.dim)
 
     def __repr__(self):
         return (f"<module of dimension {self.dim} over a dimension "
@@ -253,7 +269,10 @@ def free_module(algebra) -> ArtinModule:
 
 def matlis_dual(module: ArtinModule) -> ArtinModule:
     """The dual vector space with the transposed action."""
-    cols = [_rows(line, module.dim) for line in module.cols]
+    cols = []
+    for line in module.cols:
+        rows = _transpose(enumerate(line))
+        cols.append([rows.get(p, {}) for p in range(module.dim)])
     return ArtinModule(module.algebra, cols,
                        labels=tuple(f"{l}*" for l in module.labels))
 
@@ -268,9 +287,7 @@ def socle(module: ArtinModule) -> SocleData:
     """The subspace killed by the radical, read as Hom(k, M): the
     images of k's one basis vector, which the radical kills."""
     zero = (({},),) * (module.algebra.dim - 1)
-    maps = _equivariant_maps(module.algebra.field, zero, module,
-                             [(0, p) for p in range(module.dim)])
-    basis = tuple({p: c for (_, p), c in x.items()} for x in maps)
+    basis = tuple(x[0] for x in _equivariant_maps(zero, 1, module))
     return SocleData(len(basis), basis)
 
 
@@ -304,11 +321,7 @@ def _cover_kernel(field, images):
     """Kernel of the map from a free module that sends each basis
     vector (slot, algebra index), the keys of images in order, to its
     image, a sparse vector."""
-    rows = {}
-    for u, img in images.items():
-        for key, c in img.items():
-            rows.setdefault(key, {})[u] = c
-    return kernel(field, rows.values(), list(images))
+    return kernel(field, _transpose(images.items()).values(), list(images))
 
 
 def _module_presentation(module: ArtinModule):
@@ -410,37 +423,39 @@ def ext(mmodule: ArtinModule, nmodule: ArtinModule, i: int) -> int:
 
 # -- hom spaces, isomorphism, surjection --------------------------------------
 
-def _equivariant_maps(field, lines, nmodule: ArtinModule, unknowns):
-    """Kernel basis of the maps X into N with X(a v) = a X(v) for every
-    radical basis element a, keyed (source index q, coordinate p of N)
-    in the order of `unknowns`.  lines[i - 1][q] is basis[i] applied to
-    source vector q, sparse over the source; one row per (i, q, p)."""
+def _equivariant_maps(lines, d, nmodule: ArtinModule):
+    """Basis of the maps X into N with X(a v) = a X(v) for every radical
+    basis element a, as tuples of d sparse columns, column q the image
+    of source vector q.  lines[i - 1][q] is basis[i] applied to source
+    vector q, sparse over the source.  The basis is that of one
+    `kernel`, with one row per (i, q, p), p a coordinate of N, over the
+    unknowns (q, p) in source-major order."""
+    field, dn = nmodule.algebra.field, nmodule.dim
     minus = -field.one
     rows = []
     for line, nline in zip(lines, nmodule.cols[1:]):
-        nrows = _rows(nline, nmodule.dim)
+        nrows = _transpose(enumerate(nline))
         for q, col in enumerate(line):
-            for p, nrow in enumerate(nrows):
+            for p in range(dn):
                 row = {(r, p): c for r, c in col.items()}
-                vec_iaddmul(row, minus, {(q, r): c for r, c in nrow.items()})
+                vec_iaddmul(row, minus, {(q, r): c
+                                         for r, c in nrows.get(p, {}).items()})
                 rows.append(row)
-    return kernel(field, rows, unknowns)
+    maps = []
+    for sol in kernel(field, rows, [(q, p) for q in range(d)
+                                    for p in range(dn)]):
+        cols = tuple({} for _ in range(d))
+        for (q, p), c in sol.items():
+            cols[q][p] = c
+        maps.append(cols)
+    return maps
 
 
 def hom_space(mmodule: ArtinModule, nmodule: ArtinModule):
     """Basis of the equivariant maps M -> N, as a list of tuples of
     sparse columns, column q the image of M's basis vector q."""
     _same_algebra(mmodule, nmodule)
-    dm, dn = mmodule.dim, nmodule.dim
-    maps = []
-    for sol in _equivariant_maps(mmodule.algebra.field, mmodule.cols[1:],
-                                 nmodule, [(q, p) for p in range(dn)
-                                           for q in range(dm)]):
-        cols = [{} for _ in range(dm)]
-        for (q, p), c in sol.items():
-            cols[q][p] = c
-        maps.append(tuple(cols))
-    return maps
+    return _equivariant_maps(mmodule.cols[1:], mmodule.dim, nmodule)
 
 
 def _coeff_grid(field, nvars, degree_bound):
@@ -457,15 +472,6 @@ def _coeff_grid(field, nvars, degree_bound):
         raise TooLarge(f"coefficient grid of {size}^{nvars} tuples exceeds "
                        f"the bound {MAX_HOM_GRID}")
     return itertools.product(values, repeat=nvars)
-
-
-def _combine(coeffs, maps):
-    """sum c * map over the pairs, for maps given by sparse columns."""
-    out = [{} for _ in maps[0]]
-    for c, cols in zip(coeffs, maps):
-        for acc, col in zip(out, cols):
-            vec_iaddmul(acc, c, col)
-    return out
 
 
 def _search_hom(mmodule, nmodule, m_top, n_top):
@@ -500,10 +506,10 @@ def _search_hom(mmodule, nmodule, m_top, n_top):
             tops.append(top)
     if not picked:
         return None
+    k = len(m_coords)
     for coeffs in _coeff_grid(field, len(picked), max(n_dim, 1)):
-        if any(coeffs) and \
-                span(field, _combine(coeffs, tops)).dim == n_dim:
-            return tuple(_combine(coeffs, picked))
+        if any(coeffs) and span(field, _combine(coeffs, tops, k)).dim == n_dim:
+            return _combine(coeffs, picked, mmodule.dim)
     return None
 
 
@@ -569,14 +575,15 @@ def _extension_classes(mmodule: ArtinModule, nmodule: ArtinModule):
         if None in line:
             raise InvariantViolation("kernel is not closed under the action")
         lines.append(line)
-    solutions = _equivariant_maps(field, lines, nmodule,
-                                  [(mdx, p) for mdx in range(len(kvecs))
-                                   for p in range(nmodule.dim)])
+    solutions = _equivariant_maps(lines, len(kvecs), nmodule)
 
     # the coboundaries: restrictions to K of the maps F -> N, which is
-    # the Hom differential of the inclusion K -> F
+    # the Hom differential of the inclusion K -> F, keyed (kernel index,
+    # coordinate of N) as its echelon needs
     image_ech = span(field, _hom_differential(nmodule, kvecs).values())
-    reps = [s for s in solutions if image_ech.insert(dict(s)) is not None]
+    reps = [s for s in solutions if image_ech.insert(
+        {(mdx, p): c for mdx, col in enumerate(s) for p, c in col.items()})
+        is not None]
     return b0, kvecs, reps, tracked
 
 
@@ -602,14 +609,6 @@ def _walkable_classes(mmodule: ArtinModule, nmodule: ArtinModule,
     return classes
 
 
-def _cocycle(lam, reps):
-    """The cocycle sum(lam[i] * reps[i]) as a sparse dict."""
-    psi = {}
-    for c, rep in zip(lam, reps):
-        vec_iaddmul(psi, c, rep)
-    return psi
-
-
 def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule):
     """One middle module per extension class of M by N, as a list.
 
@@ -626,12 +625,13 @@ def enumerate_extensions(mmodule: ArtinModule, nmodule: ArtinModule):
     e = len(reps)
     lam_space = itertools.product(field.elements(), repeat=e) if e else [()]
     return [_pushout_middle(algebra, nmodule, b0, kvecs,
-                            _cocycle(lam, reps))
+                            _combine(lam, reps, len(kvecs)))
             for lam in lam_space]
 
 
-def _line_cocycles(field, reps):
-    """(weight, psi) for one cocycle psi per line of extension classes.
+def _line_cocycles(field, reps, d):
+    """(weight, psi) for one cocycle psi per line of extension classes,
+    each a tuple of d sparse columns, one per kernel basis vector.
 
     Scaling N by c maps graph(psi) onto graph(c psi), so the middles of
     a class and of its nonzero multiples are isomorphic and every
@@ -643,11 +643,11 @@ def _line_cocycles(field, reps):
     down to 0, and the tail in `itertools.product` order.
     """
     e = len(reps)
-    yield 1, {}
+    yield 1, _combine((), reps, d)
     for lead in range(e - 1, -1, -1):
         head = (field.zero,) * lead + (field.one,)
         for tail in itertools.product(field.elements(), repeat=e - 1 - lead):
-            yield field.order - 1, _cocycle(head + tail, reps)
+            yield field.order - 1, _combine(head + tail, reps, d)
 
 
 def _x_cover_rows(algebra, xvec, b0, tracked):
@@ -672,19 +672,8 @@ def _x_cover_rows(algebra, xvec, b0, tracked):
 
 def _x_image_dim(field, xrows, psi):
     """dim psi(xF), for xF given by `_x_cover_rows` and a cocycle psi
-    keyed (kernel index, coordinate of N)."""
-    by_index = {}
-    for (mdx, p), c in psi.items():
-        by_index.setdefault(mdx, {})[p] = c
-    images = []
-    for row in xrows:
-        image = {}
-        for mdx, c in row.items():
-            values = by_index.get(mdx)
-            if values:
-                vec_iaddmul(image, c, values)
-        images.append(image)
-    return span(field, images).dim
+    given by one sparse column per kernel basis vector."""
+    return span(field, (_apply(psi, row) for row in xrows)).dim
 
 
 def _induced_action(algebra, ech, keys, image):
@@ -709,18 +698,14 @@ def _pushout_middle(algebra, nmodule, b0, kvecs, psi):
     are independent, as their A^b0 parts are the basis kvecs of K."""
     field = algebra.field
     n = algebra.dim
-    dn = nmodule.dim
-    keys = [("n", p) for p in range(dn)]
+    keys = [("n", p) for p in range(nmodule.dim)]
     keys.extend(("f", (j, a)) for j in range(b0) for a in range(n))
     order = {k: i for i, k in enumerate(keys)}
 
     graph = Echelon(field, sort_key=order.__getitem__)
-    for mdx, kv in enumerate(kvecs):
+    for kv, col in zip(kvecs, psi):
         row = {("f", key): c for key, c in kv.items()}
-        for p in range(dn):
-            c = psi.get((mdx, p))
-            if c:
-                row[("n", p)] = -c
+        row.update((("n", p), -c) for p, c in col.items())
         graph.insert(row)
 
     def image(i, k):
@@ -954,10 +939,11 @@ def ext_routes(m: int, p: int) -> ExtRouteReport:
 
 
 class ClaimReport(Record):
-    __slots__ = _fields = ("ok", "checked", "total", "m", "p")
+    """Claim 4 at (m, p): `checked` of `total` extension classes pass
+    the quotient test, every one of them with a middle isomorphic to
+    the target; `verify_claim4` raises on any failure."""
 
-    def __bool__(self):
-        return self.ok
+    __slots__ = _fields = ("checked", "total", "m", "p")
 
 
 def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule):
@@ -988,7 +974,7 @@ def _passing_middles(lab: ExtLabInstance, nmodule: ArtinModule):
     xrows = _x_cover_rows(algebra, xvec, b0, tracked)
 
     def walk():
-        for weight, psi in _line_cocycles(field, reps):
+        for weight, psi in _line_cocycles(field, reps, len(kvecs)):
             if _x_image_dim(field, xrows, psi) != nmodule.dim:
                 continue
             mid = _pushout_middle(algebra, nmodule, b0, kvecs, psi)
@@ -1029,7 +1015,8 @@ def verify_claim4(m: int, p: int) -> ClaimReport:
     otherwise raises InvariantViolation.  So every passing class is
     f_*[T] for a unit f, and its middle is isomorphic to T: a passing
     middle whose socle is not simple contradicts this proof and raises
-    InvariantViolation too, so the returned report always holds.
+    InvariantViolation too, so a report is returned only when the claim
+    holds, and it carries no verdict.
     """
     lab = ext_lab_instance(m, p)
     target = lab.target
@@ -1049,7 +1036,7 @@ def verify_claim4(m: int, p: int) -> ClaimReport:
     if checked != total - total // p:
         raise InvariantViolation(
             f"{checked} of {total} classes pass, not q^e - q^(e-1)")
-    return ClaimReport(True, checked, total, m, p)
+    return ClaimReport(checked, total, m, p)
 
 
 class WitnessReport(Record):

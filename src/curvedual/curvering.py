@@ -132,6 +132,14 @@ def build(spec: CurveSpec) -> "CurveRing":
     for g in gens:
         if g.nbranches != nbranches:
             raise NotARing("generators disagree on the number of branches")
+    # on a branch no generator reaches, the ring is the constants alone,
+    # so it has infinite colength whatever the window
+    reached = {i for g in gens for i, _ in g.coeffs}
+    for i in range(nbranches):
+        if i not in reached:
+            raise NotFiniteColength(
+                f"no generator reaches branch {i} (counting from 0), so the "
+                f"ring has infinite colength")
 
     if width is None:
         vals = [int(g.valuation(i)) for g in gens for i in range(nbranches)
@@ -147,6 +155,15 @@ def build(spec: CurveSpec) -> "CurveRing":
             raise InvariantViolation(
                 "window scan disagrees with the semigroup oracle")
         if width >= spec.window_bound:
+            # a branch whose slab the scan did not reach below the top
+            # gives no conductor, so no lower bound on the window either
+            lacking = [str(i) for i, n in enumerate(cond) if n >= width]
+            if lacking:
+                raise NotFiniteColength(
+                    f"no conductor below the window bound "
+                    f"{spec.window_bound} on branch"
+                    f"{'es' if len(lacking) > 1 else ''} "
+                    f"{', '.join(lacking)} (counting from 0)")
             raise NotFiniteColength(
                 f"conductor not certified within window bound "
                 f"{spec.window_bound} (needs at least {need})")

@@ -29,11 +29,11 @@ ch. IV): x·M lies in ω iff Σ res(f·x·m) vanishes for all f in O and
 m in M, and f·m runs over M again.  `_residue_conditions` writes
 these conditions, one per window row of M; `dual` solves them with no
 generators of M and no normal forms against ω, and `canonical_module`
-solves them for M = O.  The general
-`FracIdeal.colon` stays for every other dividend, and each check that
-compares duals runs one side through each route: biduality and length
-duality in the harness, conductor duality, the torsion-free hull and
-the uniqueness test.
+solves them for M = O, both through one helper, `_orthogonal`.  The
+general `FracIdeal.colon` stays for every other dividend, and each
+check that compares duals runs one side through each route: biduality
+and length duality in the harness, conductor duality, the torsion-free
+hull and the uniqueness test.
 `ω:ω = O` stays on the colon alone, where the residue route would
 make it a tautology.
 
@@ -50,7 +50,8 @@ import random
 
 from .artin import curve_quotient, present_quotient, socle
 from .errors import (DifferentialDegreeError, FieldTooSmall,
-                     InvariantViolation, NotARing, NotDualizing, ZeroOnBranch)
+                     InvariantViolation, NotARing, NotDualizing, ParseError,
+                     TooLarge, ZeroOnBranch)
 from .fields import FiniteField
 from .fracideal import (FracIdeal, TorsionQuotient, ZeroModule,
                         conductor_module, from_generators,
@@ -111,14 +112,12 @@ def canonical_module(ring, drop_conditions: int = 0) -> CanonicalModule:
             return cached
     if drop_conditions < 0:
         raise ValueError("drop_conditions must be nonnegative")
-    rows, cols = _residue_conditions(unit_ideal(ring))
+    unit = unit_ideal(ring)
+    rows, cols = _residue_conditions(unit)
     if drop_conditions:
         rows = rows[:max(len(rows) - drop_conditions, 0)]
-    sols = kernel(ring.field, rows, cols)
-    module = FracIdeal(ring, 1, tuple(-n for n in ring.cond),
-                       (0,) * ring.nbranches, sols)
-    out = CanonicalModule(module, tuple(rows), tuple(reversed(cols)),
-                          len(cols) - len(sols))
+    module, rank = _orthogonal(unit, rows, cols)
+    out = CanonicalModule(module, tuple(rows), tuple(reversed(cols)), rank)
     if drop_conditions == 0:
         _require(ring, out, "delta-over-regular", "omega-endomorphisms")
         ring._canonical_module = out
@@ -193,6 +192,24 @@ def _require(ring, data, *names):
 # The faults `harness` injects, by the residue conditions each drops.
 INJECTIONS = {"drop-residue-condition": 1}
 
+# Most seeded cases one `harness` run may draw.  At the cap, `check
+# --cases 10000 --seed 11` over the family takes 8.9 s from start to
+# finish over Q and 6.7 s over F5, `check cusp --cases 10000` 3.1 s
+# (2-vCPU VM, Python 3.11).  The cap bounds the count, not the time: a
+# case costs more as the conductor grows, 33 ms at (13,17).  A count
+# below 0 or past the cap is refused by `require_case_count`.
+MAX_CASES = 10000
+
+
+def require_case_count(cases):
+    """Refuse a case count `harness` will not run: below 0 with
+    ParseError, past MAX_CASES with TooLarge.  `check` calls it before
+    it builds a ring, and `harness` before its first property."""
+    if cases < 0:
+        raise ParseError(f"--cases must be at least 0, not {cases}")
+    if cases > MAX_CASES:
+        raise TooLarge(f"{cases} cases exceed the bound {MAX_CASES}")
+
 
 def harness(rings, cases, seed, inject=None):
     """Every property `check` runs, in order, as (name, predicate, ring,
@@ -201,7 +218,9 @@ def harness(rings, cases, seed, inject=None):
     and the last.  Then each ring's `invariant_checks`, then `cases`
     seeded cases round robin over the rings.  The stream is lazy, and a
     case draws its ideal and multiplier outside the predicates, so an
-    error there propagates."""
+    error there propagates.  A case count that `require_case_count`
+    refuses raises at the first property."""
+    require_case_count(cases)
     drop = INJECTIONS[inject] if inject else 0
     datas = []
     for ring in rings:
@@ -273,12 +292,7 @@ def dual(module: FracIdeal) -> FracIdeal:
     """
     if isinstance(module, ZeroModule):
         raise ZeroOnBranch("the zero module has no dual here")
-    ring = module.ring
-    rows, unknowns = _residue_conditions(module)
-    return FracIdeal(ring, 1 ^ module.degree,
-                     tuple(-t for t in module.tail),
-                     tuple(-p for p in module.pole),
-                     kernel(ring.field, rows, unknowns))
+    return _orthogonal(module, *_residue_conditions(module))[0]
 
 
 def _residue_conditions(module: FracIdeal):
@@ -293,6 +307,20 @@ def _residue_conditions(module: FracIdeal):
     rows = [{(i, -1 - k): c for (i, k), c in row.items()}
             for row in module.ech.rows]
     return rows, unknowns
+
+
+def _orthogonal(module: FracIdeal, rows, unknowns):
+    """The solutions of residue conditions of M^⊥ over their unknowns,
+    both from `_residue_conditions(M)`, as a module between -tail and
+    -pole of M, and the rank of the conditions.  `dual` passes every
+    condition; `canonical_module` passes those of O, or fewer for its
+    injected fault."""
+    ring = module.ring
+    sols = kernel(ring.field, rows, unknowns)
+    return (FracIdeal(ring, 1 ^ module.degree,
+                      tuple(-t for t in module.tail),
+                      tuple(-p for p in module.pole), sols),
+            len(unknowns) - len(sols))
 
 
 def tfs2_hull(ring, gens):

@@ -244,7 +244,6 @@ def test_ext_routes_at_m5():
 
 def test_claim4_smallest_case():
     rep = verify_claim4(3, 2)
-    assert rep.ok
     assert rep.checked == 4
     assert rep.total == 8
 
@@ -318,15 +317,17 @@ def test_cor3_runs_one_surjection_search(monkeypatch, m, p):
 
 
 def raise_least_coefficient(psi, field):
-    """The cocycle psi with the coefficient of its least key raised by
-    one; the split class, psi = {}, as it is."""
-    psi = dict(psi)
-    if psi:
-        key = min(psi)
-        psi[key] += field.one
-        if not psi[key]:
-            del psi[key]
-    return psi
+    """The cocycle psi, one sparse column per kernel basis vector, with
+    the entry at the least coordinate of its first nonzero column raised
+    by one; the split class, every column zero, as it is."""
+    psi = [dict(col) for col in psi]
+    col = next((col for col in psi if col), None)
+    if col is not None:
+        key = min(col)
+        col[key] += field.one
+        if not col[key]:
+            del col[key]
+    return tuple(psi)
 
 
 def test_lab_middle_from_a_changed_cocycle_is_caught(monkeypatch):
@@ -363,8 +364,7 @@ def test_lab_middle_missing_a_graph_row_is_caught(monkeypatch, m, p, drop):
     def dropped(algebra, nmodule, b0, kvecs, psi):
         if drop == "last":
             return push(algebra, nmodule, b0, kvecs[:-1], psi)
-        psi = {(mdx - 1, q): c for (mdx, q), c in psi.items() if mdx}
-        return push(algebra, nmodule, b0, kvecs[1:], psi)
+        return push(algebra, nmodule, b0, kvecs[1:], psi[1:])
 
     monkeypatch.setattr(artin, "_pushout_middle", dropped)
     if drop == "last":
@@ -388,8 +388,8 @@ def test_lab_walk_over_changed_cocycles_fails_the_closed_form(
     # closed form q^e - q^(e-1) of the passing count sees the fault
     lines = artin._line_cocycles
 
-    def changed(field, reps):
-        for weight, psi in lines(field, reps):
+    def changed(field, reps, d):
+        for weight, psi in lines(field, reps, d):
             yield weight, raise_least_coefficient(psi, field)
 
     monkeypatch.setattr(artin, "_line_cocycles", changed)
@@ -543,9 +543,10 @@ def test_line_walk_matches_full_enumeration(m, p):
     passing = [mid for mid in selfs
                if _passes_quotient_test(mid, xvec, lab.module)]
     holds = all(module_iso(mid, lab.target) is not None for mid in passing)
+    # the oracle's verdict: verify_claim4 returns only when it holds
+    assert holds
     claim = verify_claim4(m, p)
-    assert (claim.ok, claim.checked, claim.total) == (
-        holds, len(passing), len(selfs))
+    assert (claim.checked, claim.total) == (len(passing), len(selfs))
 
     middles = enumerate_extensions(lab.module, k)
     passing = [mid for mid in middles
@@ -586,7 +587,8 @@ def test_rank_decides_every_line_as_the_quotient_test(monkeypatch, m, p,
     b0, kvecs, reps, _ = artin._extension_classes(lab.module, nmodule)
     # one decision per line, and a middle for each passing one only
     assert [psi for psi, _ in seen] == [
-        psi for _, psi in artin._line_cocycles(algebra.field, reps)]
+        psi for _, psi in artin._line_cocycles(algebra.field, reps,
+                                               len(kvecs))]
     assert len(kept) == sum(decided for _, decided in seen)
     decided = [d for _, d in seen]
     assert decided == [
@@ -612,7 +614,7 @@ def test_lab_walks_build_no_quotient(monkeypatch):
     monkeypatch.setattr(artin, "quotient_module", refuse)
     monkeypatch.setattr(artin, "module_iso", counted)
     claim = verify_claim4(3, 3)
-    assert (claim.ok, claim.checked, claim.total) == (True, 18, 27)
+    assert (claim.checked, claim.total) == (18, 27)
     assert targets == []
     rep = witness_cor3(3, 2)
     assert (rep.total_classes, rep.passing_quotient_test,
@@ -636,7 +638,7 @@ def test_walks_build_only_passing_middles(monkeypatch, m, p, claim4, cor3):
     monkeypatch.setattr(artin, "_pushout_middle", counted)
     rep = verify_claim4(m, p)
     assert len(built) == claim4 == rep.checked // (p - 1)
-    assert {} not in built
+    assert all(any(psi) for psi in built)
     built.clear()
     witness_cor3(m, p)
     assert len(built) == cor3
@@ -649,7 +651,7 @@ def test_claim4_builds_no_hom_space(monkeypatch, m, p):
 
     for name in ("hom_space", "module_iso", "_search_hom"):
         monkeypatch.setattr(artin, name, refuse)
-    assert verify_claim4(m, p).ok
+    assert verify_claim4(m, p).total == p ** m
 
 
 def test_claim4_refuses_a_target_without_a_simple_socle(monkeypatch):
@@ -718,11 +720,63 @@ def test_cover_rows_refuse_an_element_that_does_not_kill_the_module():
         artin._x_cover_rows(algebra, {0: algebra.field.one}, b0, tracked)
 
 
+def assert_sparse_columns(maps, d, dn):
+    """Each map is a tuple of d sparse columns over range(dn), one per
+    source vector, with no zero entry."""
+    for x in maps:
+        assert type(x) is tuple and len(x) == d
+        for col in x:
+            assert type(col) is dict and all(col.values())
+            assert all(0 <= p < dn for p in col)
+
+
+def assert_lab_maps_are_columns(mmodule, nmodule, walk):
+    """Every hom-space map M -> N, Ext^1(M, N) representative and, when
+    `walk`, line cocycle is given by sparse columns, one per source
+    vector; a cocycle's source is the kernel of the minimal cover."""
+    assert_sparse_columns(hom_space(mmodule, nmodule), mmodule.dim,
+                          nmodule.dim)
+    _, kvecs, reps, _ = artin._extension_classes(mmodule, nmodule)
+    assert reps
+    assert_sparse_columns(reps, len(kvecs), nmodule.dim)
+    if walk:
+        field = mmodule.algebra.field
+        cocycles = [psi for _, psi in
+                    artin._line_cocycles(field, reps, len(kvecs))]
+        assert not any(cocycles[0]) and all(map(any, cocycles[1:]))
+        assert_sparse_columns(cocycles, len(kvecs), nmodule.dim)
+
+
+@pytest.mark.parametrize("m, p", [(3, 2), (3, 3), (4, 2)])
+def test_lab_maps_are_tuples_of_sparse_columns(m, p):
+    # one map format: hom-space elements, Ext^1 representatives and the
+    # line cocycles of both walks, over N = k and N = M
+    lab = ext_lab_instance(m, p)
+    k = trivial_module(lab.square.algebra)
+    for nmodule in (k, lab.module):
+        assert_lab_maps_are_columns(lab.module, nmodule, True)
+    assert_sparse_columns(hom_space(lab.target, lab.module), lab.target.dim,
+                          lab.module.dim)
+    assert_sparse_columns([(v,) for v in socle(lab.target).basis], 1,
+                          lab.target.dim)
+
+
+def test_maps_over_q_are_tuples_of_sparse_columns(r345):
+    # the same format over an infinite field, whose classes are not walked
+    alg = curve_quotient(r345, elem(r345, "t^3")).algebra
+    free, k = free_module(alg), trivial_module(alg)
+    assert_lab_maps_are_columns(k, k, False)
+    assert_lab_maps_are_columns(matlis_dual(free), k, False)
+    assert_sparse_columns(hom_space(free, matlis_dual(free)), free.dim,
+                          free.dim)
+    assert_sparse_columns([(v,) for v in socle(free).basis], 1, free.dim)
+
+
 def line_middles(nmodule, classes):
     """(weight, middle) for every line of `artin._line_cocycles`."""
     algebra = nmodule.algebra
     b0, kvecs, reps, _ = classes
-    for weight, psi in artin._line_cocycles(algebra.field, reps):
+    for weight, psi in artin._line_cocycles(algebra.field, reps, len(kvecs)):
         yield weight, artin._pushout_middle(algebra, nmodule, b0, kvecs, psi)
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from curvedual import cli, toric2
+from curvedual import cli, duality, toric2
 from curvedual.artin import ext_lab_instance
 
 
@@ -146,6 +146,23 @@ def test_check_injection_never_escalates_to_input_error(capsys):
                                 "--inject", "drop-residue-condition")
         assert code == 1, curve
         assert doc["counterexample"]["rerun"], curve
+
+
+@pytest.mark.parametrize("argv", [["check"], ["check", "5,7"]],
+                         ids=("family", "curve"))
+def test_check_past_the_case_cap_exits_2_at_once(capsys, monkeypatch, argv):
+    # refused before any ring is built, with the family or a curve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring was built past the case cap")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli.family, "family_rings", refuse)
+    cap = duality.MAX_CASES
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--cases", str(cap + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err == f"error: {cap + 1} cases exceed the bound {cap}\n"
 
 
 def test_check_single_case_seed_reproduces(capsys):
@@ -424,10 +441,10 @@ def test_window_bound_flag(capsys):
 
 
 def test_window_bound_past_its_cap_exits_2_at_once(capsys):
-    # infinite colength: the window would double up to the bound (14-17
-    # s at 20,000 on a 2-vCPU VM); past the cap 8,194 the build refuses
-    # at once, before any closure
-    inline = "field Q; branches 2; gen (t, 0)"
+    # infinite colength on branches every generator reaches: the window
+    # would double up to the bound (3.3 s at 8,194 on a 2-vCPU VM); past
+    # the cap 8,194 the build refuses at once, before any closure
+    inline = "field Q; branches 2; gen (t, t)"
     start = time.perf_counter()
     code, out, err = run(capsys, "report", "--inline", inline,
                          "--window-bound", "8195")
@@ -437,7 +454,47 @@ def test_window_bound_past_its_cap_exits_2_at_once(capsys):
     assert "window bound 8195 exceeds the bound 8194" in err
     code, out, err = run(capsys, "report", "--inline", inline,
                          "--window-bound", "20")
-    assert code == 2 and "not certified within window bound 20" in err
+    assert code == 2 and err == ("error: no conductor below the window "
+                                 "bound 20 on branches 0, 1 (counting "
+                                 "from 0)\n")
+
+
+@pytest.mark.parametrize("inline, branch", [
+    ("field Q; branches 3; gen (t^2, t^3, 0)",
+     "no generator reaches branch 2 (counting from 0)"),
+    ("field Q; branches 2; gen (t, 0)",
+     "no generator reaches branch 1 (counting from 0)"),
+    ("field Q; gen t^" + "1" * 50,
+     "no conductor below the window bound 200 on branch 0 (counting "
+     "from 0)"),
+    ("field Q; branches 2; gen (t, t)",
+     "no conductor below the window bound 200 on branches 0, 1 "
+     "(counting from 0)"),
+], ids=("unreached-third", "unreached-second", "order-past-the-window",
+        "diagonal"))
+def test_infinite_colength_names_the_branch(capsys, inline, branch):
+    # none of these scans sheds a slab, so no window would certify a
+    # conductor and none is asked for; a branch no generator reaches is
+    # refused before any closure, at once even under the widest bound
+    code, out, err = run(capsys, "report", "--inline", inline)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert branch in err and "needs at least" not in err
+    if "reaches" in branch:
+        start = time.perf_counter()
+        code, _, err = run(capsys, "report", "--inline", inline,
+                           "--window-bound", "8194")
+        assert code == 2 and branch in err
+        assert time.perf_counter() - start < 0.5
+
+
+def test_window_too_narrow_for_a_found_conductor_asks_for_more(capsys):
+    # the scan sheds the slab at 110, so it names the window 2·110 + 2
+    # that would certify it
+    code, _, err = run(capsys, "report", "--inline",
+                       "field Q; gen t^11; gen t^12")
+    assert code == 2 and err == ("error: conductor not certified within "
+                                 "window bound 200 (needs at least 222)\n")
 
 
 def test_report_needs_curve(capsys):

@@ -9,7 +9,8 @@ import pytest
 import curvedual as cd
 from curvedual import cli, duality, fracideal
 from curvedual.errors import (FieldTooSmall, InvariantViolation, NotARing,
-                              NotDualizing, ZeroOnBranch)
+                              NotDualizing, ParseError, TooLarge,
+                              ZeroOnBranch)
 from curvedual.fracideal import (FracIdeal, ZeroModule, conductor_module,
                                  from_generators, maximal_ideal,
                                  normalization_module, random_ideal,
@@ -146,6 +147,28 @@ def test_residue_dual_matches_colon_on_family(p):
     field = cd.rationals() if p is None else cd.prime_field(p)
     for ring in cd.family_rings(field, bound=8):
         assert_routes_agree(ring)
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=("Q", "F5"))
+def test_omega_is_the_dual_of_the_ring(monkeypatch, p):
+    # one construction of ω = O^⊥: `canonical_module` and `dual` solve
+    # the same residue conditions of O through one helper
+    field = cd.rationals() if p is None else cd.prime_field(p)
+    for ring in cd.family_rings(field, bound=8):
+        assert (cd.canonical_module(ring).module
+                == cd.dual(unit_ideal(ring))), ring.label
+    calls = []
+    solve = duality._orthogonal
+
+    def counted(module, rows, unknowns):
+        calls.append(module)
+        return solve(module, rows, unknowns)
+
+    monkeypatch.setattr(duality, "_orthogonal", counted)
+    ring = cd.named_ring(field, "cusp")
+    cd.canonical_module(ring)
+    cd.dual(unit_ideal(ring))
+    assert calls == [unit_ideal(ring)] * 2
 
 
 def test_no_float_arises_over_q(qq):
@@ -365,6 +388,15 @@ def test_check_builds_each_multiple_once(scale_calls):
         assert cli.main(["check", "3,5", "--cases", "20"]) == 0
     assert len(scale_calls) >= 20
     assert set(scale_calls.values()) == {1}
+
+
+def test_harness_refuses_a_case_count_before_its_first_property(qq):
+    rings = [cd.named_ring(qq, "cusp")]
+    with pytest.raises(TooLarge, match="exceed the bound"):
+        next(duality.harness(rings, duality.MAX_CASES + 1, 0))
+    with pytest.raises(ParseError, match="at least 0"):
+        next(duality.harness(rings, -1, 0))
+    assert next(duality.harness(rings, duality.MAX_CASES, 0))
 
 
 def test_harness_lists_the_table_then_the_seeded_cases(qq):
